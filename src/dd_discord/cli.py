@@ -23,8 +23,8 @@ import numpy as np
 
 from .correlations import BellDiagonalState, NoiseSide, decoherence_factor, trajectory
 from .phase import classify, min_decoherence_factor, phase_diagram, transition_time
-from .pulses import (PulseSchedule, controlled_gamma, controlled_gamma_oracle,
-                     default_time_grid, periodic_schedule)
+from .pulses import (PulsedDecoherence, controlled_gamma_oracle, default_time_grid,
+                     schedule_for)
 from .spectral import ConvergenceError, OhmicSpectrum, QuadratureConfig
 
 __version__ = "0.1.0"
@@ -267,12 +267,6 @@ def _quad_cfg(cfg):
     return QuadratureConfig(cfg.rel_tol, cfg.abs_tol, cfg.max_subdivisions)
 
 
-def _schedule(cfg, pulse_interval):
-    if pulse_interval is None:
-        return PulseSchedule((), cfg.horizon)
-    return periodic_schedule(pulse_interval, cfg.horizon)
-
-
 def _side(cfg):
     return NoiseSide.ONE_SIDED if cfg.side == "one" else NoiseSide.TWO_SIDED
 
@@ -294,26 +288,24 @@ class _Dataset:
 
 def _run_decoherence(cfg):
     spec = OhmicSpectrum(cfg.s)
-    sched = _schedule(cfg, _single_dt(cfg))
+    sched = schedule_for(_single_dt(cfg), cfg.horizon)
     side = _side(cfg)
     if cfg.tau is not None:
         taus = [cfg.tau]
     else:
         taus = default_time_grid(sched, cfg.time_step)
-    quad = _quad_cfg(cfg)
-    rows = []
-    for t in taus:
-        if cfg.oracle:
-            g = controlled_gamma_oracle(spec, sched, t, quad)
-        else:
-            g = controlled_gamma(spec, sched, t)
-        rows.append((t, g, decoherence_factor(g, side)))
+    if cfg.oracle:
+        quad = _quad_cfg(cfg)
+        gammas = [controlled_gamma_oracle(spec, sched, t, quad) for t in taus]
+    else:
+        gammas = PulsedDecoherence(spec, sched).gamma_grid(taus)
+    rows = [(t, g, decoherence_factor(g, side)) for t, g in zip(taus, gammas)]
     return _Dataset(("tau", "gamma", "factor"), rows)
 
 
 def _run_trajectory(cfg):
     spec = OhmicSpectrum(cfg.s)
-    sched = _schedule(cfg, _single_dt(cfg))
+    sched = schedule_for(_single_dt(cfg), cfg.horizon)
     grid = default_time_grid(sched, cfg.time_step)
     result = trajectory(spec, sched, BellDiagonalState(cfg.c), _side(cfg), grid)
     rows = []
@@ -352,7 +344,7 @@ def _run_boundary(cfg):
 
 def _run_transition(cfg):
     spec = OhmicSpectrum(cfg.s)
-    sched = _schedule(cfg, _single_dt(cfg))
+    sched = schedule_for(_single_dt(cfg), cfg.horizon)
     side = _side(cfg)
     state = BellDiagonalState(cfg.c)
     mf = min_decoherence_factor(spec, sched, side)

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .correlations import NoiseSide, correlation_bits
-from .pulses import PulsedDecoherence, PulseSchedule, default_time_grid, periodic_schedule
+from .pulses import PulsedDecoherence, default_time_grid, schedule_for
 from .spectral import OhmicSpectrum
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -61,12 +61,6 @@ class PhaseDiagram:
     side: NoiseSide
     pulse_interval: Optional[float]
     horizon: float
-
-
-def _build_schedule(pulse_interval, horizon):
-    if pulse_interval is None:
-        return PulseSchedule((), horizon)
-    return periodic_schedule(pulse_interval, horizon)
 
 
 def _golden_min(f, a, b, xtol):
@@ -189,7 +183,7 @@ def _phase_row(args):
     """One diagram row: (min_factor, labels over c_grid) at a single s."""
     s, c_grid, pulse_interval, side, horizon = args
     spec = OhmicSpectrum(s)
-    sched = _build_schedule(pulse_interval, horizon)
+    sched = schedule_for(pulse_interval, horizon)
     profile = _FactorProfile(spec, sched, side)
     mf = profile.min_factor()
     labels = []

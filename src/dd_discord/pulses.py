@@ -8,6 +8,12 @@ intervals elapsed since each pulse. Equivalently, the pulses act in
 frequency space through a filter |y_n(omega t)|^2 on the bath spectrum.
 Both routes are implemented: the signed sum is the production path, the
 filter-function quadrature the independent oracle.
+
+For periodic schedules the signed sum collapses into alternating prefix
+sums over the pulse index. Its schedule-only part costs O(pulses) once,
+and times that sit at the same phase inside a period share one prefix
+sum, so a time grid costs O(grid + distinct phases x pulses)
+evaluations of gamma0 instead of O(grid x pulses).
 """
 
 import math
@@ -70,14 +76,45 @@ def periodic_schedule(delta_tau, horizon):
     return PulseSchedule(tuple(n * delta_tau for n in range(1, count + 1)), horizon)
 
 
+def schedule_for(pulse_interval, horizon):
+    """Periodic schedule with the given interval; None means free evolution."""
+    if pulse_interval is None:
+        return PulseSchedule((), horizon)
+    return periodic_schedule(pulse_interval, horizon)
+
+
+def _is_periodic(instants):
+    """True when instants are exactly k * instants[0], k = 1 .. N (N >= 1)."""
+    count = instants.size
+    return bool(count) and np.array_equal(
+        instants, np.arange(1, count + 1) * instants[0])
+
+
+# table entries per block of the shared-phase sums: bounds their working set
+_PHASE_BLOCK = 4096
+
+
 class PulsedDecoherence:
     """Controlled decoherence exponent for one bath and schedule.
 
-    The schedule-only part of the signed expansion (single-instant and
-    pairwise-gap terms) is accumulated once per pulse count at
-    construction, so a query after n pulses costs n evaluations of
-    gamma0 at the elapsed intervals. Instances are immutable after
-    construction and safe to share across threads.
+    With n pulses t_1 < ... < t_n before tau the exponent is
+
+        static[n] + (-1)^n gamma0(tau) + 2 sum_k (-1)^k gamma0(tau - t_(n-k)),
+
+    k = 0 .. n-1, where static[n] collects the single-instant and
+    pairwise-gap terms and is accumulated once at construction.
+
+    For a periodic schedule (t_k exactly k * t_1, as periodic_schedule
+    builds it) every gap t_m - t_j is itself an instant, so static takes
+    two prefix sums over the N instants. The elapsed sum becomes
+    sum_k (-1)^k gamma0(r + t_k) with t_0 = 0 and the phase r = tau - t_n,
+    which is exact by Sterbenz's lemma. Grid points with exactly equal
+    phases share one alternating prefix sum, so a grid costs one gamma0
+    evaluation per point plus one per (distinct phase, pulse) pair.
+    Other schedules pay n evaluations per point and O(N^2) at
+    construction. A single time is the same sum with one phase.
+    Instances are immutable after construction and safe to share across
+    threads.
     """
 
     def __init__(self, spec, schedule):
@@ -85,37 +122,49 @@ class PulsedDecoherence:
         self.schedule = schedule
         t = np.asarray(schedule.instants, dtype=float)
         count = t.size
-        static = np.zeros(count + 1)
-        if count:
-            singles = np.atleast_1d(gamma0(spec, t))
-            acc = 0.0
-            for n in range(1, count + 1):
-                inc = 2.0 * (-1.0) ** (n + 1) * singles[n - 1]
-                if n > 1:
-                    j = np.arange(1, n)
-                    gaps = gamma0(spec, t[n - 1] - t[: n - 1])
-                    inc += 4.0 * np.dot((-1.0) ** (n - 1 + j), gaps)
-                acc += inc
-                static[n] = acc
         self._instants = t
-        self._static = static
+        self._signs = (-1.0) ** np.arange(count)   # (-1)^k, k = 0 .. N-1
+        self._periodic = _is_periodic(t)
+        self._starts = np.concatenate(([0.0], t))   # t_0 = 0, t_1, ..., t_N
+        singles = np.atleast_1d(gamma0(spec, t)) * self._signs   # (-1)^(n+1) G(t_n)
+        if self._periodic:
+            # the gap sum of pulse n is sum_k (-1)^(k+1) G(t_k), k < n
+            gaps = np.concatenate(([0.0], np.cumsum(singles)[:-1]))
+        else:
+            gaps = np.zeros(count)
+            for n in range(1, count):
+                gaps[n] = np.dot(self._signs[n - 1::-1],
+                                 gamma0(spec, t[n] - t[:n]))
+        self._static = np.concatenate(([0.0], np.cumsum(2.0 * singles + 4.0 * gaps)))
 
     def _check(self, tau_min, tau_max):
         if tau_min < 0.0 or tau_max > self.schedule.horizon:
             raise ValueError(
                 f"tau must lie in [0, {self.schedule.horizon}]")
 
+    def _elapsed_args(self, taus, n):
+        """Arguments tau - t_(n-k), k = 0 .. n-1, of the elapsed sum (n >= 1)."""
+        if self._periodic:
+            return (taus - self._starts[n]) + self._starts[:n]
+        return taus - self._instants[n - 1::-1]
+
+    def _alternating(self, args):
+        """Prefix sums of (-1)^k gamma0(args[..., k]) along the last axis."""
+        width = args.shape[-1]
+        return np.cumsum(gamma0(self.spec, args) * self._signs[:width], axis=-1)
+
+    def _unclamped(self, taus, counts, elapsed):
+        """The exponent from its three parts, before the clamp at zero."""
+        return (self._static[counts] + (-1.0) ** counts * gamma0(self.spec, taus)
+                + 2.0 * elapsed)
+
     def gamma(self, tau):
         """Exponent at a single time (pulse instants use the earlier branch)."""
         tau = float(tau)
         self._check(tau, tau)
-        n = bisect_left(self._instants, tau)
-        value = self._static[n] + (-1.0) ** n * gamma0(self.spec, tau)
-        if n:
-            m = np.arange(1, n + 1)
-            elapsed = np.atleast_1d(gamma0(self.spec, tau - self._instants[:n]))
-            value += 2.0 * np.dot((-1.0) ** (m + n), elapsed)
-        return max(float(value), 0.0)
+        n = bisect_left(self.schedule.instants, tau)
+        elapsed = self._alternating(self._elapsed_args(tau, n))[-1] if n else 0.0
+        return max(float(self._unclamped(tau, n, elapsed)), 0.0)
 
     def gamma_grid(self, taus):
         """Vectorized exponent over an ascending time grid."""
@@ -126,17 +175,43 @@ class PulsedDecoherence:
             raise ValueError("grid must be ascending")
         self._check(float(taus[0]), float(taus[-1]))
         counts = np.searchsorted(self._instants, taus, side="left")
-        out = np.empty_like(taus)
-        for n in np.unique(counts):
-            pick = counts == n
-            pts = taus[pick]
-            value = self._static[n] + (-1.0) ** n * gamma0(self.spec, pts)
-            if n:
-                m = np.arange(1, n + 1)
-                elapsed = gamma0(self.spec, pts[:, None] - self._instants[:n])
-                value = value + 2.0 * (elapsed @ ((-1.0) ** (m + n)))
-            out[pick] = value
-        return np.maximum(out, 0.0)
+        if self._periodic:
+            elapsed = self._phase_sums(taus - self._starts[counts], counts)
+        else:
+            elapsed = np.zeros_like(taus)
+            for n in np.unique(counts[counts > 0]):
+                pick = counts == n
+                args = self._elapsed_args(taus[pick][:, None], n)
+                elapsed[pick] = self._alternating(args)[:, -1]
+        return np.maximum(self._unclamped(taus, counts, elapsed), 0.0)
+
+    def _phase_sums(self, phases, counts):
+        """Elapsed sums of points with phases r = tau - t_n after counts n pulses.
+
+        Each distinct phase gets one table row of alternating prefix sums,
+        from the empty sum up to its largest count. Phases go longest
+        first, in blocks of at most _PHASE_BLOCK table entries, so every
+        row of a block fits the block's first width.
+        """
+        distinct, which = np.unique(phases, return_inverse=True)
+        longest = np.zeros(distinct.size, dtype=int)
+        np.maximum.at(longest, which, counts)
+        order = np.argsort(-longest, kind="stable")
+        point_rank = np.argsort(order)[which]   # table row of each point's phase
+        by_rank = np.argsort(point_rank, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(point_rank))))
+        out = np.empty(phases.size)
+        first = 0
+        while first < order.size:
+            width = int(longest[order[first]])
+            stop = min(order.size, first + max(1, _PHASE_BLOCK // (width + 1)))
+            table = np.zeros((stop - first, width + 1))
+            table[:, 1:] = self._alternating(
+                distinct[order[first:stop], None] + self._starts[:width])
+            pts = by_rank[bounds[first]:bounds[stop]]
+            out[pts] = table[point_rank[pts] - first, counts[pts]]
+            first = stop
+        return out
 
 
 @lru_cache(maxsize=256)

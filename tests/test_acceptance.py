@@ -6,9 +6,6 @@ live in module-scoped fixtures; wall-clock budgets are asserted where
 the criterion includes one.
 """
 
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -228,19 +225,15 @@ def test_criterion_09_interval_ordering_at_half():
                    + str(dict(zip(intervals, counts))))
 
 
-def test_criterion_10_worker_count_determinism(tmp_path):
+def test_criterion_10_worker_count_determinism(tmp_path, run_cli):
     args = ["phase-diagram", "--dt", "0.5", "--side", "two",
             "--s-grid", "0.5:4:6", "--c-grid", "0:0.9:5",
             "--output", "map.csv"]
-    env = dict(os.environ)
-    env.pop("DD_DISCORD_THREADS", None)  # --workers must be authoritative here
     blobs = {}
     for workers in ("1", "4"):
         cwd = tmp_path / f"w{workers}"
         cwd.mkdir()
-        res = subprocess.run(
-            [sys.executable, "-m", "dd_discord.cli", *args, "--workers", workers],
-            cwd=cwd, env=env, capture_output=True, text=True)
+        res = run_cli([*args, "--workers", workers], cwd)
         assert res.returncode == 0, res.stderr
         blobs[workers] = ((cwd / "map.csv").read_bytes(),
                           (cwd / "map-free.csv").read_bytes())

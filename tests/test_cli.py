@@ -1,7 +1,4 @@
 import csv
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +17,6 @@ def read_rows(path_or_text):
     lines = text.splitlines()
     assert lines[0] == UNITS_LINE
     return list(csv.DictReader(lines[1:]))
-
-
-def run_cli(args, cwd, extra_env=None):
-    env = dict(os.environ)
-    env.pop("DD_DISCORD_THREADS", None)
-    env.update(extra_env or {})
-    return subprocess.run([sys.executable, "-m", "dd_discord.cli", *args],
-                          cwd=cwd, env=env, capture_output=True, text=True)
 
 
 def test_decoherence_single_point_to_stdout(capsys):
@@ -248,7 +237,7 @@ def test_sidecar_records_package_version(tmp_path, capsys):
     assert resolved["command"] == "decoherence"
 
 
-def test_worker_pool_size_is_invisible_in_output(tmp_path):
+def test_worker_pool_size_is_invisible_in_output(tmp_path, run_cli):
     args = ["phase-diagram", "--dt", "0.6", "--side", "two", "--workers", "4",
             "--s-grid", "0.5:3:4", "--c-grid", "0:0.8:4", "--output", "map.csv"]
     dir_one = tmp_path / "one"

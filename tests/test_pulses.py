@@ -1,7 +1,10 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dd_discord import pulses
 from dd_discord import (
     OhmicSpectrum,
     PulseSchedule,
@@ -12,6 +15,7 @@ from dd_discord import (
     gamma0,
     periodic_schedule,
 )
+from dd_discord.pulses import PulsedDecoherence
 from oracles import naive_controlled_gamma
 
 FROZEN_ECHO_AT_TWO = 0.5815754049028404  # 2*ln2 - ln5/2, marginal spectrum
@@ -103,13 +107,84 @@ def test_matches_naive_double_sum():
 
 def test_grid_evaluation_matches_scalar():
     spec = OhmicSpectrum(4.0)
-    sched = periodic_schedule(1.0, 12.0)
-    taus = np.linspace(0.0, 12.0, 301)
-    from dd_discord.pulses import PulsedDecoherence
-    engine = PulsedDecoherence(spec, sched)
-    grid = engine.gamma_grid(taus)
-    for idx in range(0, taus.size, 23):
-        assert abs(grid[idx] - engine.gamma(float(taus[idx]))) < 1e-13
+    dense = periodic_schedule(0.05, 12.0)
+    cases = ((periodic_schedule(1.0, 12.0), np.linspace(0.0, 12.0, 301)),
+             (dense, default_time_grid(dense)))
+    for sched, taus in cases:
+        engine = PulsedDecoherence(spec, sched)
+        grid = engine.gamma_grid(taus)
+        for idx in range(0, taus.size, 23):
+            assert abs(grid[idx] - engine.gamma(float(taus[idx]))) < 1e-13
+
+
+def _phase_count(sched, grid):
+    """Distinct phases tau - t_n over grid points after at least one pulse."""
+    inst = np.asarray(sched.instants)
+    counts = np.searchsorted(inst, grid, side="left")
+    past = counts > 0
+    return np.unique(grid[past] - inst[counts[past] - 1]).size
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.3, 0.7])
+@pytest.mark.parametrize("s", [0.1, 1.0, 4.0, 6.0])
+def test_periodic_grid_matches_naive_double_sum(s, dt):
+    spec = OhmicSpectrum(s)
+    sched = periodic_schedule(dt, 25.0)
+    grid = default_time_grid(sched)
+    got = PulsedDecoherence(spec, sched).gamma_grid(grid)
+    g0 = lru_cache(maxsize=None)(lambda t: gamma0(spec, t))
+    # O(n^2) per point: sample the dense grid sparsely, the others densely
+    picks = np.linspace(1, grid.size - 1, 7 if dt < 0.1 else 60).astype(int)
+    expected = [max(naive_controlled_gamma(g0, sched.instants, float(grid[i])), 0.0)
+                for i in picks]
+    assert_allclose(got[picks], expected, rtol=1e-12, atol=1e-9)
+
+
+def test_nonrepeating_phases_still_take_the_phase_route():
+    # at dt = 0.3 almost every grid point has a phase of its own, so the
+    # shared-phase table has almost one row per point
+    sched = periodic_schedule(0.3, 25.0)
+    grid = default_time_grid(sched)
+    assert _phase_count(sched, grid) > 0.9 * grid.size
+    assert PulsedDecoherence(OhmicSpectrum(1.0), sched)._periodic
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.3])
+@pytest.mark.parametrize("s", [0.1, 1.0, 4.0, 6.0])
+def test_periodic_route_matches_general_sum(s, dt, monkeypatch):
+    spec = OhmicSpectrum(s)
+    sched = periodic_schedule(dt, 25.0)
+    grid = default_time_grid(sched)
+    fast = PulsedDecoherence(spec, sched)
+    assert fast._periodic
+    monkeypatch.setattr(pulses, "_is_periodic", lambda instants: False)
+    general = PulsedDecoherence(spec, sched)
+    assert not general._periodic
+    assert_allclose(fast.gamma_grid(grid), general.gamma_grid(grid), rtol=0.0, atol=1e-9)
+    for tau in grid[::997]:
+        assert abs(fast.gamma(tau) - general.gamma(tau)) < 1e-9
+
+
+def test_periodic_work_is_linear(monkeypatch):
+    evaluated = []
+
+    def counting_gamma0(spec, tau):
+        evaluated.append(np.size(tau))
+        return gamma0(spec, tau)
+
+    monkeypatch.setattr(pulses, "gamma0", counting_gamma0)
+    sched = periodic_schedule(0.05, 25.0)
+    grid = default_time_grid(sched)
+    assert _phase_count(sched, grid) < 250
+    engine = PulsedDecoherence(OhmicSpectrum(2.5), sched)
+    assert sum(evaluated) <= 2 * len(sched)          # static sums: O(N), not O(N^2)
+    evaluated.clear()
+    engine.gamma_grid(grid)
+    # grid points + distinct phases x pulses, against ~2.65M for the plain sum
+    assert sum(evaluated) <= 250_000
+    evaluated.clear()
+    engine.gamma(24.97)
+    assert sum(evaluated) <= len(sched) + 1
 
 
 @pytest.mark.parametrize("s", [0.5, 4.0])
@@ -129,7 +204,6 @@ def test_controlled_gamma_nonnegative():
         for dt in (0.3, 1.0, 3.0):
             sched = periodic_schedule(dt, 25.0)
             taus = np.linspace(0.0, 25.0, 400)
-            from dd_discord.pulses import PulsedDecoherence
             vals = PulsedDecoherence(spec, sched).gamma_grid(taus)
             assert np.all(vals >= 0.0)
 

@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -21,13 +22,12 @@ from typing import Optional
 
 import numpy as np
 
+from . import __version__
 from .correlations import BellDiagonalState, NoiseSide, decoherence_factor, trajectory
-from .phase import classify, min_decoherence_factor, phase_diagram, transition_time
+from .phase import phase_diagram
 from .pulses import (PulsedDecoherence, controlled_gamma_oracle, default_time_grid,
                      schedule_for)
 from .spectral import ConvergenceError, OhmicSpectrum, QuadratureConfig
-
-__version__ = "0.1.0"
 
 _COMMANDS = ("decoherence", "trajectory", "phase-diagram", "boundary", "transition")
 _UNITS_COMMENT = "# units: times in 1/omega_c, frequencies in omega_c"
@@ -202,9 +202,25 @@ def _resolve(args):
     return cfg
 
 
+def _check_finite(name, value):
+    """Reject a non-numeric or non-finite value of the named field."""
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        raise ValueError(f"{name}: expected a number, got {value!r}") from None
+    if not finite:
+        raise ValueError(f"{name}: must be finite, got {value}")
+
+
 def _normalize(cfg):
     """Type-check and canonicalize a merged config, naming bad fields."""
     cfg.dt = _parse_dt(cfg.dt)
+    for name in ("s", "c", "horizon", "tau", "time_step", "rel_tol", "abs_tol"):
+        value = getattr(cfg, name)
+        if value is not None:
+            _check_finite(name, value)
+    for value in cfg.dt or ():
+        _check_finite("dt", value)
     cfg.s_grid = _parse_grid(cfg.s_grid, "s_grid")
     cfg.c_grid = _parse_grid(cfg.c_grid, "c_grid")
     if cfg.side not in ("one", "two"):
@@ -343,15 +359,13 @@ def _run_boundary(cfg):
 
 
 def _run_transition(cfg):
-    spec = OhmicSpectrum(cfg.s)
-    sched = schedule_for(_single_dt(cfg), cfg.horizon)
-    side = _side(cfg)
-    state = BellDiagonalState(cfg.c)
-    mf = min_decoherence_factor(spec, sched, side)
-    regime = classify(state, mf)
-    when = transition_time(spec, sched, state, side)
-    row = (cfg.s, cfg.c, _single_dt(cfg), regime.value, mf, when)
-    return _Dataset(("s", "c", "dt", "regime", "min_factor", "transition_time"), row and [row])
+    # a one-cell diagram: the minimum and the crossing share one factor profile
+    diagram = phase_diagram((cfg.s,), (cfg.c,), _single_dt(cfg), _side(cfg),
+                            cfg.horizon)
+    label = diagram.labels[0][0]
+    row = (cfg.s, cfg.c, _single_dt(cfg), label.regime.value,
+           diagram.min_factors[0], label.transition_time)
+    return _Dataset(("s", "c", "dt", "regime", "min_factor", "transition_time"), [row])
 
 
 def _cell(value):

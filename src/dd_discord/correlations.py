@@ -19,7 +19,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.special import xlogy
 
 from .pulses import PulsedDecoherence, default_time_grid
 
@@ -51,8 +50,13 @@ def correlation_bits(x):
     correlation amplitude x. Even in x; 0 at x = 0; 1 as |x| -> 1.
     """
     x = np.asarray(x, dtype=float)
-    out = (xlogy(1.0 + x, 1.0 + x) + xlogy(1.0 - x, 1.0 - x)) / (2.0 * _LN2)
+    out = (_xlogx(1.0 + x) + _xlogx(1.0 - x)) / (2.0 * _LN2)
     return float(out) if out.ndim == 0 else out
+
+
+def _xlogx(y):
+    """y log y with 0 log 0 = 0, without a divide-by-zero warning at y = 0."""
+    return y * np.log(np.where(y == 0.0, 1.0, y))
 
 
 def _check_factor(factor):

@@ -14,7 +14,6 @@ golden-section for the minimum, bisection for the crossing.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -198,6 +197,8 @@ def _phase_row(args):
 
 def _run_rows(tasks, workers):
     if workers is not None and workers > 1:
+        # imported here: serial runs should not pay for the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_phase_row, tasks))
     return [_phase_row(t) for t in tasks]

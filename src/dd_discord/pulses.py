@@ -23,7 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import DEFAULT_QUADRATURE, _tail_cutoff, gamma0, oscillatory_quad
+from .spectral import (DEFAULT_QUADRATURE, ConvergenceError, _tail_cutoff, gamma0,
+                       oscillatory_quad)
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,7 @@ class PulsedDecoherence:
     evaluation per point plus one per (distinct phase, pulse) pair.
     Other schedules pay n evaluations per point and O(N^2) at
     construction. A single time is the same sum with one phase.
+    An exponent that overflows a double raises ConvergenceError.
     Instances are immutable after construction and safe to share across
     threads.
     """
@@ -158,13 +160,21 @@ class PulsedDecoherence:
         return (self._static[counts] + (-1.0) ** counts * gamma0(self.spec, taus)
                 + 2.0 * elapsed)
 
+    def _not_finite(self, tau):
+        s = self.spec.s
+        return ConvergenceError(
+            f"exponent is not a finite double at s={s}, tau={tau}", s=s, tau=tau)
+
     def gamma(self, tau):
         """Exponent at a single time (pulse instants use the earlier branch)."""
         tau = float(tau)
         self._check(tau, tau)
         n = bisect_left(self.schedule.instants, tau)
         elapsed = self._alternating(self._elapsed_args(tau, n))[-1] if n else 0.0
-        return max(float(self._unclamped(tau, n, elapsed)), 0.0)
+        value = float(self._unclamped(tau, n, elapsed))
+        if not math.isfinite(value):
+            raise self._not_finite(tau)
+        return max(value, 0.0)
 
     def gamma_grid(self, taus):
         """Vectorized exponent over an ascending time grid."""
@@ -183,7 +193,11 @@ class PulsedDecoherence:
                 pick = counts == n
                 args = self._elapsed_args(taus[pick][:, None], n)
                 elapsed[pick] = self._alternating(args)[:, -1]
-        return np.maximum(self._unclamped(taus, counts, elapsed), 0.0)
+        out = self._unclamped(taus, counts, elapsed)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            raise self._not_finite(float(taus[bad][0]))
+        return np.maximum(out, 0.0)
 
     def _phase_sums(self, phases, counts):
         """Elapsed sums of points with phases r = tau - t_n after counts n pulses.

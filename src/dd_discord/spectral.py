@@ -9,18 +9,22 @@ bath at zero temperature accumulates the exponent
 where s is the Ohmicity of the bath. The closed form in terms of the
 Euler gamma function is the production path; `gamma0_quadrature`
 evaluates the integral directly and exists as an independent
-cross-check of the closed form.
+cross-check of the closed form. Only that cross-check needs scipy, so
+scipy is imported inside it and the closed forms load numpy alone.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive quadrature could not meet the requested tolerance."""
+    """A numerical failure at (s, tau).
+
+    Adaptive quadrature missed the requested tolerance, or a result is
+    not representable as a finite double.
+    """
 
     def __init__(self, message, s=None, tau=None):
         super().__init__(message)
@@ -72,6 +76,21 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 _OHMIC_WINDOW = 1e-6
 
 
+def _euler_gamma(x, s, t):
+    """Euler Gamma(x), the prefactor of gamma0 or its rate at times t.
+
+    Gamma overflows a double for x above about 171.6; that is reported
+    as a numerical failure at Ohmicity s (and tau, when t is a single
+    time), not as a silent inf.
+    """
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        tau = float(t) if np.ndim(t) == 0 else None
+        raise ConvergenceError(
+            f"Gamma({x}) overflows a double at s={s}", s=s, tau=tau) from None
+
+
 def _as_times(tau):
     arr = np.asarray(tau, dtype=float)
     if np.any(arr < 0.0):
@@ -107,7 +126,8 @@ def gamma0(spec, tau):
         a = s - 1.0
         bracket = 1.0 - np.cos(a * np.arctan(t)) * (1.0 + t * t) ** (-0.5 * a)
         # exact value is >= 0; clamp sub-epsilon rounding at tiny tau
-        out = np.maximum(special.gamma(a) * bracket, 0.0)
+        prefactor = _euler_gamma(a, s, t)
+        out = np.maximum(prefactor * bracket, 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -119,7 +139,8 @@ def gamma0_rate(spec, tau):
     """
     t = _as_times(tau)
     s = spec.s
-    out = special.gamma(s) * np.sin(s * np.arctan(t)) * (1.0 + t * t) ** (-0.5 * s)
+    prefactor = _euler_gamma(s, s, t)
+    out = prefactor * np.sin(s * np.arctan(t)) * (1.0 + t * t) ** (-0.5 * s)
     return float(out) if out.ndim == 0 else out
 
 
@@ -151,6 +172,8 @@ def oscillatory_quad(integrand, upper, osc_rate, cfg, *, s, tau):
     ConvergenceError naming (s, tau) if any panel exhausts
     cfg.max_subdivisions without reaching tolerance.
     """
+    from scipy import integrate   # quadrature oracles only; keeps import lean
+
     if osc_rate > 0.0:
         n_panels = max(1, int(math.ceil(upper * osc_rate / math.pi)))
     else:

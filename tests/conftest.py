@@ -14,6 +14,16 @@ import dd_discord
 _SRC = str(Path(dd_discord.__file__).resolve().parents[1])
 
 
+def _run_python(argv, cwd, extra_env=None):
+    env = dict(os.environ)
+    env.pop("DD_DISCORD_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    env.update(extra_env or {})
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
 @pytest.fixture
 def run_cli():
     """Run `python -m dd_discord.cli ARGS` in cwd; returns the CompletedProcess.
@@ -23,12 +33,16 @@ def run_cli():
     """
 
     def run(args, cwd, extra_env=None):
-        env = dict(os.environ)
-        env.pop("DD_DISCORD_THREADS", None)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (_SRC, env.get("PYTHONPATH")) if p)
-        env.update(extra_env or {})
-        return subprocess.run([sys.executable, "-m", "dd_discord.cli", *args],
-                              cwd=cwd, env=env, capture_output=True, text=True)
+        return _run_python(["-m", "dd_discord.cli", *args], cwd, extra_env)
+
+    return run
+
+
+@pytest.fixture
+def run_python():
+    """Run `python -c CODE` in a fresh interpreter in cwd, with the package importable."""
+
+    def run(code, cwd):
+        return _run_python(["-c", code], cwd)
 
     return run

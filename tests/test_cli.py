@@ -1,4 +1,5 @@
 import csv
+import json
 from pathlib import Path
 
 import numpy as np
@@ -227,7 +228,6 @@ def test_sidecar_reruns_byte_identical(tmp_path, capsys):
 
 
 def test_sidecar_records_package_version(tmp_path, capsys):
-    import json
     out = tmp_path / "x.csv"
     assert main(["decoherence", "--s", "1", "--free", "--tau", "0.5",
                  "--output", str(out)]) == 0
@@ -250,3 +250,87 @@ def test_worker_pool_size_is_invisible_in_output(tmp_path, run_cli):
     assert res.returncode == 0, res.stderr
     for name in ("map.csv", "map-free.csv"):
         assert (dir_one / name).read_bytes() == (dir_many / name).read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["decoherence", "--s", "200", "--free", "--tau", "1"],
+    ["transition", "--s", "200", "--free", "--c", "0.5"],
+    ["transition", "--s", "172", "--dt", "0.3", "--c", "0.5"],
+])
+def test_overflowing_exponent_exits_two(args, capsys):
+    # Gamma(s-1) overflows a double past s ~ 172.6; just below it the
+    # pulsed sum of finite terms overflows instead
+    assert main(args + ["--output", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("convergence failure:")
+    assert "s=" + args[2] in captured.err
+
+
+_BASE = {
+    "s": ["decoherence", "--free", "--tau", "1"],
+    "c": ["transition", "--s", "1", "--free"],
+    "horizon": ["decoherence", "--s", "1", "--free"],
+    "tau": ["decoherence", "--s", "1", "--free"],
+    "dt": ["decoherence", "--s", "1", "--tau", "1"],
+    "time_step": ["decoherence", "--s", "1", "--free"],
+    "rel_tol": ["decoherence", "--s", "1", "--free", "--tau", "1"],
+    "abs_tol": ["decoherence", "--s", "1", "--free", "--tau", "1"],
+}
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("field", sorted(_BASE))
+def test_non_finite_inputs_exit_one(field, value, capsys):
+    # --flag=value: argparse would read a separate "-inf" as an option
+    args = _BASE[field] + [f"--{field.replace('_', '-')}={value}", "--output", "-"]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+def test_transition_builds_one_profile(monkeypatch, capsys):
+    import dd_discord.phase as phase
+    built = []
+
+    class CountingDecoherence(phase.PulsedDecoherence):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(phase, "PulsedDecoherence", CountingDecoherence)
+    assert main(["transition", "--s", "1", "--free", "--side", "one",
+                 "--c", "0.5", "--output", "-"]) == 0
+    assert read_rows(capsys.readouterr().out)[0]["regime"] == "sudden-transition"
+    assert len(built) == 1
+
+
+_LEAN_RUNTIME_PROBE = """
+import json, sys
+import dd_discord.cli as cli
+
+def heavy():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                  or m == "concurrent.futures.process")
+
+seen = {"import": heavy()}
+seen["transition"] = cli.main(["transition", "--s", "2.5", "--dt", "1",
+                               "--c", "0.4", "--output", "tr.csv"]), heavy()
+seen["phase-diagram"] = cli.main(["phase-diagram", "--dt", "0.5", "--workers", "1",
+                                  "--s-grid", "1:2:2", "--c-grid", "0:0.5:2",
+                                  "--output", "map.csv"]), heavy()
+seen["oracle"] = cli.main(["decoherence", "--s", "4", "--dt", "1", "--tau", "3.7",
+                           "--oracle", "--output", "or.csv"]), "scipy.integrate" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_import_and_serial_runs_load_no_scipy_or_pool(tmp_path, run_python):
+    res = run_python(_LEAN_RUNTIME_PROBE, tmp_path)
+    assert res.returncode == 0, res.stderr
+    seen = json.loads(res.stdout.splitlines()[-1])
+    assert seen["import"] == []
+    assert seen["transition"] == [0, []]
+    assert seen["phase-diagram"] == [0, []]
+    # the quadrature oracle still works, and is what loads scipy
+    assert seen["oracle"] == [0, True]
+    assert float(read_rows(tmp_path / "or.csv")[0]["gamma"]) > 0.0

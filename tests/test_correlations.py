@@ -1,3 +1,6 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -55,6 +58,26 @@ def test_correlation_bits_reference_values():
     assert abs(correlation_bits(0.7) - BITS_07) < 1e-14
     assert correlation_bits(1.0) == 1.0
     assert correlation_bits(-0.3) == correlation_bits(0.3)
+
+
+def test_correlation_bits_against_mpmath():
+    xs = [0.0, 1e-12, -1e-12, 0.5, -0.5, 1.0 - 1e-12, -(1.0 - 1e-12), 1.0, -1.0]
+
+    def reference(x):
+        x = mpmath.mpf(x)
+        terms = [y * mpmath.log(y, 2) for y in (1 + x, 1 - x) if y != 0]
+        return sum(terms) / 2
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vector = correlation_bits(np.array(xs))
+        with mpmath.workdps(40):
+            for x, from_vector in zip(xs, vector):
+                value = correlation_bits(x)
+                assert type(value) is float
+                assert value == from_vector
+                # values lie in [0, 1]: the error budget is absolute, two ulp of 1
+                assert abs(value - reference(x)) <= 2.0 * np.finfo(float).eps
 
 
 def test_correlation_bits_monotone():

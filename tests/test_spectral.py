@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,6 +16,7 @@ from dd_discord import (
     recoherence_onset,
     spectral_density,
 )
+from dd_discord.spectral import _euler_gamma
 from oracles import bisect_sign_change, central_difference
 
 
@@ -155,3 +159,28 @@ def test_sub_ohmic_uses_continued_gamma():
     val = gamma0(spec, 2.0)
     assert val > 0.0
     assert special.gamma(spec.s - 1.0) < 0.0
+
+
+def test_gamma_prefactor_against_mpmath():
+    # Gamma(s-1) in gamma0 and Gamma(s) in gamma0_rate, against 40-digit
+    # mpmath; s - 1 = 0 is the pole the Ohmic branch never evaluates
+    worst = 0.0
+    with mpmath.workdps(40):
+        for s in np.linspace(0.0, 7.0, 1401)[1:]:
+            for x in (s - 1.0, s):
+                if x == 0.0:
+                    continue
+                ref = mpmath.gamma(mpmath.mpf(float(x)))
+                err = abs(_euler_gamma(x, s, 1.0) - ref) / math.ulp(float(ref))
+                worst = max(worst, float(err))
+    assert worst <= 8.0
+
+
+def test_gamma_overflow_is_a_convergence_error():
+    with pytest.raises(ConvergenceError) as err:
+        gamma0(OhmicSpectrum(200.0), 1.0)
+    assert (err.value.s, err.value.tau) == (200.0, 1.0)
+    assert "s=200" in str(err.value)
+    with pytest.raises(ConvergenceError) as err:
+        gamma0_rate(OhmicSpectrum(180.0), np.array([1.0, 2.0]))
+    assert (err.value.s, err.value.tau) == (180.0, None)

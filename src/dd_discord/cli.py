@@ -24,12 +24,11 @@ import numpy as np
 
 from . import __version__
 from .correlations import BellDiagonalState, NoiseSide, decoherence_factor, trajectory
-from .phase import phase_diagram
+from .phase import boundary_curve, phase_diagram
 from .pulses import (PulsedDecoherence, controlled_gamma_oracle, default_time_grid,
                      schedule_for)
 from .spectral import ConvergenceError, OhmicSpectrum, QuadratureConfig
 
-_COMMANDS = ("decoherence", "trajectory", "phase-diagram", "boundary", "transition")
 _UNITS_COMMENT = "# units: times in 1/omega_c, frequencies in omega_c"
 
 
@@ -54,7 +53,6 @@ class RunConfig:
     oracle: bool = False
     free_companion: bool = True
     output: str = ""
-    format: str = "csv"
 
 
 def _parse_grid(value, name):
@@ -102,7 +100,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser():
     parser = _Parser(prog="dd-discord", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for name in _COMMANDS:
+    for name in _RUNNERS:
         p = sub.add_parser(name, add_help=True)
         p.add_argument("--config", default=None,
                        help="config file: key = value lines, or a JSON sidecar")
@@ -127,13 +125,13 @@ def _build_parser():
         p.add_argument("--max-subdivisions", type=int, default=None)
         p.add_argument("--workers", type=int, default=None,
                        help="worker processes for grid scans (default 1)")
-        p.add_argument("--oracle", action="store_true",
+        p.add_argument("--oracle", action="store_true", default=None,
                        help="decoherence: evaluate by quadrature instead of closed form")
-        p.add_argument("--no-free-companion", action="store_true",
+        p.add_argument("--no-free-companion", dest="free_companion",
+                       action="store_false", default=None,
                        help="phase-diagram: skip the free-evolution companion file")
         p.add_argument("--output", default=None,
                        help="output CSV path, or - for stdout (default out/<command>-<stamp>.csv)")
-        p.add_argument("--format", choices=("csv",), default=None)
     return parser
 
 
@@ -163,13 +161,15 @@ def _load_config_file(path):
 def _resolve(args):
     """Merge defaults, config file, and flags (flags win) into a RunConfig."""
     if not args.command:
-        raise ValueError("command: one of " + ", ".join(_COMMANDS) + " is required")
+        raise ValueError("command: one of " + ", ".join(_RUNNERS) + " is required")
     cfg = RunConfig(command=args.command)
     fields = set(asdict(cfg))
     if args.config:
         file_values = _load_config_file(args.config)
         for key, value in file_values.items():
             key = key.replace("-", "_")
+            if key == "format" and value == "csv":
+                continue   # older sidecars record the one output format there was
             if key not in fields:
                 raise ValueError(f"config: unknown key {key!r}")
             if key == "command":
@@ -178,27 +178,14 @@ def _resolve(args):
                         f"command: config file says {value!r}, invoked as {args.command!r}")
                 continue
             setattr(cfg, key, value)
-    overrides = {
-        "s": args.s, "side": args.side, "c": args.c, "horizon": args.horizon,
-        "tau": args.tau, "time_step": args.time_step,
-        "s_grid": args.s_grid, "c_grid": args.c_grid,
-        "rel_tol": args.rel_tol, "abs_tol": args.abs_tol,
-        "max_subdivisions": args.max_subdivisions, "workers": args.workers,
-        "output": args.output, "format": args.format,
-    }
-    for key, value in overrides.items():
-        if value is not None:
+    # flags left unset parse as None; every other flag named after a field wins
+    for key, value in vars(args).items():
+        if key in fields and value is not None:
             setattr(cfg, key, value)
-    if args.dt is not None and args.free:
-        raise ValueError("dt: --dt and --free are mutually exclusive")
-    if args.dt is not None:
-        cfg.dt = args.dt
-    elif args.free:
+    if args.free:
+        if args.dt is not None:
+            raise ValueError("dt: --dt and --free are mutually exclusive")
         cfg.dt = None
-    if args.oracle:
-        cfg.oracle = True
-    if args.no_free_companion:
-        cfg.free_companion = False
     return cfg
 
 
@@ -225,8 +212,6 @@ def _normalize(cfg):
     cfg.c_grid = _parse_grid(cfg.c_grid, "c_grid")
     if cfg.side not in ("one", "two"):
         raise ValueError(f"side: must be 'one' or 'two', got {cfg.side!r}")
-    if cfg.format != "csv":
-        raise ValueError(f"format: only 'csv' is supported, got {cfg.format!r}")
     if not cfg.horizon > 0.0:
         raise ValueError(f"horizon: must be > 0, got {cfg.horizon}")
     if cfg.dt is not None:
@@ -305,17 +290,16 @@ class _Dataset:
 def _run_decoherence(cfg):
     spec = OhmicSpectrum(cfg.s)
     sched = schedule_for(_single_dt(cfg), cfg.horizon)
-    side = _side(cfg)
     if cfg.tau is not None:
         taus = [cfg.tau]
     else:
         taus = default_time_grid(sched, cfg.time_step)
     if cfg.oracle:
         quad = _quad_cfg(cfg)
-        gammas = [controlled_gamma_oracle(spec, sched, t, quad) for t in taus]
+        gammas = np.array([controlled_gamma_oracle(spec, sched, t, quad) for t in taus])
     else:
         gammas = PulsedDecoherence(spec, sched).gamma_grid(taus)
-    rows = [(t, g, decoherence_factor(g, side)) for t, g in zip(taus, gammas)]
+    rows = list(zip(taus, gammas, decoherence_factor(gammas, _side(cfg))))
     return _Dataset(("tau", "gamma", "factor"), rows)
 
 
@@ -324,19 +308,19 @@ def _run_trajectory(cfg):
     sched = schedule_for(_single_dt(cfg), cfg.horizon)
     grid = default_time_grid(sched, cfg.time_step)
     result = trajectory(spec, sched, BellDiagonalState(cfg.c), _side(cfg), grid)
-    rows = []
-    for i, t in enumerate(result.times):
-        conc = None if result.concurrence is None else result.concurrence[i]
-        rows.append((t, result.gamma[i], result.factor[i], result.mutual_info[i],
-                     result.classical[i], result.discord[i], conc))
+    conc = result.concurrence
+    if conc is None:
+        conc = [None] * result.times.size
+    rows = list(zip(result.times, result.gamma, result.factor, result.mutual_info,
+                    result.classical, result.discord, conc))
     return _Dataset(
         ("tau", "gamma", "factor", "mutual_info", "classical", "discord",
          "concurrence"), rows)
 
 
-def _run_phase_diagram(cfg, pulse_interval):
+def _run_phase_diagram(cfg):
     diagram = phase_diagram(_grid_values(cfg.s_grid), _grid_values(cfg.c_grid),
-                            pulse_interval, _side(cfg), cfg.horizon,
+                            _single_dt(cfg), _side(cfg), cfg.horizon,
                             workers=cfg.workers)
     rows = []
     for i, s in enumerate(diagram.s_grid):
@@ -348,7 +332,6 @@ def _run_phase_diagram(cfg, pulse_interval):
 
 
 def _run_boundary(cfg):
-    from .phase import boundary_curve
     intervals = cfg.dt if cfg.dt is not None else (None,)
     rows = []
     for dt in intervals:
@@ -368,13 +351,20 @@ def _run_transition(cfg):
     return _Dataset(("s", "c", "dt", "regime", "min_factor", "transition_time"), [row])
 
 
+_RUNNERS = {
+    "decoherence": _run_decoherence,
+    "trajectory": _run_trajectory,
+    "phase-diagram": _run_phase_diagram,
+    "boundary": _run_boundary,
+    "transition": _run_transition,
+}
+
+
 def _cell(value):
     if value is None:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
     return format(float(value), ".12g")
 
 
@@ -422,19 +412,10 @@ def emit(dataset, cfg, output):
 
 def run(cfg):
     """Execute one resolved configuration; returns the exit status."""
-    if cfg.command == "decoherence":
-        dataset = _run_decoherence(cfg)
-    elif cfg.command == "trajectory":
-        dataset = _run_trajectory(cfg)
-    elif cfg.command == "phase-diagram":
-        dataset = _run_phase_diagram(cfg, _single_dt(cfg))
-    elif cfg.command == "boundary":
-        dataset = _run_boundary(cfg)
-    elif cfg.command == "transition":
-        dataset = _run_transition(cfg)
-    else:
+    runner = _RUNNERS.get(cfg.command)
+    if runner is None:
         raise ValueError(f"command: unknown command {cfg.command!r}")
-    written = emit(dataset, cfg, cfg.output)
+    written = emit(runner(cfg), cfg, cfg.output)
     # overlay companion: same grids under free evolution, for region overlays
     if (cfg.command == "phase-diagram" and cfg.dt is not None
             and cfg.free_companion and cfg.output != "-"):
@@ -442,7 +423,7 @@ def run(cfg):
         companion = path.with_name(path.stem + "-free" + path.suffix)
         free_cfg = replace(cfg, dt=None, free_companion=False,
                            output=str(companion))
-        written += emit(_run_phase_diagram(free_cfg, None), free_cfg, companion)
+        written += emit(_run_phase_diagram(free_cfg), free_cfg, companion)
     for path in written:
         print(f"wrote {path}")
     return 0

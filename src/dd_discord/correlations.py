@@ -43,6 +43,10 @@ class BellDiagonalState:
             raise ValueError(f"c must satisfy |c| < 1, got {self.c}")
 
 
+def _scalar_or_array(out):
+    return float(out) if out.ndim == 0 else out
+
+
 def correlation_bits(x):
     """(1+x)/2 log2(1+x) + (1-x)/2 log2(1-x), with 0 log 0 = 0.
 
@@ -50,8 +54,7 @@ def correlation_bits(x):
     correlation amplitude x. Even in x; 0 at x = 0; 1 as |x| -> 1.
     """
     x = np.asarray(x, dtype=float)
-    out = (_xlogx(1.0 + x) + _xlogx(1.0 - x)) / (2.0 * _LN2)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array((_xlogx(1.0 + x) + _xlogx(1.0 - x)) / (2.0 * _LN2))
 
 
 def _xlogx(y):
@@ -60,30 +63,33 @@ def _xlogx(y):
 
 
 def _check_factor(factor):
-    f = float(factor)
-    if not 0.0 <= f <= 1.0:
+    f = np.asarray(factor, dtype=float)
+    if not np.all((0.0 <= f) & (f <= 1.0)):
         raise ValueError(f"factor must lie in [0, 1], got {factor}")
     return f
 
 
 def decoherence_factor(gamma_value, side):
-    """Coherence attenuation e^-gamma (one-sided) or e^-2*gamma (two-sided)."""
-    g = float(gamma_value)
-    if g < 0.0:
+    """Coherence attenuation e^-gamma (one-sided) or e^-2*gamma (two-sided).
+
+    Takes a scalar or an array of exponents; a scalar gives a float.
+    """
+    g = np.asarray(gamma_value, dtype=float)
+    if np.any(g < 0.0):
         raise ValueError(f"gamma_value must be nonnegative, got {gamma_value}")
-    return math.exp(-side.value * g)
+    # the product overflows only where exp() underflows to 0 anyway
+    with np.errstate(over="ignore"):
+        return _scalar_or_array(np.exp(-side.value * g))
 
 
 def mutual_information(state, factor):
-    """Total correlations in bits at the given decoherence factor."""
-    f = _check_factor(factor)
-    return correlation_bits(state.c) + correlation_bits(f)
+    """Total correlations in bits at the given decoherence factor(s)."""
+    return correlation_bits(state.c) + correlation_bits(_check_factor(factor))
 
 
 def classical_correlations(state, factor):
     """Classical correlations in bits, correlation_bits(max(factor, |c|))."""
-    f = _check_factor(factor)
-    return correlation_bits(max(f, abs(state.c)))
+    return correlation_bits(np.maximum(_check_factor(factor), abs(state.c)))
 
 
 def discord(state, factor):
@@ -96,21 +102,18 @@ def discord(state, factor):
 
 
 def concurrence(state, gamma_value):
-    """Entanglement under one-sided dephasing, directly off the exponent.
+    """Entanglement under one-sided dephasing, directly off the exponent(s).
 
     (1/2) max{0, |f(1-c)| - 1 - c, |f(1+c)| - 1 + c} with f = e^-gamma;
     clips to zero (sudden death) once f < (1-c)/(1+c).
     """
-    g = float(gamma_value)
-    if g < 0.0:
-        raise ValueError(f"gamma_value must be nonnegative, got {gamma_value}")
     c = state.c
     if not 0.0 <= c < 1.0:
         raise ValueError(f"c must lie in [0, 1) for concurrence, got {c}")
-    f = math.exp(-g)
-    return 0.5 * max(0.0,
-                     abs(f * (1.0 - c)) - 1.0 - c,
-                     abs(f * (1.0 + c)) - 1.0 + c)
+    f = np.asarray(decoherence_factor(gamma_value, NoiseSide.ONE_SIDED))
+    return _scalar_or_array(0.5 * np.maximum(0.0, np.maximum(
+        np.abs(f * (1.0 - c)) - 1.0 - c,
+        np.abs(f * (1.0 + c)) - 1.0 + c)))
 
 
 @dataclass(frozen=True)
@@ -142,19 +145,9 @@ def trajectory(spec, sched, state, side, grid=None):
     times = np.asarray(grid, dtype=float)
     if times.size == 0:
         raise ValueError("grid must be nonempty")
-    c = state.c
-    if side is NoiseSide.ONE_SIDED and not 0.0 <= c < 1.0:
-        raise ValueError(f"c must lie in [0, 1) for one-sided concurrence, got {c}")
-    evaluator = PulsedDecoherence(spec, sched)
-    gam = evaluator.gamma_grid(times)
-    fac = np.exp(-side.value * gam)
-    mutual = correlation_bits(c) + correlation_bits(fac)
-    classical = correlation_bits(np.maximum(fac, abs(c)))
-    disc = mutual - classical
-    conc = None
-    if side is NoiseSide.ONE_SIDED:
-        one = np.exp(-gam)
-        conc = 0.5 * np.maximum(0.0, np.maximum(
-            np.abs(one * (1.0 - c)) - 1.0 - c,
-            np.abs(one * (1.0 + c)) - 1.0 + c))
-    return CorrelationTrajectory(times, gam, fac, mutual, classical, disc, conc)
+    gam = PulsedDecoherence(spec, sched).gamma_grid(times)
+    fac = decoherence_factor(gam, side)
+    conc = concurrence(state, gam) if side is NoiseSide.ONE_SIDED else None
+    return CorrelationTrajectory(
+        times, gam, fac, mutual_information(state, fac),
+        classical_correlations(state, fac), discord(state, fac), conc)

@@ -16,11 +16,12 @@ golden-section for the minimum, bisection for the crossing.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .correlations import NoiseSide, correlation_bits
+from .correlations import BellDiagonalState, NoiseSide, correlation_bits, decoherence_factor
 from .pulses import PulsedDecoherence, default_time_grid, schedule_for
 from .spectral import OhmicSpectrum
 
@@ -94,26 +95,26 @@ class _FactorProfile:
         grid = default_time_grid(schedule)
         self.grid = grid[grid <= horizon]
         self.factors = np.maximum(
-            np.exp(-side.value * self.evaluator.gamma_grid(self.grid)), _TINY)
-        self._refined = None
+            decoherence_factor(self.evaluator.gamma_grid(self.grid), side), _TINY)
 
     def factor_at(self, tau):
+        # the one scalar copy of the factor formula: refinement makes ~70k
+        # calls per map, and a 0-d numpy round trip adds 5-8 us to each
         return max(math.exp(-self.side.value * self.evaluator.gamma(tau)), _TINY)
 
-    def _refine_min(self):
-        if self._refined is None:
-            i = int(np.argmin(self.factors))
-            lo = float(self.grid[max(i - 1, 0)])
-            hi = float(self.grid[min(i + 1, self.grid.size - 1)])
-            if hi > lo:
-                self._refined = _golden_min(self.factor_at, lo, hi, _REFINE_XTOL)
-            else:
-                self._refined = (lo, float(self.factors[i]))
-        return self._refined
+    @cached_property
+    def refined_min(self):
+        """(time, factor) of the golden-section minimum around the grid minimum."""
+        i = int(np.argmin(self.factors))
+        lo = float(self.grid[max(i - 1, 0)])
+        hi = float(self.grid[min(i + 1, self.grid.size - 1)])
+        if hi > lo:
+            return _golden_min(self.factor_at, lo, hi, _REFINE_XTOL)
+        return lo, float(self.factors[i])
 
+    @cached_property
     def min_factor(self):
-        _, refined = self._refine_min()
-        return min(float(self.factors.min()), refined)
+        return min(float(self.factors.min()), self.refined_min[1])
 
     def first_crossing(self, c):
         """Earliest time with factor < c, or None if there is none."""
@@ -123,7 +124,7 @@ class _FactorProfile:
             # factor(0) = 1 > c, so the first sub-c sample is never at index 0
             lo, hi = float(self.grid[i - 1]), float(self.grid[i])
         else:
-            x, fx = self._refine_min()
+            x, fx = self.refined_min
             if fx >= c:
                 return None
             # grid samples all sit at or above c but the refined dip is below
@@ -144,7 +145,7 @@ def min_decoherence_factor(spec, sched, side, horizon=None):
     Grid scan over the default sampling grid followed by golden-section
     refinement in the bracketing interval, to time resolution 1e-4.
     """
-    return _FactorProfile(spec, sched, side, horizon).min_factor()
+    return _FactorProfile(spec, sched, side, horizon).min_factor
 
 
 def classify(state, min_factor):
@@ -169,30 +170,21 @@ def transition_time(spec, sched, state, side, horizon=None):
     Grid scan plus bisection to time resolution 1e-6. Consistent with
     classify: returns None exactly for time-invariant states.
     """
-    c = state.c
-    if not 0.0 <= c < 1.0:
-        raise ValueError(f"c must lie in [0, 1), got {c}")
-    profile = _FactorProfile(spec, sched, side, horizon)
-    if c <= profile.min_factor():
-        return None
-    return profile.first_crossing(c)
+    return _label(_FactorProfile(spec, sched, side, horizon), state.c).transition_time
+
+
+def _label(profile, c):
+    """Regime label of state parameter c under one factor profile."""
+    if classify(BellDiagonalState(c), profile.min_factor) is Regime.TIME_INVARIANT:
+        return RegimeLabel(Regime.TIME_INVARIANT)
+    return RegimeLabel(Regime.SUDDEN_TRANSITION, profile.first_crossing(c))
 
 
 def _phase_row(args):
     """One diagram row: (min_factor, labels over c_grid) at a single s."""
     s, c_grid, pulse_interval, side, horizon = args
-    spec = OhmicSpectrum(s)
-    sched = schedule_for(pulse_interval, horizon)
-    profile = _FactorProfile(spec, sched, side)
-    mf = profile.min_factor()
-    labels = []
-    for c in c_grid:
-        if c <= mf:
-            labels.append(RegimeLabel(Regime.TIME_INVARIANT))
-        else:
-            labels.append(
-                RegimeLabel(Regime.SUDDEN_TRANSITION, profile.first_crossing(c)))
-    return mf, tuple(labels)
+    profile = _FactorProfile(OhmicSpectrum(s), schedule_for(pulse_interval, horizon), side)
+    return profile.min_factor, tuple(_label(profile, c) for c in c_grid)
 
 
 def _run_rows(tasks, workers):
@@ -236,14 +228,11 @@ def boundary_curve(s_grid, pulse_interval, side, horizon=25.0, workers=None):
     """Critical c as a function of s: the per-s minimum decoherence factor.
 
     States with c at or below the curve stay time-invariant for this
-    schedule and noise side. Returns a list of (s, min_factor) pairs.
+    schedule and noise side. Returns a list of (s, min_factor) pairs: the
+    min_factors of a phase diagram with no c values.
     """
-    s_vals = tuple(float(s) for s in s_grid)
-    if any(not 0.0 < s for s in s_vals):
-        raise ValueError("s_grid values must be > 0")
-    tasks = [(s, (), pulse_interval, side, horizon) for s in s_vals]
-    rows = _run_rows(tasks, workers)
-    return [(s, rows[i][0]) for i, s in enumerate(s_vals)]
+    diagram = phase_diagram(s_grid, (), pulse_interval, side, horizon, workers)
+    return list(zip(diagram.s_grid, diagram.min_factors))
 
 
 def invariant_discord_value(state):

@@ -59,16 +59,29 @@ class PulseSchedule:
         return bisect_left(self.instants, tau)
 
 
+# most pulses in a periodic schedule, and most points in a sampling grid
+MAX_POINTS = 1_000_000
+
+
+def _check_size(horizon, step, what, step_name):
+    """Refuse, before allocating, a horizon / step ratio above MAX_POINTS."""
+    if not horizon / step <= MAX_POINTS:
+        raise ValueError(
+            f"horizon {horizon} / {step_name} {step} asks for about {horizon / step:.3g} "
+            f"{what}, more than the limit of {MAX_POINTS:,}")
+
+
 def periodic_schedule(delta_tau, horizon):
     """Equally spaced pulses t_n = n * delta_tau, as many as fit the horizon.
 
     delta_tau > horizon yields an empty schedule (free evolution over
-    the same window).
+    the same window). More than MAX_POINTS pulses is a ValueError.
     """
     if not delta_tau > 0.0:
         raise ValueError(f"delta_tau must be > 0, got {delta_tau}")
     if not horizon > 0.0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
+    _check_size(horizon, delta_tau, "pulses", "dt")
     count = int(math.floor(horizon / delta_tau))
     if (count + 1) * delta_tau <= horizon:  # floor landed one short
         count += 1
@@ -128,16 +141,19 @@ class PulsedDecoherence:
         self._signs = (-1.0) ** np.arange(count)   # (-1)^k, k = 0 .. N-1
         self._periodic = _is_periodic(t)
         self._starts = np.concatenate(([0.0], t))   # t_0 = 0, t_1, ..., t_N
-        singles = np.atleast_1d(gamma0(spec, t)) * self._signs   # (-1)^(n+1) G(t_n)
-        if self._periodic:
-            # the gap sum of pulse n is sum_k (-1)^(k+1) G(t_k), k < n
-            gaps = np.concatenate(([0.0], np.cumsum(singles)[:-1]))
-        else:
-            gaps = np.zeros(count)
-            for n in range(1, count):
-                gaps[n] = np.dot(self._signs[n - 1::-1],
-                                 gamma0(spec, t[n] - t[:n]))
-        self._static = np.concatenate(([0.0], np.cumsum(2.0 * singles + 4.0 * gaps)))
+        # near the overflow edge (s ~ 172) these sums leave non-finite
+        # entries; gamma and gamma_grid report any exponent they reach
+        with np.errstate(over="ignore", invalid="ignore"):
+            singles = np.atleast_1d(gamma0(spec, t)) * self._signs   # (-1)^(n+1) G(t_n)
+            if self._periodic:
+                # the gap sum of pulse n is sum_k (-1)^(k+1) G(t_k), k < n
+                gaps = np.concatenate(([0.0], np.cumsum(singles)[:-1]))
+            else:
+                gaps = np.zeros(count)
+                for n in range(1, count):
+                    gaps[n] = np.dot(self._signs[n - 1::-1],
+                                     gamma0(spec, t[n] - t[:n]))
+            self._static = np.concatenate(([0.0], np.cumsum(2.0 * singles + 4.0 * gaps)))
 
     def _check(self, tau_min, tau_max):
         if tau_min < 0.0 or tau_max > self.schedule.horizon:
@@ -185,15 +201,17 @@ class PulsedDecoherence:
             raise ValueError("grid must be ascending")
         self._check(float(taus[0]), float(taus[-1]))
         counts = np.searchsorted(self._instants, taus, side="left")
-        if self._periodic:
-            elapsed = self._phase_sums(taus - self._starts[counts], counts)
-        else:
-            elapsed = np.zeros_like(taus)
-            for n in np.unique(counts[counts > 0]):
-                pick = counts == n
-                args = self._elapsed_args(taus[pick][:, None], n)
-                elapsed[pick] = self._alternating(args)[:, -1]
-        out = self._unclamped(taus, counts, elapsed)
+        # an overflowing sum is reported just below, as a non-finite exponent
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self._periodic:
+                elapsed = self._phase_sums(taus - self._starts[counts], counts)
+            else:
+                elapsed = np.zeros_like(taus)
+                for n in np.unique(counts[counts > 0]):
+                    pick = counts == n
+                    args = self._elapsed_args(taus[pick][:, None], n)
+                    elapsed[pick] = self._alternating(args)[:, -1]
+            out = self._unclamped(taus, counts, elapsed)
         bad = ~np.isfinite(out)
         if bad.any():
             raise self._not_finite(float(taus[bad][0]))
@@ -286,7 +304,7 @@ def controlled_gamma_oracle(spec, sched, tau, cfg=DEFAULT_QUADRATURE):
     s = spec.s
     prefix = np.asarray(sched.instants[: sched.pulses_before(tau)], dtype=float)
     n = prefix.size
-    upper = _tail_cutoff(s - 2.0, cfg.abs_tol, 0.5 * (2.0 * n + 2.0) ** 2)
+    upper = _tail_cutoff(s, tau, cfg.abs_tol, 0.5 * (2.0 * n + 2.0) ** 2)
     deltas = prefix / tau
     end_sign = (-1.0) ** (n + 1)
     signs = (-1.0) ** np.arange(1, n + 1)
@@ -309,7 +327,8 @@ def default_time_grid(schedule, step=None):
     The default step is min(gap/20, 0.05) with gap the smallest pulse
     spacing, so the kinks at pulse instants are always bracketed; each
     instant appears once exactly and once nudged just past it, which
-    makes branch continuity visible in sampled output.
+    makes branch continuity visible in sampled output. More than
+    MAX_POINTS uniform points is a ValueError.
     """
     horizon = schedule.horizon
     inst = np.asarray(schedule.instants, dtype=float)
@@ -320,6 +339,7 @@ def default_time_grid(schedule, step=None):
             step = min(step, float(gaps.min()) / 20.0)
     if not step > 0.0:
         raise ValueError(f"step must be > 0, got {step}")
+    _check_size(horizon, step, "grid points", "time_step")
     count = max(1, int(round(horizon / step)))
     base = np.linspace(0.0, horizon, count + 1)
     if inst.size:

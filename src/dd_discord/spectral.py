@@ -155,12 +155,23 @@ def recoherence_onset(spec):
     return math.tan(math.pi / spec.s)
 
 
-def _tail_cutoff(power, abs_tol, envelope):
-    """Upper limit X with envelope * integral_X^inf x^power e^-x dx below abs_tol/2."""
+def _tail_cutoff(s, tau, abs_tol, envelope):
+    """Upper limit X with envelope * integral_X^inf x^(s-2) e^-x dx below abs_tol/2.
+
+    x^(s-2) overflows a double from s ~ 111.5 on; that is a numerical
+    failure at (s, tau), like the overflow of the closed form.
+    """
+    power = s - 2.0
     # integral_X^inf x^p e^-x dx <= 2 X^p e^-X once X >= 2|p| + 2
     x = max(20.0, 2.0 * abs(power) + 2.0)
-    while x < 700.0 and 2.0 * envelope * x ** power * math.exp(-x) > 0.5 * abs_tol:
-        x *= 1.25
+    try:
+        # math.pow raises on overflow even for a numpy power, where ** gives inf
+        while x < 700.0 and 2.0 * envelope * math.pow(x, power) * math.exp(-x) > 0.5 * abs_tol:
+            x *= 1.25
+    except OverflowError:
+        raise ConvergenceError(
+            f"quadrature tail x^(s-2) overflows a double at s={s}, tau={tau}",
+            s=s, tau=tau) from None
     return x
 
 
@@ -206,7 +217,7 @@ def gamma0_quadrature(spec, tau, cfg=DEFAULT_QUADRATURE):
     if t == 0.0:
         return 0.0
     s = spec.s
-    upper = _tail_cutoff(s - 2.0, cfg.abs_tol, 2.0)
+    upper = _tail_cutoff(s, t, cfg.abs_tol, 2.0)
 
     def integrand(x):
         if x <= 0.0:

@@ -208,10 +208,14 @@ def test_config_file_with_flag_overrides(tmp_path, capsys):
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("sides = one\n")
-    rc = main(["boundary", "--config", str(cfg)])
-    assert rc == 1
-    assert "sides" in capsys.readouterr().err
+    # format = csv is what older sidecars record; any other format is unknown
+    for text, key in (("sides = one\n", "sides"), ("format = json\n", "format")):
+        cfg.write_text(text)
+        rc = main(["boundary", "--config", str(cfg)])
+        assert rc == 1
+        assert key in capsys.readouterr().err
+    assert main(["boundary", "--format", "csv"]) == 1
+    assert "--format" in capsys.readouterr().err
 
 
 def test_sidecar_reruns_byte_identical(tmp_path, capsys):
@@ -223,6 +227,15 @@ def test_sidecar_reruns_byte_identical(tmp_path, capsys):
     rc = main(["transition", "--config", str(first.with_suffix(".json")),
                "--output", str(rerun)])
     assert rc == 0
+    assert rerun.read_bytes() == first.read_bytes()
+    # sidecars written while the single-choice format field existed
+    older = json.loads(first.with_suffix(".json").read_text())
+    assert "format" not in older
+    older["format"] = "csv"
+    old_sidecar = tmp_path / "older.json"
+    old_sidecar.write_text(json.dumps(older))
+    rerun = tmp_path / "from-older.csv"
+    assert main(["transition", "--config", str(old_sidecar), "--output", str(rerun)]) == 0
     capsys.readouterr()
     assert rerun.read_bytes() == first.read_bytes()
 
@@ -256,15 +269,31 @@ def test_worker_pool_size_is_invisible_in_output(tmp_path, run_cli):
     ["decoherence", "--s", "200", "--free", "--tau", "1"],
     ["transition", "--s", "200", "--free", "--c", "0.5"],
     ["transition", "--s", "172", "--dt", "0.3", "--c", "0.5"],
+    ["decoherence", "--s", "200", "--free", "--tau", "1", "--oracle"],
 ])
-def test_overflowing_exponent_exits_two(args, capsys):
+def test_overflowing_exponent_exits_two(args, tmp_path, run_cli):
     # Gamma(s-1) overflows a double past s ~ 172.6; just below it the
-    # pulsed sum of finite terms overflows instead
-    assert main(args + ["--output", "-"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("convergence failure:")
-    assert "s=" + args[2] in captured.err
+    # pulsed sum of finite terms overflows instead, and the quadrature
+    # oracle overflows in its tail bound. A child process shows what a
+    # user sees: the one message, with no numpy warning before it.
+    res = run_cli(args + ["--output", "-"], tmp_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("convergence failure:")
+    assert res.stderr.count("\n") == 1
+    assert "s=" + args[2] in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["--dt", "0.3", "--horizon", "1e300"],
+    ["--free", "--horizon", "1e9"],
+])
+def test_oversized_grid_exits_one(args, capsys):
+    # refused before anything is allocated, so this returns at once
+    assert main(["decoherence", "--s", "1", *args, "--output", "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: horizon")
+    assert "limit" in err
 
 
 _BASE = {

@@ -47,8 +47,18 @@ def test_decoherence_factor():
     assert abs(decoherence_factor(1.0, NoiseSide.ONE_SIDED) - np.exp(-1.0)) < 1e-15
     # both qubits coupled doubles the exponent
     assert abs(decoherence_factor(1.0, NoiseSide.TWO_SIDED) - np.exp(-2.0)) < 1e-15
+    # arrays in, arrays out; a scalar call is the matching array element
+    gammas = np.array([0.0, 0.3, 1.0, 7.5, 1e308])
+    for side in NoiseSide:
+        vector = decoherence_factor(gammas, side)
+        for g, from_vector in zip(gammas, vector):
+            value = decoherence_factor(float(g), side)
+            assert type(value) is float
+            assert value == from_vector
     with pytest.raises(ValueError):
         decoherence_factor(-0.5, NoiseSide.ONE_SIDED)
+    with pytest.raises(ValueError):
+        decoherence_factor(np.array([0.5, -0.5]), NoiseSide.ONE_SIDED)
 
 
 def test_correlation_bits_reference_values():
@@ -139,6 +149,12 @@ def test_correlations_monotone_in_factor():
     mutual = np.array([mutual_information(state, f) for f in fs])
     classical = np.array([classical_correlations(state, f) for f in fs])
     disc = np.array([discord(state, f) for f in fs])
+    # each scalar call is the matching element of one array call
+    assert np.array_equal(mutual, mutual_information(state, fs))
+    assert np.array_equal(classical, classical_correlations(state, fs))
+    assert np.array_equal(disc, discord(state, fs))
+    for measure in (mutual_information, classical_correlations, discord):
+        assert type(measure(state, 0.3)) is float
     assert np.all(np.diff(mutual) >= -1e-13)
     assert np.all(np.diff(classical) >= -1e-13)
     assert np.all(np.diff(disc) >= -1e-13)
@@ -165,6 +181,8 @@ def test_factor_domain_checks():
             classical_correlations(state, bad)
         with pytest.raises(ValueError):
             discord(state, bad)
+        with pytest.raises(ValueError):
+            discord(state, np.array([0.5, bad]))
 
 
 def test_concurrence_reference_values():
@@ -176,6 +194,9 @@ def test_concurrence_reference_values():
     assert concurrence(BellDiagonalState(0.5), np.log(5.0)) == 0.0
     for c in (0.0, 0.3, 0.9):
         assert abs(concurrence(BellDiagonalState(c), 0.0) - c) < 1e-15
+    gammas = np.array([0.0, g, np.log(5.0)])
+    vector = concurrence(BellDiagonalState(0.5), gammas)
+    assert vector.tolist() == [concurrence(BellDiagonalState(0.5), x) for x in gammas]
 
 
 def test_concurrence_sudden_death_threshold():
@@ -227,6 +248,13 @@ def test_trajectory_columns_are_consistent():
     assert_allclose(out.discord, out.mutual_info - out.classical, atol=1e-14)
     assert out.concurrence is not None
     assert np.all(out.concurrence >= 0.0)
+    # every column is one array call of the public function for that quantity
+    side = NoiseSide.ONE_SIDED
+    assert np.array_equal(out.factor, decoherence_factor(out.gamma, side))
+    assert np.array_equal(out.mutual_info, mutual_information(state, out.factor))
+    assert np.array_equal(out.classical, classical_correlations(state, out.factor))
+    assert np.array_equal(out.discord, discord(state, out.factor))
+    assert np.array_equal(out.concurrence, concurrence(state, out.gamma))
 
 
 def test_trajectory_two_sided_has_no_concurrence():
@@ -235,6 +263,7 @@ def test_trajectory_two_sided_has_no_concurrence():
     out = trajectory(spec, sched, BellDiagonalState(0.3), NoiseSide.TWO_SIDED)
     assert out.concurrence is None
     assert_allclose(out.factor, np.exp(-2.0 * out.gamma), rtol=1e-14)
+    assert np.array_equal(out.factor, decoherence_factor(out.gamma, NoiseSide.TWO_SIDED))
 
 
 def test_trajectory_custom_grid():

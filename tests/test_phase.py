@@ -142,9 +142,13 @@ def test_transition_absent_iff_invariant():
     sched = periodic_schedule(1.0, 25.0)
     side = NoiseSide.TWO_SIDED
     mf = min_decoherence_factor(spec, sched, side)
-    for c in np.linspace(0.0, 0.99, 34):
+    c_grid = np.linspace(0.0, 0.99, 34)
+    diagram = phase_diagram([3.0], c_grid, 1.0, side)
+    for c, label in zip(c_grid, diagram.labels[0]):
         state = BellDiagonalState(float(c))
         tbar = transition_time(spec, sched, state, side)
+        # the one-cell query and the diagram row label the same way
+        assert tbar == label.transition_time
         if classify(state, mf) is Regime.TIME_INVARIANT:
             assert tbar is None
         else:
@@ -230,6 +234,8 @@ def test_boundary_curve_matches_min_factor():
     s_grid = [0.5, 1.0, 2.5, 4.0]
     curve = boundary_curve(s_grid, 1.0, NoiseSide.TWO_SIDED)
     assert [s for s, _ in curve] == s_grid
+    diagram = phase_diagram(s_grid, (), 1.0, NoiseSide.TWO_SIDED)
+    assert [mf for _, mf in curve] == list(diagram.min_factors)
     for s, mf in curve:
         direct = min_decoherence_factor(
             OhmicSpectrum(s), periodic_schedule(1.0, 25.0), NoiseSide.TWO_SIDED)

@@ -54,6 +54,10 @@ def test_schedule_validation():
         PulseSchedule((), 0.0)
     with pytest.raises(ValueError):
         periodic_schedule(-0.5, 25.0)
+    # refused before a pulse is built: 3e300 of them would never finish
+    for horizon in (1e300, 0.3 * (pulses.MAX_POINTS + 2)):
+        with pytest.raises(ValueError, match="horizon"):
+            periodic_schedule(0.3, horizon)
 
 
 def test_pulses_before_uses_open_interval():
@@ -265,3 +269,5 @@ def test_default_time_grid_custom_step():
     assert_allclose(grid, [0.0, 0.5, 1.0, 1.5, 2.0])
     with pytest.raises(ValueError):
         default_time_grid(sched, step=-1.0)
+    with pytest.raises(ValueError, match="time_step"):
+        default_time_grid(PulseSchedule((), 1e9))

@@ -9,7 +9,9 @@ from scipy import special
 from dd_discord import (
     ConvergenceError,
     OhmicSpectrum,
+    PulseSchedule,
     QuadratureConfig,
+    controlled_gamma_oracle,
     gamma0,
     gamma0_quadrature,
     gamma0_rate,
@@ -184,3 +186,12 @@ def test_gamma_overflow_is_a_convergence_error():
     with pytest.raises(ConvergenceError) as err:
         gamma0_rate(OhmicSpectrum(180.0), np.array([1.0, 2.0]))
     assert (err.value.s, err.value.tau) == (180.0, None)
+    # the quadrature oracles overflow in their tail bound x^(s-2) instead
+    for s in (200.0, np.float64(120.0)):
+        spec = OhmicSpectrum(s)
+        for oracle in (lambda: gamma0_quadrature(spec, 1.0),
+                       lambda: controlled_gamma_oracle(spec, PulseSchedule((0.5,), 2.0), 1.0)):
+            with pytest.raises(ConvergenceError) as err:
+                oracle()
+            assert (err.value.s, err.value.tau) == (s, 1.0)
+            assert f"s={s}" in str(err.value)

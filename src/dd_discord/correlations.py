@@ -52,9 +52,15 @@ def correlation_bits(x):
 
     Equals 1 - H2((1+x)/2) in bits: the information carried by a
     correlation amplitude x. Even in x; 0 at x = 0; 1 as |x| -> 1.
+    For |x| < 1/2 the two terms cancel to O(x^2), so there it takes the
+    equal form log1p(-x^2) + 2x artanh(x), which keeps relative accuracy.
     """
     x = np.asarray(x, dtype=float)
-    return _scalar_or_array((_xlogx(1.0 + x) + _xlogx(1.0 - x)) / (2.0 * _LN2))
+    out = np.asarray(_xlogx(1.0 + x) + _xlogx(1.0 - x))
+    small = np.abs(x) < 0.5
+    xs = x[small]
+    out[small] = np.log1p(-xs * xs) + 2.0 * xs * np.arctanh(xs)
+    return _scalar_or_array(out / (2.0 * _LN2))
 
 
 def _xlogx(y):
@@ -137,8 +143,8 @@ def trajectory(spec, sched, state, side, grid=None):
     """Evaluate all correlation measures along a time grid.
 
     grid defaults to the schedule's sampling grid (uniform step plus
-    both sides of each pulse instant) and must be ascending inside
-    [0, horizon].
+    both sides of each pulse instant); its times must lie inside
+    [0, horizon], and the columns follow the grid's order.
     """
     if grid is None:
         grid = default_time_grid(sched)

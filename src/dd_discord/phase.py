@@ -9,8 +9,11 @@ time the factor crosses c from above.
 
 The factor is piecewise smooth with kinks only at pulse instants, so
 minima and crossings are located on the sampling grid (which contains
-both sides of every instant) and refined inside the bracketing interval:
-golden-section for the minimum, bisection for the crossing.
+both sides of every instant) and refined inside the bracketing interval.
+The minimum takes a scalar golden-section search. The crossings of all c
+values under one factor profile (a diagram row, or the single c of a
+transition_time query) take one shared bisection: every step evaluates
+the midpoints of all still-open brackets in a single grid evaluation.
 """
 
 import math
@@ -94,12 +97,15 @@ class _FactorProfile:
         self.side = side
         grid = default_time_grid(schedule)
         self.grid = grid[grid <= horizon]
-        self.factors = np.maximum(
-            decoherence_factor(self.evaluator.gamma_grid(self.grid), side), _TINY)
+        self.factors = self._factors(self.grid)
+
+    def _factors(self, taus):
+        """Factors at an array of times in any order."""
+        return np.maximum(decoherence_factor(self.evaluator.gamma_grid(taus), self.side), _TINY)
 
     def factor_at(self, tau):
-        # the one scalar copy of the factor formula: refinement makes ~70k
-        # calls per map, and a 0-d numpy round trip adds 5-8 us to each
+        # scalar copy of the factor formula for the golden-section minimum,
+        # which takes one time per step
         return max(math.exp(-self.side.value * self.evaluator.gamma(tau)), _TINY)
 
     @cached_property
@@ -116,26 +122,31 @@ class _FactorProfile:
     def min_factor(self):
         return min(float(self.factors.min()), self.refined_min[1])
 
-    def first_crossing(self, c):
-        """Earliest time with factor < c, or None if there is none."""
-        below = np.nonzero(self.factors < c)[0]
-        if below.size:
-            i = int(below[0])
-            # factor(0) = 1 > c, so the first sub-c sample is never at index 0
-            lo, hi = float(self.grid[i - 1]), float(self.grid[i])
-        else:
-            x, fx = self.refined_min
-            if fx >= c:
-                return None
+    def first_crossings(self, cs):
+        """Earliest times with factor < c, for c values above min_factor.
+
+        One bisection over the brackets of all c: each step evaluates the
+        still-open midpoints in one gamma_grid call.
+        """
+        cs = np.asarray(cs, dtype=float)
+        # bracket: the grid cell ending at the first sample below c, where the
+        # running minimum drops below it (never index 0: factor(0) = 1 > c)
+        first = np.searchsorted(-np.minimum.accumulate(self.factors), -cs, side="right")
+        lo = self.grid[first - 1]
+        hi = self.grid[np.minimum(first, self.grid.size - 1)]
+        missed = first == self.grid.size
+        if missed.any():
             # grid samples all sit at or above c but the refined dip is below
+            x = self.refined_min[0]
             i = int(np.searchsorted(self.grid, x))
-            lo, hi = float(self.grid[max(i - 1, 0)]), x
-        while hi - lo > _CROSSING_XTOL:
-            mid = 0.5 * (lo + hi)
-            if self.factor_at(mid) < c:
-                hi = mid
-            else:
-                lo = mid
+            lo[missed], hi[missed] = self.grid[max(i - 1, 0)], x
+        todo = np.nonzero(hi - lo > _CROSSING_XTOL)[0]
+        while todo.size:
+            mid = 0.5 * (lo[todo] + hi[todo])
+            below = self._factors(mid) < cs[todo]
+            hi[todo[below]] = mid[below]
+            lo[todo[~below]] = mid[~below]
+            todo = todo[hi[todo] - lo[todo] > _CROSSING_XTOL]
         return 0.5 * (lo + hi)
 
 
@@ -167,24 +178,27 @@ def classify(state, min_factor):
 def transition_time(spec, sched, state, side, horizon=None):
     """Earliest time the factor drops below c; None when none exists.
 
-    Grid scan plus bisection to time resolution 1e-6. Consistent with
-    classify: returns None exactly for time-invariant states.
+    Grid scan plus bisection to time resolution 1e-6, labelled as one
+    cell of a phase-diagram row. Consistent with classify: returns None
+    exactly for time-invariant states.
     """
-    return _label(_FactorProfile(spec, sched, side, horizon), state.c).transition_time
+    return _labels(_FactorProfile(spec, sched, side, horizon), (state.c,))[0].transition_time
 
 
-def _label(profile, c):
-    """Regime label of state parameter c under one factor profile."""
-    if classify(BellDiagonalState(c), profile.min_factor) is Regime.TIME_INVARIANT:
-        return RegimeLabel(Regime.TIME_INVARIANT)
-    return RegimeLabel(Regime.SUDDEN_TRANSITION, profile.first_crossing(c))
+def _labels(profile, c_values):
+    """Regime labels of the state parameters c_values under one factor profile."""
+    regimes = [classify(BellDiagonalState(c), profile.min_factor) for c in c_values]
+    sudden = [c for c, r in zip(c_values, regimes) if r is Regime.SUDDEN_TRANSITION]
+    times = iter(profile.first_crossings(sudden).tolist())
+    return tuple(RegimeLabel(r, next(times) if r is Regime.SUDDEN_TRANSITION else None)
+                 for r in regimes)
 
 
 def _phase_row(args):
     """One diagram row: (min_factor, labels over c_grid) at a single s."""
     s, c_grid, pulse_interval, side, horizon = args
     profile = _FactorProfile(OhmicSpectrum(s), schedule_for(pulse_interval, horizon), side)
-    return profile.min_factor, tuple(_label(profile, c) for c in c_grid)
+    return profile.min_factor, _labels(profile, c_grid)
 
 
 def _run_rows(tasks, workers):

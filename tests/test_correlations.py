@@ -90,6 +90,24 @@ def test_correlation_bits_against_mpmath():
                 assert abs(value - reference(x)) <= 2.0 * np.finfo(float).eps
 
 
+def test_correlation_bits_relative_error_against_mpmath():
+    # below |x| = 1/2 the value is O(x^2): hold it to a relative budget
+    xs = np.geomspace(1e-140, 0.5, 120, endpoint=False)
+    xs = np.concatenate([xs, -xs, [np.nextafter(0.5, 0.0)]])
+
+    def reference(x):
+        x = mpmath.mpf(x)
+        return sum(y * mpmath.log(y, 2) for y in (1 + x, 1 - x)) / 2
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = correlation_bits(xs)
+    with mpmath.workdps(320):
+        for x, value in zip(xs, values):
+            exact = reference(float(x))
+            assert abs(value - exact) <= 4.0 * np.finfo(float).eps * exact
+
+
 def test_correlation_bits_monotone():
     xs = np.linspace(0.0, 1.0, 500)
     vals = correlation_bits(xs)

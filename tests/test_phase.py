@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dd_discord import pulses
 from dd_discord import (
     BellDiagonalState,
     NoiseSide,
@@ -13,6 +14,7 @@ from dd_discord import (
     classify,
     controlled_gamma,
     decoherence_factor,
+    default_time_grid,
     discord,
     invariant_discord_value,
     min_decoherence_factor,
@@ -22,6 +24,25 @@ from dd_discord import (
 )
 
 FREE_25 = PulseSchedule((), 25.0)
+
+
+def _schedule(dt):
+    return FREE_25 if dt is None else periodic_schedule(dt, 25.0)
+
+
+def _scalar_factor(spec, sched, side):
+    return lambda tau: decoherence_factor(controlled_gamma(spec, sched, float(tau)), side)
+
+
+def _scalar_bisection(factor, c, lo, hi, xtol=1e-6):
+    """Crossing of factor below c inside [lo, hi], one scalar time per step."""
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if factor(mid) < c:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def test_min_factor_super_ohmic_free():
@@ -153,6 +174,77 @@ def test_transition_absent_iff_invariant():
             assert tbar is None
         else:
             assert tbar is not None
+
+
+@pytest.mark.parametrize("dt", [None, 0.3, 0.05])
+@pytest.mark.parametrize("s", [0.3, 1.0, 2.5, 4.0, 5.9])
+def test_row_crossings_match_scalar_bisection(s, dt):
+    # reference: scan the sampling grid one scalar exponent at a time, then
+    # bisect from the first sub-c sample; s > 2 has non-monotone factors
+    spec = OhmicSpectrum(s)
+    sched = _schedule(dt)
+    grid = default_time_grid(sched)
+    gammas = np.array([controlled_gamma(spec, sched, float(t)) for t in grid])
+    c_grid = np.linspace(0.02, 0.98, 17)
+    for side in NoiseSide:
+        factors = decoherence_factor(gammas, side)
+        factor = _scalar_factor(spec, sched, side)
+        row = phase_diagram([s], c_grid, dt, side).labels[0]
+        for c, label in zip(c_grid, row):
+            below = np.nonzero(factors < c)[0]
+            if not below.size:
+                assert label.regime is Regime.TIME_INVARIANT
+                continue
+            i = int(below[0])
+            expected = _scalar_bisection(factor, c, grid[i - 1], grid[i])
+            assert label.regime is Regime.SUDDEN_TRANSITION
+            assert abs(label.transition_time - expected) <= 2e-6
+
+
+def test_crossing_between_grid_and_refined_minimum():
+    # a c between the refined minimum and the grid minimum crosses no grid
+    # sample; the bracket then ends at the refined minimum
+    spec = OhmicSpectrum(3.3)
+    side = NoiseSide.TWO_SIDED
+    grid = default_time_grid(FREE_25)
+    factor = _scalar_factor(spec, FREE_25, side)
+    factors = np.array([factor(t) for t in grid])
+    refined = min_decoherence_factor(spec, FREE_25, side)
+    assert refined < factors.min() - 1e-9
+    c = 0.5 * (refined + factors.min())
+    label = phase_diagram([3.3], [c], None, side).labels[0][0]
+    assert label.regime is Regime.SUDDEN_TRANSITION
+    # reference: a fine scalar scan over the cells around the grid minimum
+    i = int(np.argmin(factors))
+    fine = np.linspace(grid[i - 1], grid[i + 1], 2001)
+    first = next(j for j, t in enumerate(fine) if factor(t) < c)
+    expected = _scalar_bisection(factor, c, fine[first - 1], fine[first])
+    assert abs(label.transition_time - expected) <= 2e-6
+    assert transition_time(spec, FREE_25, BellDiagonalState(c), side) == label.transition_time
+
+
+def test_row_refinement_work(monkeypatch):
+    # per row: a scalar golden-section minimum, and one grid call per
+    # bisection step shared by all c values of the row
+    scalar, grids = {}, {}
+
+    def counting(method, calls):
+        def wrapper(self, tau):
+            calls[self.spec] = calls.get(self.spec, 0) + 1   # one evaluator per row
+            return method(self, tau)
+        return wrapper
+
+    evaluator = pulses.PulsedDecoherence
+    monkeypatch.setattr(evaluator, "gamma", counting(evaluator.gamma, scalar))
+    monkeypatch.setattr(evaluator, "gamma_grid", counting(evaluator.gamma_grid, grids))
+    diagram = phase_diagram(np.linspace(0.5, 5.5, 6), np.linspace(0.0, 0.99, 50), 0.3,
+                            NoiseSide.ONE_SIDED, workers=1)
+    sudden = sum(label.regime is Regime.SUDDEN_TRANSITION
+                 for row in diagram.labels for label in row)
+    assert sudden > 100
+    assert len(grids) == 6
+    assert max(scalar.values()) <= 30
+    assert max(grids.values()) <= 20
 
 
 def test_invariant_discord_value():

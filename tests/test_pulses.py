@@ -1,3 +1,4 @@
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from dd_discord import pulses
 from dd_discord import (
+    ConvergenceError,
     OhmicSpectrum,
     PulseSchedule,
     controlled_gamma,
@@ -119,6 +121,45 @@ def test_grid_evaluation_matches_scalar():
         grid = engine.gamma_grid(taus)
         for idx in range(0, taus.size, 23):
             assert abs(grid[idx] - engine.gamma(float(taus[idx]))) < 1e-13
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_grid_evaluation_takes_any_order(periodic, monkeypatch):
+    if not periodic:
+        monkeypatch.setattr(pulses, "_is_periodic", lambda instants: False)
+    sched = periodic_schedule(0.3, 25.0)
+    engine = PulsedDecoherence(OhmicSpectrum(2.5), sched)
+    assert engine._periodic is periodic
+    taus = default_time_grid(sched)
+    shuffle = np.random.default_rng(5).permutation(taus.size)
+    # the sorted result permuted back, bit for bit
+    assert np.array_equal(engine.gamma_grid(taus[shuffle]), engine.gamma_grid(taus)[shuffle])
+    # duplicates and a descending run are fine too
+    both = np.concatenate([taus[::-1], taus[:40]])
+    assert np.array_equal(engine.gamma_grid(both),
+                          np.concatenate([engine.gamma_grid(taus)[::-1], engine.gamma_grid(taus[:40])]))
+    for outside in (-0.1, 25.5):
+        with pytest.raises(ValueError):
+            engine.gamma_grid(np.insert(taus[shuffle], taus.size // 2, outside))
+
+
+def test_scalar_exponent_near_overflow_leaks_no_warning():
+    # near s = 172 the pulse sums overflow: each call either returns a finite
+    # exponent or raises ConvergenceError, and no RuntimeWarning escapes
+    sched = periodic_schedule(0.3, 25.0)
+    outcomes = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in np.linspace(171.8, 172.6, 9):
+            for tau in np.linspace(0.1, 25.0, 20):
+                try:
+                    value = controlled_gamma(OhmicSpectrum(float(s)), sched, float(tau))
+                except ConvergenceError:
+                    outcomes.add("error")
+                else:
+                    assert np.isfinite(value)
+                    outcomes.add("finite")
+    assert outcomes == {"error", "finite"}
 
 
 def _phase_count(sched, grid):

@@ -14,10 +14,10 @@ from .phase import (PhaseDiagram, Regime, RegimeLabel, boundary_curve, classify,
                     phase_diagram, transition_time)
 from .pulses import (PulsedDecoherence, PulseSchedule, controlled_gamma,
                      controlled_gamma_oracle, default_time_grid,
-                     filter_function_sq, periodic_schedule)
+                     filter_function_sq, gamma0_quadrature, periodic_schedule)
 from .spectral import (DEFAULT_QUADRATURE, ConvergenceError, OhmicSpectrum,
-                       QuadratureConfig, gamma0, gamma0_quadrature, gamma0_rate,
-                       recoherence_onset, spectral_density)
+                       QuadratureConfig, gamma0, gamma0_rate, recoherence_onset,
+                       spectral_density)
 
 __all__ = [
     "BellDiagonalState", "ConvergenceError", "CorrelationTrajectory",

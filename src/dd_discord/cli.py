@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__
 from .correlations import BellDiagonalState, NoiseSide, decoherence_factor, trajectory
 from .phase import boundary_curve, phase_diagram
-from .pulses import (PulsedDecoherence, controlled_gamma_oracle, default_time_grid,
-                     schedule_for)
+from .pulses import (MAX_CELLS, PulsedDecoherence, controlled_gamma_oracle,
+                     default_time_grid, schedule_for)
 from .spectral import ConvergenceError, OhmicSpectrum, QuadratureConfig
 
 _UNITS_COMMENT = "# units: times in 1/omega_c, frequencies in omega_c"
@@ -64,7 +64,7 @@ def _parse_grid(value, name):
         value = parts
     try:
         lo, hi, count = float(value[0]), float(value[1]), int(float(value[2]))
-    except (TypeError, ValueError, IndexError):
+    except (TypeError, ValueError, IndexError, OverflowError):
         raise ValueError(f"{name}: expected lo:hi:count, got {value!r}") from None
     if count < 1:
         raise ValueError(f"{name}: count must be >= 1, got {count}")
@@ -210,6 +210,10 @@ def _normalize(cfg):
         _check_finite("dt", value)
     cfg.s_grid = _parse_grid(cfg.s_grid, "s_grid")
     cfg.c_grid = _parse_grid(cfg.c_grid, "c_grid")
+    cells = cfg.s_grid[2] * (cfg.c_grid[2] if cfg.command == "phase-diagram" else 1)
+    if cfg.command in ("phase-diagram", "boundary") and cells > MAX_CELLS:
+        raise ValueError(f"s_grid, c_grid: the map has {cells:,} cells, more than "
+                         f"the limit of {MAX_CELLS:,}")
     if cfg.side not in ("one", "two"):
         raise ValueError(f"side: must be 'one' or 'two', got {cfg.side!r}")
     if not cfg.horizon > 0.0:
@@ -228,8 +232,8 @@ def _normalize(cfg):
     if cfg.command in ("trajectory", "transition"):
         if cfg.c is None:
             raise ValueError(f"c: required for the {cfg.command} command")
-        if not 0.0 <= cfg.c < 1.0:
-            raise ValueError(f"c: must lie in [0, 1), got {cfg.c}")
+        if not abs(cfg.c) < 1.0:
+            raise ValueError(f"c: must satisfy |c| < 1, got {cfg.c}")
     if cfg.tau is not None:
         if cfg.command != "decoherence":
             raise ValueError("tau: only the decoherence command takes --tau")
@@ -264,10 +268,6 @@ def _normalize(cfg):
     return cfg
 
 
-def _quad_cfg(cfg):
-    return QuadratureConfig(cfg.rel_tol, cfg.abs_tol, cfg.max_subdivisions)
-
-
 def _side(cfg):
     return NoiseSide.ONE_SIDED if cfg.side == "one" else NoiseSide.TWO_SIDED
 
@@ -295,7 +295,7 @@ def _run_decoherence(cfg):
     else:
         taus = default_time_grid(sched, cfg.time_step)
     if cfg.oracle:
-        quad = _quad_cfg(cfg)
+        quad = QuadratureConfig(cfg.rel_tol, cfg.abs_tol, cfg.max_subdivisions)
         gammas = np.array([controlled_gamma_oracle(spec, sched, t, quad) for t in taus])
     else:
         gammas = PulsedDecoherence(spec, sched).gamma_grid(taus)

@@ -2,10 +2,11 @@
 
 For a fixed bath, schedule, and noise side the classification problem
 collapses to one scalar per Ohmicity value: the minimum of the
-decoherence factor over the evolution window. States with c at or below
+decoherence factor over the evolution window. States with |c| at or below
 that minimum keep their discord pinned at correlation_bits(c) for the
 whole window; every other state hits a sudden transition at the first
-time the factor crosses c from above.
+time the factor crosses |c| from above. Discord depends on |c| only, so
+c and -c always share a label.
 
 The factor is piecewise smooth with kinks only at pulse instants, so
 minima and crossings are located on the sampling grid (which contains
@@ -162,21 +163,18 @@ def min_decoherence_factor(spec, sched, side, horizon=None):
 def classify(state, min_factor):
     """Regime of a state given the minimum factor of its evolution.
 
-    Time-invariant iff c <= min_factor; the boundary case counts as
+    Time-invariant iff |c| <= min_factor; the boundary case counts as
     invariant because discord is then pinned for the entire window.
     """
-    c = state.c
-    if not 0.0 <= c < 1.0:
-        raise ValueError(f"c must lie in [0, 1), got {c}")
     if not 0.0 < min_factor <= 1.0:
         raise ValueError(f"min_factor must lie in (0, 1], got {min_factor}")
-    if c <= min_factor:
+    if abs(state.c) <= min_factor:
         return Regime.TIME_INVARIANT
     return Regime.SUDDEN_TRANSITION
 
 
 def transition_time(spec, sched, state, side, horizon=None):
-    """Earliest time the factor drops below c; None when none exists.
+    """Earliest time the factor drops below |c|; None when none exists.
 
     Grid scan plus bisection to time resolution 1e-6, labelled as one
     cell of a phase-diagram row. Consistent with classify: returns None
@@ -188,7 +186,7 @@ def transition_time(spec, sched, state, side, horizon=None):
 def _labels(profile, c_values):
     """Regime labels of the state parameters c_values under one factor profile."""
     regimes = [classify(BellDiagonalState(c), profile.min_factor) for c in c_values]
-    sudden = [c for c, r in zip(c_values, regimes) if r is Regime.SUDDEN_TRANSITION]
+    sudden = [abs(c) for c, r in zip(c_values, regimes) if r is Regime.SUDDEN_TRANSITION]
     times = iter(profile.first_crossings(sudden).tolist())
     return tuple(RegimeLabel(r, next(times) if r is Regime.SUDDEN_TRANSITION else None)
                  for r in regimes)
@@ -223,8 +221,8 @@ def phase_diagram(s_grid, c_grid, pulse_interval, side, horizon=25.0,
     c_vals = tuple(float(c) for c in c_grid)
     if any(not 0.0 < s for s in s_vals):
         raise ValueError("s_grid values must be > 0")
-    if any(not 0.0 <= c < 1.0 for c in c_vals):
-        raise ValueError("c_grid values must lie in [0, 1)")
+    if any(not abs(c) < 1.0 for c in c_vals):
+        raise ValueError("c_grid values must satisfy |c| < 1")
     tasks = [(s, c_vals, pulse_interval, side, horizon) for s in s_vals]
     rows = _run_rows(tasks, workers)
     return PhaseDiagram(

@@ -23,8 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import (DEFAULT_QUADRATURE, ConvergenceError, _tail_cutoff, gamma0,
-                       oscillatory_quad)
+from .spectral import DEFAULT_QUADRATURE, ConvergenceError, gamma0, oscillatory_quad
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,8 @@ class PulseSchedule:
 
 # most pulses in a periodic schedule, and most points in a sampling grid
 MAX_POINTS = 1_000_000
+# most (s, c) cells of a regime map, one output row each
+MAX_CELLS = 1_000_000
 
 
 def _check_size(horizon, step, what, step_name):
@@ -156,7 +157,7 @@ class PulsedDecoherence:
             self._static = np.concatenate(([0.0], np.cumsum(2.0 * singles + 4.0 * gaps)))
 
     def _check(self, tau_min, tau_max):
-        if tau_min < 0.0 or tau_max > self.schedule.horizon:
+        if not (0.0 <= tau_min and tau_max <= self.schedule.horizon):
             raise ValueError(
                 f"tau must lie in [0, {self.schedule.horizon}]")
 
@@ -265,60 +266,59 @@ def filter_function_sq(instants, tau, z):
 
     y_n(z) = 1 + (-1)^(n+1) e^(iz) + 2 sum_m (-1)^m e^(iz t_m / tau);
     with no pulses this reduces to 2 (1 - cos z), and y_n(0) = 0 for
-    every n. The pulse fractions t_m / tau must lie inside (0, 1).
-    z may be a scalar or an array of nonnegative phases.
+    every n. The pulse instants t_m must lie inside (0, tau).
+    z may be a scalar or an array of nonnegative phases; the sum runs
+    pulse by pulse, so its working set is that of z alone.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0):
         raise ValueError("z must be nonnegative")
     inst = np.asarray(instants, dtype=float)
-    n = inst.size
-    if n:
-        if not tau > 0.0:
-            raise ValueError("tau must be positive when pulses are present")
-        deltas = inst / tau
-        if np.any((deltas <= 0.0) | (deltas >= 1.0)):
-            raise ValueError("pulse fractions t_m/tau must lie in (0, 1)")
-        signs = (-1.0) ** np.arange(1, n + 1)
-        y = (1.0
-             + (-1.0) ** (n + 1) * np.exp(1j * z)
-             + 2.0 * np.exp(1j * np.multiply.outer(z, deltas)) @ signs)
-    else:
-        y = 1.0 - np.exp(1j * z)
+    if not np.all((0.0 < inst) & (inst < tau)):
+        raise ValueError(f"pulse instants must lie in (0, tau), tau = {tau}")
+    y = 1.0 + (-1.0) ** (inst.size + 1) * np.exp(1j * z)
+    for m, t_m in enumerate(inst, start=1):
+        y += 2.0 * (-1.0) ** m * np.exp(1j * (t_m / tau) * z)
     out = np.abs(y) ** 2
     return float(out) if out.ndim == 0 else out
+
+
+def _filter_integral(spec, instants, tau, cfg):
+    """Integral of x^(s-2) e^-x |y_n(tau x)|^2 / 2 over x > 0, in log space.
+
+    The tail past X goes once its bound 2 envelope X^(s-2) e^-X (for X >=
+    2|s-2| + 2, envelope 2 (n+1)^2 = max |y_n|^2 / 2) is below cfg.abs_tol / 2.
+    """
+    power = spec.s - 2.0
+    log_bound = math.log(cfg.abs_tol / (8.0 * (len(instants) + 1.0) ** 2))
+    upper = max(20.0, 2.0 * abs(power) + 2.0)
+    while power * math.log(upper) - upper > log_bound:
+        upper *= 1.25
+
+    def integrand(x):
+        return np.exp(power * np.log(x) - x) * filter_function_sq(instants, tau, tau * x) / 2.0
+
+    return oscillatory_quad(integrand, upper, tau, cfg, s=spec.s, tau=tau)
+
+
+def gamma0_quadrature(spec, tau, cfg=DEFAULT_QUADRATURE):
+    """Free exponent by quadrature: controlled_gamma_oracle without pulses."""
+    tau = float(tau)
+    if not tau >= 0.0:
+        raise ValueError(f"tau must be nonnegative, got {tau}")
+    return _filter_integral(spec, (), tau, cfg)
 
 
 def controlled_gamma_oracle(spec, sched, tau, cfg=DEFAULT_QUADRATURE):
     """Controlled exponent by quadrature of the filter-weighted spectrum.
 
-    Integrates x^(s-2) e^-x |y_n(x tau)|^2 / 2 over frequency with the
-    pulses that precede tau. Independent of the signed-sum path; used to
-    cross-check it.
+    Integrates x^(s-2) e^-x |y_n(x tau)|^2 / 2 over frequency with the pulses
+    before tau: an independent cross-check of the signed sum.
     """
     tau = float(tau)
-    if tau < 0.0 or tau > sched.horizon:
+    if not 0.0 <= tau <= sched.horizon:
         raise ValueError(f"tau must lie in [0, {sched.horizon}], got {tau}")
-    if tau == 0.0:
-        return 0.0
-    s = spec.s
-    prefix = np.asarray(sched.instants[: sched.pulses_before(tau)], dtype=float)
-    n = prefix.size
-    upper = _tail_cutoff(s, tau, cfg.abs_tol, 0.5 * (2.0 * n + 2.0) ** 2)
-    deltas = prefix / tau
-    end_sign = (-1.0) ** (n + 1)
-    signs = (-1.0) ** np.arange(1, n + 1)
-
-    def integrand(x):
-        if x <= 0.0:
-            return 0.0
-        z = tau * x
-        y = 1.0 + end_sign * complex(math.cos(z), math.sin(z))
-        if n:
-            y = y + 2.0 * np.dot(signs, np.exp(1j * z * deltas))
-        return x ** (s - 2.0) * math.exp(-x) * 0.5 * abs(y) ** 2
-
-    return oscillatory_quad(integrand, upper, tau, cfg, s=s, tau=tau)
+    return _filter_integral(spec, sched.instants[: sched.pulses_before(tau)], tau, cfg)
 
 
 def default_time_grid(schedule, step=None):

@@ -7,14 +7,15 @@ bath at zero temperature accumulates the exponent
     gamma0(tau) = integral_0^inf x^(s-2) exp(-x) (1 - cos(tau x)) dx,
 
 where s is the Ohmicity of the bath. The closed form in terms of the
-Euler gamma function is the production path; `gamma0_quadrature`
-evaluates the integral directly and exists as an independent
-cross-check of the closed form. Only that cross-check needs scipy, so
-scipy is imported inside it and the closed forms load numpy alone.
+Euler gamma function is the production path. `oscillatory_quad` is the
+one quadrature rule of the package (Gauss-Legendre panels, numpy only);
+the oracles in `pulses` integrate the filter-weighted spectrum with it,
+as independent cross-checks of the closed forms.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -52,7 +53,11 @@ class OhmicSpectrum:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances for the quadrature cross-check paths."""
+    """Tolerances for the quadrature cross-check paths.
+
+    An integral is accepted once its panels' error estimates add up to at most
+    max(abs_tol, rel_tol |integral|); max_subdivisions caps its panel bisections.
+    """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -155,74 +160,67 @@ def recoherence_onset(spec):
     return math.tan(math.pi / spec.s)
 
 
-def _tail_cutoff(s, tau, abs_tol, envelope):
-    """Upper limit X with envelope * integral_X^inf x^(s-2) e^-x dx below abs_tol/2.
+@cache
+def _gauss_legendre():
+    """Nodes on [0, 1] of the 24- and 12-point rules, and each rule's weights on all 36."""
+    from numpy.polynomial.legendre import leggauss   # on the first quadrature call
+    (x24, w24), (x12, w12) = leggauss(24), leggauss(12)
+    weights = np.zeros((36, 2))
+    weights[:24, 0], weights[24:, 1] = w24, w12
+    return 0.5 * (np.concatenate((x24, x12)) + 1.0), 0.5 * weights
 
-    x^(s-2) overflows a double from s ~ 111.5 on; that is a numerical
-    failure at (s, tau), like the overflow of the closed form.
-    """
-    power = s - 2.0
-    # integral_X^inf x^p e^-x dx <= 2 X^p e^-X once X >= 2|p| + 2
-    x = max(20.0, 2.0 * abs(power) + 2.0)
-    try:
-        # math.pow raises on overflow even for a numpy power, where ** gives inf
-        while x < 700.0 and 2.0 * envelope * math.pow(x, power) * math.exp(-x) > 0.5 * abs_tol:
-            x *= 1.25
-    except OverflowError:
-        raise ConvergenceError(
-            f"quadrature tail x^(s-2) overflows a double at s={s}, tau={tau}",
-            s=s, tau=tau) from None
-    return x
+
+_MAX_PANELS = 1_000_000   # panels before any split: bounds the rule's arrays
+_PANEL_BLOCK = 1024       # panels per integrand call: bounds its node arrays
+
+
+def _panel_sums(integrand, lo, hi):
+    """24-point integral of every panel [lo, hi] and its distance to the 12-point one."""
+    nodes, weights = _gauss_legendre()
+    sums = np.empty((lo.size, 2))
+    for first in range(0, lo.size, _PANEL_BLOCK):
+        block = slice(first, first + _PANEL_BLOCK)
+        width = (hi - lo)[block, None]
+        sums[block] = integrand(lo[block, None] + width * nodes) @ weights * width
+    return sums[:, 0], np.abs(sums[:, 0] - sums[:, 1])
 
 
 def oscillatory_quad(integrand, upper, osc_rate, cfg, *, s, tau):
-    """Integrate on [0, upper] with panels no wider than pi/osc_rate.
+    """Integrate a vectorised integrand on [0, upper] with Gauss-Legendre panels.
 
-    The panel cap keeps each subinterval inside half an oscillation of
-    cos(osc_rate * x); panels are then integrated adaptively. Raises
-    ConvergenceError naming (s, tau) if any panel exhausts
-    cfg.max_subdivisions without reaching tolerance.
+    Panels are no wider than pi / max(osc_rate, 1), half an oscillation of
+    cos(osc_rate x) or the decay scale of e^-x, and the first is graded
+    toward 0. While the panels' 24- against 12-point differences add up to
+    more than max(cfg.abs_tol, cfg.rel_tol |integral|), every panel whose
+    difference exceeds its width's share of that bound is bisected.
+    ConvergenceError names (s, tau) for a non-finite integral, more than
+    _MAX_PANELS initial panels or more than cfg.max_subdivisions bisections.
     """
-    from scipy import integrate   # quadrature oracles only; keeps import lean
+    def failure(what):
+        return ConvergenceError(f"quadrature {what} at s={s}, tau={tau}", s=s, tau=tau)
 
-    if osc_rate > 0.0:
-        n_panels = max(1, int(math.ceil(upper * osc_rate / math.pi)))
-    else:
-        n_panels = 1
-    edges = np.linspace(0.0, upper, n_panels + 1)
-    eps_abs = cfg.abs_tol / n_panels
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        out = integrate.quad(integrand, lo, hi, epsabs=eps_abs,
-                             epsrel=cfg.rel_tol, limit=cfg.max_subdivisions,
-                             full_output=1)
-        if len(out) > 3:
-            raise ConvergenceError(
-                f"quadrature did not converge at s={s}, tau={tau}: {out[3]}",
-                s=s, tau=tau)
-        total += out[0]
-    return total
-
-
-def gamma0_quadrature(spec, tau, cfg=DEFAULT_QUADRATURE):
-    """Decoherence exponent by direct adaptive quadrature (cross-check path).
-
-    Independent of the closed form: integrates
-    x^(s-2) e^-x * 2 sin^2(tau x / 2) on [0, X] with X chosen so the
-    exponential tail sits below cfg.abs_tol.
-    """
-    t = float(tau)
-    if t < 0.0:
-        raise ValueError("tau must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    s = spec.s
-    upper = _tail_cutoff(s, t, cfg.abs_tol, 2.0)
-
-    def integrand(x):
-        if x <= 0.0:
-            return 0.0
-        half = math.sin(0.5 * t * x)
-        return x ** (s - 2.0) * math.exp(-x) * 2.0 * half * half
-
-    return oscillatory_quad(integrand, upper, t, cfg, s=s, tau=t)
+    width = math.pi / max(osc_rate, 1.0)
+    count = upper / width
+    if not count <= _MAX_PANELS:
+        raise failure(f"needs {count:.3g} panels, more than {_MAX_PANELS:,},")
+    # the first panel is graded geometrically toward 0, where the integrand may go like x^s
+    grading = width * 0.25 ** np.arange(16.0, 0.0, -1.0)
+    edges = np.concatenate(([0.0], grading,
+                            np.linspace(width, upper, max(1, math.ceil(count - 1.0)) + 1)))
+    splits = 0
+    # a non-finite integral is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            lo, hi = edges[:-1], edges[1:]
+            value, error = _panel_sums(integrand, lo, hi)
+            total = value.sum()
+            if not math.isfinite(total):
+                raise failure("integral is not a finite double")
+            bound = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+            if error.sum() <= bound:
+                return float(total)
+            split = error > bound * (hi - lo) / upper
+            splits += np.count_nonzero(split)
+            if splits > cfg.max_subdivisions:
+                raise failure(f"did not converge within {cfg.max_subdivisions} bisections")
+            edges = np.sort(np.concatenate((edges, 0.5 * (lo[split] + hi[split]))))

@@ -296,6 +296,20 @@ def test_oversized_grid_exits_one(args, capsys):
     assert "limit" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["phase-diagram", "--dt", "0.3", "--s-grid", "0.1:6:1e9"],
+    ["phase-diagram", "--free", "--s-grid", "0.1:6:2000", "--c-grid", "0:0.9:1000"],
+    ["boundary", "--free", "--s-grid", "0.1:6:2e6"],
+    ["phase-diagram", "--free", "--c-grid", "0:0.9:1e400"],
+])
+def test_oversized_map_exits_one(args, capsys):
+    # refused before any grid is allocated, so this returns at once
+    assert main([*args, "--output", "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "grid" in err
+
+
 _BASE = {
     "s": ["decoherence", "--free", "--tau", "1"],
     "c": ["transition", "--s", "1", "--free"],
@@ -338,8 +352,8 @@ import json, sys
 import dd_discord.cli as cli
 
 def heavy():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
-                  or m == "concurrent.futures.process")
+    return sorted(m for m, mod in sys.modules.items() if mod is not None and (
+        m.split(".")[0] == "scipy" or m == "concurrent.futures.process"))
 
 seen = {"import": heavy()}
 seen["transition"] = cli.main(["transition", "--s", "2.5", "--dt", "1",
@@ -348,18 +362,17 @@ seen["phase-diagram"] = cli.main(["phase-diagram", "--dt", "0.5", "--workers", "
                                   "--s-grid", "1:2:2", "--c-grid", "0:0.5:2",
                                   "--output", "map.csv"]), heavy()
 seen["oracle"] = cli.main(["decoherence", "--s", "4", "--dt", "1", "--tau", "3.7",
-                           "--oracle", "--output", "or.csv"]), "scipy.integrate" in sys.modules
+                           "--oracle", "--output", "or.csv"]), heavy()
 print(json.dumps(seen))
 """
 
 
 def test_import_and_serial_runs_load_no_scipy_or_pool(tmp_path, run_python):
-    res = run_python(_LEAN_RUNTIME_PROBE, tmp_path)
-    assert res.returncode == 0, res.stderr
-    seen = json.loads(res.stdout.splitlines()[-1])
-    assert seen["import"] == []
-    assert seen["transition"] == [0, []]
-    assert seen["phase-diagram"] == [0, []]
-    # the quadrature oracle still works, and is what loads scipy
-    assert seen["oracle"] == [0, True]
-    assert float(read_rows(tmp_path / "or.csv")[0]["gamma"]) > 0.0
+    # the second run blocks scipy outright: no path of the package needs it
+    for prelude in ("", "import sys; sys.modules['scipy'] = None\n"):
+        res = run_python(prelude + _LEAN_RUNTIME_PROBE, tmp_path)
+        assert res.returncode == 0, res.stderr
+        seen = json.loads(res.stdout.splitlines()[-1])
+        assert seen == {"import": [], "transition": [0, []], "phase-diagram": [0, []],
+                        "oracle": [0, []]}
+        assert float(read_rows(tmp_path / "or.csv")[0]["gamma"]) > 0.0

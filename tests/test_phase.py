@@ -110,11 +110,24 @@ def test_classify_monotone_in_c():
 
 def test_classify_validation():
     with pytest.raises(ValueError):
-        classify(BellDiagonalState(-0.1), 0.5)
-    with pytest.raises(ValueError):
         classify(BellDiagonalState(0.5), 0.0)
     with pytest.raises(ValueError):
         classify(BellDiagonalState(0.5), 1.5)
+
+
+@pytest.mark.parametrize("dt", [None, 0.3])
+def test_sign_of_c_does_not_change_the_regime(dt):
+    # discord depends on |c| only, and so do the label and the transition time
+    spec, sched, side = OhmicSpectrum(1.3), _schedule(dt), NoiseSide.ONE_SIDED
+    mf = min_decoherence_factor(spec, sched, side)
+    cs = [0.0, 0.5 * mf, 0.35, 0.7, 0.97]
+    diagram = phase_diagram([1.3], cs + [-c for c in cs], dt, side)
+    assert diagram.labels[0][:len(cs)] == diagram.labels[0][len(cs):]
+    for c in cs:
+        assert classify(BellDiagonalState(-c), mf) is classify(BellDiagonalState(c), mf)
+        assert (transition_time(spec, sched, BellDiagonalState(-c), side)
+                == transition_time(spec, sched, BellDiagonalState(c), side))
+    assert any(label.transition_time for label in diagram.labels[0])
 
 
 def test_transition_time_marginal_free():

@@ -15,10 +15,11 @@ from dd_discord import (
     default_time_grid,
     filter_function_sq,
     gamma0,
+    gamma0_quadrature,
     periodic_schedule,
 )
 from dd_discord.pulses import PulsedDecoherence
-from oracles import naive_controlled_gamma
+from oracles import naive_controlled_gamma, scipy_filter_integral
 
 FROZEN_ECHO_AT_TWO = 0.5815754049028404  # 2*ln2 - ln5/2, marginal spectrum
 
@@ -241,6 +242,31 @@ def test_closed_sum_agrees_with_filter_integral(s):
         closed = controlled_gamma(spec, sched, tau)
         integral = controlled_gamma_oracle(spec, sched, tau)
         assert abs(closed - integral) < 1e-8
+
+
+@pytest.mark.parametrize("dt", [None, 0.3, 1.0])
+@pytest.mark.parametrize("s", [0.1, 0.7, 1.6, 3.4, 6.0])
+def test_oracles_match_scipy_reference(s, dt):
+    # the package's Gauss-Legendre rule against scipy's adaptive quad
+    spec = OhmicSpectrum(s)
+    sched = periodic_schedule(dt, 12.5) if dt is not None else PulseSchedule((), 12.5)
+    for tau in (0.7, 4.1, 11.3):
+        prefix = sched.instants[:sched.pulses_before(tau)]
+        want = scipy_filter_integral(s, prefix, tau)
+        assert abs(controlled_gamma_oracle(spec, sched, tau) - want) < 1e-10
+        if dt is None:
+            assert abs(gamma0_quadrature(spec, tau) - want) < 1e-10
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda spec, sched: controlled_gamma(spec, sched, float("nan")),
+    lambda spec, sched: PulsedDecoherence(spec, sched).gamma_grid([1.0, float("nan")]),
+    lambda spec, sched: controlled_gamma_oracle(spec, sched, float("nan")),
+    lambda spec, sched: gamma0_quadrature(spec, float("nan")),
+], ids=["gamma", "gamma_grid", "controlled_gamma_oracle", "gamma0_quadrature"])
+def test_nan_time_is_out_of_range(evaluate):
+    with pytest.raises(ValueError, match="tau must"):
+        evaluate(OhmicSpectrum(1.5), periodic_schedule(0.3, 25.0))
 
 
 def test_controlled_gamma_nonnegative():

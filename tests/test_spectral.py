@@ -11,6 +11,7 @@ from dd_discord import (
     OhmicSpectrum,
     PulseSchedule,
     QuadratureConfig,
+    controlled_gamma,
     controlled_gamma_oracle,
     gamma0,
     gamma0_quadrature,
@@ -186,12 +187,20 @@ def test_gamma_overflow_is_a_convergence_error():
     with pytest.raises(ConvergenceError) as err:
         gamma0_rate(OhmicSpectrum(180.0), np.array([1.0, 2.0]))
     assert (err.value.s, err.value.tau) == (180.0, None)
-    # the quadrature oracles overflow in their tail bound x^(s-2) instead
-    for s in (200.0, np.float64(120.0)):
+    # the quadrature oracles integrate in log space: they follow the closed
+    # form up to its own overflow, and a non-finite integral is a failure
+    one_pulse = PulseSchedule((0.5,), 2.0)
+    for s in (120.0, np.float64(120.0)):
+        spec = OhmicSpectrum(s)
+        assert abs(gamma0_quadrature(spec, 1.0) / gamma0(spec, 1.0) - 1.0) < 1e-9
+        closed = controlled_gamma(spec, one_pulse, 1.0)
+        assert abs(controlled_gamma_oracle(spec, one_pulse, 1.0) / closed - 1.0) < 1e-9
+    for s in (200.0, np.float64(200.0)):
         spec = OhmicSpectrum(s)
         for oracle in (lambda: gamma0_quadrature(spec, 1.0),
-                       lambda: controlled_gamma_oracle(spec, PulseSchedule((0.5,), 2.0), 1.0)):
+                       lambda: controlled_gamma_oracle(spec, one_pulse, 1.0)):
             with pytest.raises(ConvergenceError) as err:
                 oracle()
             assert (err.value.s, err.value.tau) == (s, 1.0)
             assert f"s={s}" in str(err.value)
+            assert "not a finite double" in str(err.value)

@@ -8,16 +8,21 @@ whole window; every other state hits a sudden transition at the first
 time the factor crosses |c| from above. Discord depends on |c| only, so
 c and -c always share a label.
 
-The factor is piecewise smooth with kinks only at pulse instants, so
-minima and crossings are located on the sampling grid (which contains
-both sides of every instant) and refined inside the bracketing interval.
-The minimum takes a scalar golden-section search. The crossings of all c
-values under one factor profile (a diagram row, or the single c of a
-transition_time query) take one shared bisection: every step evaluates
-the midpoints of all still-open brackets in a single grid evaluation.
+Both are found in exponent space: the minimum factor is the maximum of
+the exponent g, and the factor crosses |c| where g first exceeds
+-log|c| / side. g is smooth between pulses, with kinks only at pulse
+instants. The scan samples every inter-pulse branch at equal phase
+steps, both sides of every instant and the window end included, so a
+periodic schedule repeats its phases exactly and its scan costs about
+one small table of phase sums. Each sample carries g, its rate, and
+bounds on |g''| and |g'''| from the closed forms. They bound g on every
+cell between samples, and a cell whose bound is not settled is
+bisected: nothing between the samples is assumed. A maximum inside a
+cell is a zero of the rate. It and every crossing are solved to a few
+ulp by safeguarded Newton steps shared by all brackets of a row.
 """
 
-import math
+import copy
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -26,12 +31,14 @@ from typing import Optional
 import numpy as np
 
 from .correlations import BellDiagonalState, NoiseSide, correlation_bits, decoherence_factor
-from .pulses import PulsedDecoherence, default_time_grid, schedule_for
+from .pulses import PulsedDecoherence, schedule_for
 from .spectral import OhmicSpectrum
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_REFINE_XTOL = 1e-4       # time resolution of the minimum search
-_CROSSING_XTOL = 1e-6     # time resolution of the transition time
+_SCAN_STEP = 0.05         # longest scan step, as in default_time_grid
+_SCAN_MIN_STEPS = 20      # fewest scan steps per branch
+_NEWTON_STEPS = 60        # most safeguarded Newton steps of one solve
+_ULPS = 4                 # a solve stops within this many ulp of its time
+_MIN_WIDTH = 2.0 ** -40   # cells narrower than this (times max(1, t)) count as samples
 _TINY = float(np.finfo(float).tiny)   # factor floor: exp() may underflow to 0
 
 
@@ -67,26 +74,23 @@ class PhaseDiagram:
     horizon: float
 
 
-def _golden_min(f, a, b, xtol):
-    """Golden-section minimum of f on [a, b] to x resolution xtol."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    mid = 0.5 * (a + b)
-    return mid, f(mid)
-
-
 class _FactorProfile:
-    """Factor samples on the default grid, with refinement helpers."""
+    """The exponent of one row (bath, schedule, side) on a certified scan of [0, horizon].
+
+    Points are (branch n, phase r) pairs, time t_n + r; cells join
+    neighbouring points of one branch. Every point carries the exponent
+    g, its rate g', and bounds M2, M3 on |g''|, |g'''| over the rest of
+    its branch, so on a cell [a, b] of width h
+
+        g <= min(max(g_a, g_b) + M2 h^2 / 8,  max of the lower of the two
+                 Taylor bounds g_a + g'_a x + M2 x^2 / 2 and
+                 g_b - g'_b (h - x) + M2 (h - x)^2 / 2).
+
+    A cell whose rate falls from + to - holds a peak: a safeguarded
+    Newton solve of g' = 0 finds it, and M3 certifies it as the cell's
+    only maximum when g'' < 0 there with room to spare. Cells whose
+    bound is not settled are bisected.
+    """
 
     def __init__(self, spec, schedule, side, horizon=None):
         if horizon is None:
@@ -96,66 +100,279 @@ class _FactorProfile:
                 f"horizon must lie in (0, {schedule.horizon}], got {horizon}")
         self.evaluator = PulsedDecoherence(spec, schedule)
         self.side = side
-        grid = default_time_grid(schedule)
-        self.grid = grid[grid <= horizon]
-        self.factors = self._factors(self.grid)
+        starts, ends, gaps = self.evaluator._branches(horizon)
+        self._starts = starts
+        # one phase set per distinct branch length: the full periods of a
+        # periodic schedule share theirs, so its table has ~2 (m + 1) rows
+        lengths, length_of = np.unique(gaps, return_inverse=True)
+        steps = np.maximum(_SCAN_MIN_STEPS, np.ceil(lengths / _SCAN_STEP)).astype(int)
+        set_start = np.concatenate(([0], np.cumsum(steps + 1)))
+        set_of = np.repeat(np.arange(lengths.size), steps + 1)
+        step_no = np.arange(set_start[-1]) - set_start[set_of]
+        distinct = step_no * (lengths / steps)[set_of]
+        distinct[set_start[1:] - 1] = lengths
+        sizes = steps[length_of] + 1
+        branch = np.repeat(np.arange(starts.size), sizes)
+        which = set_start[length_of][branch] + np.arange(sizes.sum()) - np.repeat(
+            np.cumsum(sizes) - sizes, sizes)
+        phases = distinct[which]
+        taus = starts[branch] + phases
+        taus[np.cumsum(sizes) - 1] = ends   # both sides of every pulse, and the window end
+        self._n, self._r = branch, phases
+        self._f, self._d, self._m2, self._m3 = self._sample(taus, branch, phases,
+                                                            (distinct, which))
+        # per cell, by its left point: the solved peak, where it is, its -g''
+        # less the slack of the last Newton step, and whether it is certified
+        self._peak, self._peak_at, self._bend = (np.full(taus.size, np.nan) for _ in range(3))
+        self._peak_sure = np.zeros(taus.size, bool)
+        self._bounds = None
+        self._settle(np.empty(0))
 
-    def _factors(self, taus):
-        """Factors at an array of times in any order."""
-        return np.maximum(decoherence_factor(self.evaluator.gamma_grid(taus), self.side), _TINY)
+    def _sample(self, taus, counts, phases, groups=None):
+        return self.evaluator._evaluate(taus, counts, phases, 1, True, groups)
 
-    def factor_at(self, tau):
-        # scalar copy of the factor formula for the golden-section minimum,
-        # which takes one time per step
-        return max(math.exp(-self.side.value * self.evaluator.gamma(tau)), _TINY)
+    def _cells(self):
+        """Per pair of neighbouring points (j, j + 1), by j: whether it is a cell, an upper
+        bound on the exponent over it, the largest exponent known on it, and whether its
+        bound is settled.
 
-    @cached_property
-    def refined_min(self):
-        """(time, factor) of the golden-section minimum around the grid minimum."""
-        i = int(np.argmin(self.factors))
-        lo = float(self.grid[max(i - 1, 0)])
-        hi = float(self.grid[min(i + 1, self.grid.size - 1)])
-        if hi > lo:
-            return _golden_min(self.factor_at, lo, hi, _REFINE_XTOL)
-        return lo, float(self.factors[i])
+        A pair across a pulse is no cell: both points sit at the pulse, and
+        its bound is the larger of their values; so is that of a cell too
+        narrow to split or lying where a certified peak keeps g'' < 0.
+        """
+        if self._bounds is None:
+            n, r, f, d, m3 = self._n, self._r, self._f, self._d, self._m3
+            cell = n[:-1] == n[1:]
+            h = r[1:] - r[:-1]
+            ends = np.maximum(f[:-1], f[1:])
+            settled = ~cell | (h <= _MIN_WIDTH * np.maximum(1.0, self._starts[n[1:]] + r[1:]))
+            bend, at, sure = self._bend[:-1], self._peak_at[:-1], self._peak_sure[:-1]
+            with np.errstate(invalid="ignore"):
+                after = cell[1:] & sure[:-1] & (bend[:-1] > m3[:-2] * (r[2:] - at[:-1]))
+                before = cell[:-1] & sure[1:] & (bend[1:] > m3[:-2] * (at[1:] - r[:-2]))
+            settled[1:] |= after
+            settled[:-1] |= before
+            upper = _upper_bound(f[:-1], f[1:], d[:-1], d[1:], self._m2[:-1], h)
+            upper = np.where(settled, ends, np.where(sure, self._peak[:-1], upper))
+            self._bounds = cell, upper, np.fmax(ends, self._peak[:-1]), settled
+        return self._bounds
+
+    def _settle(self, thresholds, private=False):
+        """Refine until no cell can exceed the maximum unseen; then place every threshold.
+
+        Returns, per threshold, the first pair that may exceed it, -1 where
+        no pair does, and -2 where that pair holds no known value above
+        it. Cells are split for such thresholds only when private: the
+        splits one threshold asks for then cannot move the times of the
+        others.
+        """
+        while True:
+            cell, upper, known, settled = self._cells()
+            self._max = max(float(self._f.max()), float(np.nanmax(self._peak, initial=0.0)))
+            peak = cell & (self._d[:-1] > 0.0) & (self._d[1:] < 0.0) & np.isnan(self._peak[:-1])
+            split = (upper > self._max) & ~settled
+            first = np.searchsorted(np.maximum.accumulate(upper), thresholds, side="right")
+            found = first < upper.size
+            pair = np.minimum(first, upper.size - 1)
+            blocked = found & (known[pair] <= thresholds)
+            unseen = pair[blocked]
+            solve = peak & split
+            solve[unseen] |= peak[unseen]
+            if private:
+                split[unseen] = True
+            split &= ~solve
+            if not (solve.any() or split.any()):
+                return np.where(found, np.where(blocked, -2, pair), -1)
+            if solve.any():
+                self._solve_peaks(np.nonzero(solve)[0])
+            if split.any():
+                self._split(np.nonzero(split)[0])
+
+    def _solve_peaks(self, i):
+        """Zero of the rate in the cells at left points i, and its certificate."""
+        starts, n = self._starts[self._n[i]], self._n[i]
+
+        def minus_rate(x, k):
+            g, rate, curvature = self.evaluator._evaluate(starts[k] + x, n[k], x, 2)
+            return -rate, -curvature, g
+
+        lo, hi, m3 = self._r[i], self._r[i + 1], self._m3[i]
+        start = _cubic_start(lo, hi, self._f[i], self._d[i], self._f[i + 1], self._d[i + 1],
+                             slope_root=True)
+        x, (_, bend, g), moved = _newton(minus_rate, lo, hi, start, starts + hi, m3)
+        self._peak[i], self._peak_at[i], self._bend[i] = g, x, bend - m3 * moved
+        # g'' < 0 over the whole cell: the rate has no other zero in it
+        self._peak_sure[i] = self._bend[i] > m3 * np.maximum(x - lo, hi - x)
+        self._bounds = None
+
+    def _split(self, i):
+        """Bisect the cells at left points i."""
+        n = self._n[i]
+        r = 0.5 * (self._r[i] + self._r[i + 1])
+        new = self._sample(self._starts[n] + r, n, r)
+        self._peak[i], self._bend[i], self._peak_sure[i] = np.nan, np.nan, False
+        at = i + 1
+        self._n, self._r = np.insert(self._n, at, n), np.insert(self._r, at, r)
+        self._f, self._d, self._m2, self._m3 = (
+            np.insert(old, at, values)
+            for old, values in zip((self._f, self._d, self._m2, self._m3), new))
+        self._peak, self._peak_at, self._bend = (
+            np.insert(old, at, np.nan) for old in (self._peak, self._peak_at, self._bend))
+        self._peak_sure = np.insert(self._peak_sure, at, False)
+        self._bounds = None
 
     @cached_property
     def min_factor(self):
-        return min(float(self.factors.min()), self.refined_min[1])
+        return max(decoherence_factor(self._max, self.side), _TINY)
+
+    def _argmax_time(self):
+        best = int(np.argmax(self._f))
+        time, value = self._starts[self._n[best]] + self._r[best], self._f[best]
+        if np.nanmax(self._peak, initial=0.0) > value:
+            k = int(np.nanargmax(self._peak))
+            time = self._starts[self._n[k]] + self._peak_at[k]
+        return float(time)
 
     def first_crossings(self, cs):
-        """Earliest times with factor < c, for c values above min_factor.
+        """Earliest times with factor < |c|, for |c| above min_factor.
 
-        One bisection over the brackets of all c: each step evaluates the
-        still-open midpoints in one gamma_grid call.
+        In exponent space: the first root of g = -log|c| / side, by one
+        safeguarded Newton solve over all c values of the row, certified
+        free of an earlier root by the Taylor bound of its cell. A c
+        whose certificate needs finer cells gets them on a copy of the
+        profile, so a time never depends on the other c values.
         """
-        cs = np.asarray(cs, dtype=float)
-        # bracket: the grid cell ending at the first sample below c, where the
-        # running minimum drops below it (never index 0: factor(0) = 1 > c)
-        first = np.searchsorted(-np.minimum.accumulate(self.factors), -cs, side="right")
-        lo = self.grid[first - 1]
-        hi = self.grid[np.minimum(first, self.grid.size - 1)]
-        missed = first == self.grid.size
-        if missed.any():
-            # grid samples all sit at or above c but the refined dip is below
-            x = self.refined_min[0]
-            i = int(np.searchsorted(self.grid, x))
-            lo[missed], hi[missed] = self.grid[max(i - 1, 0)], x
-        todo = np.nonzero(hi - lo > _CROSSING_XTOL)[0]
-        while todo.size:
-            mid = 0.5 * (lo[todo] + hi[todo])
-            below = self._factors(mid) < cs[todo]
-            hi[todo[below]] = mid[below]
-            lo[todo[~below]] = mid[~below]
-            todo = todo[hi[todo] - lo[todo] > _CROSSING_XTOL]
-        return 0.5 * (lo + hi)
+        targets = -np.log(np.abs(np.asarray(cs, dtype=float))) / self.side.value
+        times = self._crossings(targets)
+        for k in np.nonzero(np.isnan(times))[0]:
+            private = copy.copy(self)
+            for name in ("_peak", "_peak_at", "_bend", "_peak_sure"):
+                setattr(private, name, getattr(self, name).copy())
+            while np.isnan(times[k]):
+                times[k] = private._crossings(targets[k:k + 1], private=True)[0]
+        return times
+
+    def _crossings(self, targets, private=False):
+        """First roots of g = targets on the cells as they are; NaN where a root is not certified.
+
+        Cells left unsure are split when private.
+        """
+        times = np.full(targets.size, np.nan)
+        j = self._settle(targets, private)
+        # a |c| at the rounding edge of min_factor: the maximum is the crossing
+        times[j == -1] = self._argmax_time()
+        # a pair across a pulse: the level lies between the two branches' values there
+        kink = j >= 0
+        kink[kink] = self._n[j[kink]] != self._n[j[kink] + 1]
+        times[kink] = self._starts[self._n[j[kink] + 1]]
+        todo = np.nonzero((j >= 0) & ~kink)[0]
+        if not todo.size:
+            return times
+        i, level = j[todo], targets[todo]
+        starts, n = self._starts[self._n[i]], self._n[i]
+        lo, f_lo = self._r[i], self._f[i]
+        ahead = self._f[i + 1] > level
+        hi = np.where(ahead, self._r[i + 1], self._peak_at[i])
+        f_hi = np.where(ahead, self._f[i + 1], self._peak[i])
+
+        def excess(x, k):
+            g, rate = self.evaluator._evaluate(starts[k] + x, n[k], x, 1)
+            return g - level[k], rate
+
+        m2 = self._m2[i]
+        d_hi = np.where(ahead, self._d[i + 1], 0.0)
+        start = _cubic_start(lo, hi, f_lo - level, self._d[i], f_hi - level, d_hi)
+        x, (_, rate), moved = _newton(excess, lo, hi, start, starts + hi, m2)
+        # no earlier root: [lo, x] stays at or below the level
+        width = x - lo
+        sure = _upper_bound(f_lo, level, self._d[i], rate - m2 * moved, m2, width) <= level
+        sure |= ~ahead & self._peak_sure[i]          # rising side of a certified peak
+        sure |= width <= _MIN_WIDTH * np.maximum(1.0, starts + x)
+        times[todo[sure]] = starts[sure] + x[sure]
+        if private and not sure.all():
+            self._split(np.unique(i[~sure]))
+        return times
+
+
+def _upper_bound(fa, fb, da, db, curv, h):
+    """Largest value on [0, h] allowed by end values fa, fb, slopes da, db and |f''| <= curv."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the two Taylor parabolas differ by a linear function; they cross at x
+        x = np.clip((fb - fa - db * h + 0.5 * curv * h * h) / (da - db + curv * h), 0.0, h)
+        from_a = fa + x * (da + 0.5 * curv * x)
+        from_b = fb - (h - x) * (db - 0.5 * curv * (h - x))
+        taylor = np.fmax(np.maximum(fa, fb), np.fmax(from_a, from_b))
+    return np.fmin(taylor, np.maximum(fa, fb) + 0.125 * curv * h * h)
+
+
+def _cubic_start(lo, hi, f_lo, d_lo, f_hi, d_hi, slope_root=False):
+    """Root in [lo, hi] of the cubic with values f and slopes d at both ends, or of its slope.
+
+    A start for the Newton solves, found by a few Newton steps on the
+    cubic itself (f_lo <= 0 < f_hi; or d_lo > 0 > d_hi for its slope).
+    """
+    h = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = (f_hi - f_lo) / h
+        c2 = (3.0 * q - 2.0 * d_lo - d_hi) / h
+        c3 = (d_lo + d_hi - 2.0 * q) / (h * h)
+        a = (d_lo, 2.0 * c2, 3.0 * c3, 0.0) if slope_root else (f_lo, d_lo, c2, c3)
+        x = np.clip(-a[0] * h / ((d_hi if slope_root else f_hi) - a[0]), 0.0, h)
+        for _ in range(3):
+            value = a[0] + x * (a[1] + x * (a[2] + x * a[3]))
+            x = np.clip(x - value / (a[1] + x * (2.0 * a[2] + 3.0 * x * a[3])), 0.0, h)
+    return lo + np.where(np.isfinite(x), x, 0.5 * h)
+
+
+def _newton(evaluate, lo, hi, x, times, curv):
+    """Safeguarded Newton: one root of F in every bracket [lo, hi] with F(lo) <= 0 < F(hi).
+
+    evaluate(x, k) returns F, F' and any further values at x for the
+    brackets k; curv bounds |F''| on each bracket. A step that leaves its
+    (shrinking) bracket becomes a bisection. A solve stops once its
+    bracket, or its step, or the error bound curv step^2 / 2|F'| left
+    after the step, is within _ULPS ulp of max(1, its time `times`), or
+    after _NEWTON_STEPS steps. Returns the roots, the values at the last
+    evaluation, and the distance of each root from that evaluation.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    tol = _ULPS * np.spacing(np.maximum(np.abs(times), 1.0))
+    k = np.arange(x.size)
+    roots, moved = x.copy(), np.zeros(x.size)
+    values = evaluate(x, k)
+    out = [v.copy() for v in values]
+    for _ in range(_NEWTON_STEPS):
+        f, slope = values[0], values[1]
+        above = f > 0.0
+        hi[k[above]], lo[k[~above]] = x[above], x[~above]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - f / slope
+            inside = (step > lo[k]) & (step < hi[k])
+            # quadratic convergence: the step lands this close to the root
+            settled = inside & (curv[k] * (step - x) ** 2 <= 2.0 * tol[k] * np.abs(slope))
+        done = settled | (np.abs(step - x) <= tol[k]) | (hi[k] - lo[k] <= tol[k]) | (f == 0.0)
+        last = np.where(inside & (f != 0.0), step, x)
+        roots[k[done]], moved[k[done]] = last[done], np.abs(last - x)[done]
+        for o, v in zip(out, values):
+            o[k[done]] = v[done]
+        k, x = k[~done], np.where(inside, step, 0.5 * (lo[k] + hi[k]))[~done]
+        if not k.size:
+            break
+        values = evaluate(x, k)
+    else:
+        roots[k] = x
+        for o, v in zip(out, values):
+            o[k] = v
+    return roots, out, moved
 
 
 def min_decoherence_factor(spec, sched, side, horizon=None):
     """Minimum of the decoherence factor over [0, horizon].
 
-    Grid scan over the default sampling grid followed by golden-section
-    refinement in the bracketing interval, to time resolution 1e-4.
+    exp(-side * max g), where the maximum of the exponent g sits at a
+    pulse, at the window end or at a zero of its rate, and is certified
+    against every cell between the scan samples. Floored at the smallest
+    normal double, since exp() may underflow.
     """
     return _FactorProfile(spec, sched, side, horizon).min_factor
 
@@ -176,9 +393,11 @@ def classify(state, min_factor):
 def transition_time(spec, sched, state, side, horizon=None):
     """Earliest time the factor drops below |c|; None when none exists.
 
-    Grid scan plus bisection to time resolution 1e-6, labelled as one
-    cell of a phase-diagram row. Consistent with classify: returns None
-    exactly for time-invariant states.
+    The first root of g = -log|c| / side, solved by safeguarded Newton
+    steps to a few ulp and certified free of an earlier root; labelled as
+    one cell of a phase-diagram row, whose other c values never move it.
+    Consistent with classify: returns None exactly for time-invariant
+    states.
     """
     return _labels(_FactorProfile(spec, sched, side, horizon), (state.c,))[0].transition_time
 

@@ -23,7 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import DEFAULT_QUADRATURE, ConvergenceError, gamma0, oscillatory_quad
+from .spectral import (DEFAULT_QUADRATURE, ConvergenceError, _derivative_envelopes,
+                       _gamma0_curvature, gamma0, gamma0_rate, oscillatory_quad)
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,8 @@ def _is_periodic(instants):
 
 # table entries per block of the shared-phase sums: bounds their working set
 _PHASE_BLOCK = 4096
+_WHOLE_TABLE = 1 << 16
+_EPS = float(np.finfo(float).eps)
 
 
 class PulsedDecoherence:
@@ -167,15 +170,14 @@ class PulsedDecoherence:
             return (taus - self._starts[n]) + self._starts[:n]
         return taus - self._instants[n - 1::-1]
 
-    def _alternating(self, args):
-        """Prefix sums of (-1)^k gamma0(args[..., k]) along the last axis."""
-        width = args.shape[-1]
-        return np.cumsum(gamma0(self.spec, args) * self._signs[:width], axis=-1)
+    def _prefix_sums(self, parts, alternate, args):
+        """Prefix sums along the last axis of sign_k f(args[..., k]), one per f in parts(args).
 
-    def _unclamped(self, taus, counts, elapsed):
-        """The exponent from its three parts, before the clamp at zero."""
-        return (self._static[counts] + (-1.0) ** counts * gamma0(self.spec, taus)
-                + 2.0 * elapsed)
+        sign_k is (-1)^k for the parts that alternate, else 1.
+        """
+        signs = self._signs[:args.shape[-1]]
+        return [np.cumsum(values * signs if alt else values, axis=-1)
+                for alt, values in zip(alternate, parts(args))]
 
     def _not_finite(self, tau):
         s = self.spec.s
@@ -189,8 +191,12 @@ class PulsedDecoherence:
         n = bisect_left(self.schedule.instants, tau)
         # an overflowing sum is reported just below, as a non-finite exponent
         with np.errstate(over="ignore", invalid="ignore"):
-            elapsed = self._alternating(self._elapsed_args(tau, n))[-1] if n else 0.0
-            value = float(self._unclamped(tau, n, elapsed))
+            elapsed = 0.0
+            if n:
+                args = self._elapsed_args(tau, n)
+                elapsed = self._prefix_sums(self._parts(0, False), (True,), args)[0][-1]
+            value = float(self._static[n] + (-1.0) ** n * gamma0(self.spec, tau)
+                          + 2.0 * elapsed)
         if not math.isfinite(value):
             raise self._not_finite(tau)
         return max(value, 0.0)
@@ -202,49 +208,108 @@ class PulsedDecoherence:
             return np.empty(0)
         self._check(float(taus.min()), float(taus.max()))
         counts = np.searchsorted(self._instants, taus, side="left")
-        # an overflowing sum is reported just below, as a non-finite exponent
+        return self._evaluate(taus, counts, taus - self._starts[counts])[0]
+
+    def _branches(self, horizon):
+        """Start, end and length of every branch of [0, horizon], branch n after n pulses.
+
+        A periodic schedule's branches that end at a pulse are all t_1
+        long, so equal steps give them exactly equal phases.
+        """
+        starts = self._starts[:1 + np.searchsorted(self._instants, horizon)]
+        ends = np.append(starts[1:], horizon)
+        gaps = ends - starts
+        if self._periodic:
+            gaps[:np.searchsorted(self._instants, horizon, side="right")] = self._instants[0]
+        return starts, ends, gaps
+
+    def _parts(self, order, bounds):
+        """gamma0 and its derivatives up to order, then with bounds the two derivative envelopes."""
+        fns = (gamma0, gamma0_rate, _gamma0_curvature)[:order + 1]
+
+        def parts(args):
+            values = [f(self.spec, args) for f in fns]
+            return values + list(_derivative_envelopes(self.spec, args)) if bounds else values
+
+        return parts
+
+    def _evaluate(self, taus, counts, phases, order=0, bounds=False, groups=None):
+        """The exponent and its time derivatives up to order, at taus after counts pulses.
+
+        The one kernel of gamma_grid and of the regime refinement. phases
+        are taus - t_counts; groups = (distinct, which) with phases =
+        distinct[which] spares finding the distinct phases. A derivative
+        is the same signed sum over the derivative of gamma0 (static is
+        constant inside a branch). With bounds, two more arrays bound the
+        second and third derivatives from taus to their branch ends: each
+        term becomes its envelope, which decreases in its argument, and
+        every argument grows with tau inside a branch. Returns a list of
+        arrays; the exponent is clamped at zero, and a value that is not a
+        finite double raises ConvergenceError.
+        """
+        parts = self._parts(order, bounds)
+        alternate = (True,) * (order + 1) + (False, False) * bounds
+        # an overflowing sum is reported just below, as a non-finite value
         with np.errstate(over="ignore", invalid="ignore"):
-            if self._periodic:
-                elapsed = self._phase_sums(taus - self._starts[counts], counts)
-            else:
-                elapsed = np.zeros_like(taus)
-                for n in np.unique(counts[counts > 0]):
-                    pick = counts == n
-                    args = self._elapsed_args(taus[pick][:, None], n)
-                    elapsed[pick] = self._alternating(args)[:, -1]
-            out = self._unclamped(taus, counts, elapsed)
-        bad = ~np.isfinite(out)
-        if bad.any():
-            raise self._not_finite(float(taus[bad][0]))
-        return np.maximum(out, 0.0)
+            elapsed = self._elapsed(parts, alternate, taus, counts, phases, groups)
+            heads, signs = parts(taus), 1.0 - 2.0 * (counts & 1)   # (-1)^n
+            out = [self._static[counts] + signs * heads[0] + 2.0 * elapsed[0]]
+            out += [(signs if alt else 1.0) * head + 2.0 * sums
+                    for alt, head, sums in zip(alternate[1:], heads[1:], elapsed[1:])]
+        for values in out:
+            bad = ~np.isfinite(values)
+            if bad.any():
+                raise self._not_finite(float(taus[bad][0]))
+        out[0] = np.maximum(out[0], 0.0)
+        return out
 
-    def _phase_sums(self, phases, counts):
-        """Elapsed sums of points with phases r = tau - t_n after counts n pulses.
+    def _elapsed(self, parts, alternate, taus, counts, phases, groups):
+        """Elapsed sums sum_k sign_k f(tau - t_(n-k)), k = 0 .. n-1, one row per part."""
+        out = np.zeros((len(alternate), taus.size))
+        if self._periodic:
+            distinct, which = np.unique(phases, return_inverse=True) if groups is None else groups
+            self._phase_sums(parts, alternate, distinct, which, counts, out)
+        else:
+            for n in np.unique(counts[counts > 0]):
+                pick = counts == n
+                args = self._elapsed_args(taus[pick][:, None], n)
+                for row, sums in zip(out, self._prefix_sums(parts, alternate, args)):
+                    row[pick] = sums[:, -1]
+        return out
 
-        Each distinct phase gets one table row of alternating prefix sums,
-        from the empty sum up to its largest count. Phases go longest
-        first, in blocks of at most _PHASE_BLOCK table entries, so every
+    def _phase_sums(self, parts, alternate, distinct, which, counts, out):
+        """Elapsed sums, into out, of the points with phases distinct[which] after counts pulses.
+
+        Each distinct phase r gets one table row of prefix sums over
+        f(r + t_k), up to its largest count. A table of at most
+        _WHOLE_TABLE entries is built at once; a larger one goes longest
+        phase first, in blocks of at most _PHASE_BLOCK entries, so every
         row of a block fits the block's first width.
         """
-        distinct, which = np.unique(phases, return_inverse=True)
         longest = np.zeros(distinct.size, dtype=int)
         np.maximum.at(longest, which, counts)
+        width = int(longest.max(initial=0))
+        if not width:
+            return
+        if distinct.size * width <= _WHOLE_TABLE:   # no sorting or blocks needed
+            args = distinct[:, None] + self._starts[:width]
+            for row, table in zip(out, self._prefix_sums(parts, alternate, args)):
+                row[:] = np.where(counts > 0, table[which, counts - 1], 0.0)
+            return
         order = np.argsort(-longest, kind="stable")
         point_rank = np.argsort(order)[which]   # table row of each point's phase
         by_rank = np.argsort(point_rank, kind="stable")
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(point_rank))))
-        out = np.empty(phases.size)
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(point_rank, minlength=order.size))))
         first = 0
-        while first < order.size:
+        while first < order.size and longest[order[first]]:
             width = int(longest[order[first]])
             stop = min(order.size, first + max(1, _PHASE_BLOCK // (width + 1)))
-            table = np.zeros((stop - first, width + 1))
-            table[:, 1:] = self._alternating(
-                distinct[order[first:stop], None] + self._starts[:width])
             pts = by_rank[bounds[first]:bounds[stop]]
-            out[pts] = table[point_rank[pts] - first, counts[pts]]
+            rows, cols = point_rank[pts] - first, counts[pts] - 1
+            args = distinct[order[first:stop], None] + self._starts[:width]
+            for row, table in zip(out, self._prefix_sums(parts, alternate, args)):
+                row[pts] = np.where(cols >= 0, table[rows, cols], 0.0)
             first = stop
-        return out
 
 
 @lru_cache(maxsize=256)
@@ -286,19 +351,29 @@ def filter_function_sq(instants, tau, z):
 def _filter_integral(spec, instants, tau, cfg):
     """Integral of x^(s-2) e^-x |y_n(tau x)|^2 / 2 over x > 0, in log space.
 
-    The tail past X goes once its bound 2 envelope X^(s-2) e^-X (for X >=
-    2|s-2| + 2, envelope 2 (n+1)^2 = max |y_n|^2 / 2) is below cfg.abs_tol / 2.
+    The integrand is nonnegative, so its integral up to L = max(20,
+    2|s-2| + 2) bounds the whole from below. The tail past X >= L goes
+    once its bound 2 envelope X^(s-2) e^-X (envelope 2 (n+1)^2 = max
+    |y_n|^2 / 2) is below max(abs_tol, eps * that integral) / 2, where
+    eps is the double's relative spacing: a tail the sum cannot resolve.
+    [L, X] is then added as a second integral.
     """
     power = spec.s - 2.0
-    log_bound = math.log(cfg.abs_tol / (8.0 * (len(instants) + 1.0) ** 2))
-    upper = max(20.0, 2.0 * abs(power) + 2.0)
-    while power * math.log(upper) - upper > log_bound:
-        upper *= 1.25
 
     def integrand(x):
         return np.exp(power * np.log(x) - x) * filter_function_sq(instants, tau, tau * x) / 2.0
 
-    return oscillatory_quad(integrand, upper, tau, cfg, s=spec.s, tau=tau)
+    lead_end = max(20.0, 2.0 * abs(power) + 2.0)
+    lead = oscillatory_quad(integrand, lead_end, tau, cfg, s=spec.s, tau=tau)
+    allowed = max(cfg.abs_tol, _EPS * lead)
+    log_bound = math.log(allowed / (8.0 * (len(instants) + 1.0) ** 2))
+    upper = lead_end
+    while power * math.log(upper) - upper > log_bound:
+        upper *= 1.25
+    if upper == lead_end:
+        return lead
+    return lead + oscillatory_quad(lambda x: integrand(lead_end + x), upper - lead_end, tau,
+                                   cfg, s=spec.s, tau=tau)
 
 
 def gamma0_quadrature(spec, tau, cfg=DEFAULT_QUADRATURE):

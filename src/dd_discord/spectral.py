@@ -98,7 +98,7 @@ def _euler_gamma(x, s, t):
 
 def _as_times(tau):
     arr = np.asarray(tau, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):   # also refuses NaN
         raise ValueError("tau must be nonnegative")
     return arr
 
@@ -147,6 +147,30 @@ def gamma0_rate(spec, tau):
     prefactor = _euler_gamma(s, s, t)
     out = prefactor * np.sin(s * np.arctan(t)) * (1.0 + t * t) ** (-0.5 * s)
     return float(out) if out.ndim == 0 else out
+
+
+def _gamma0_curvature(spec, tau):
+    """Second time derivative of gamma0, an array like tau.
+
+    Closed form Gamma(s+1) cos((s+1) arctan tau) / (1 + tau^2)^((s+1)/2).
+    """
+    t = _as_times(tau)
+    a = spec.s + 1.0
+    return _euler_gamma(a, spec.s, t) * np.cos(a * np.arctan(t)) * (1.0 + t * t) ** (-0.5 * a)
+
+
+def _derivative_envelopes(spec, tau):
+    """Bounds on the second and third time derivatives of gamma0 at tau.
+
+    Gamma(s+1) / (1 + tau^2)^((s+1)/2) and Gamma(s+2) / (1 + tau^2)^((s+2)/2),
+    two arrays like tau: the moduli of the closed forms without their
+    cosine and sine, so each decreases in tau and bounds its derivative
+    at every later time as well.
+    """
+    t = _as_times(tau)
+    s = spec.s
+    second = _euler_gamma(s + 1.0, s, t) * (1.0 + t * t) ** (-0.5 * (s + 1.0))
+    return second, (s + 1.0) * second / np.sqrt(1.0 + t * t)
 
 
 def recoherence_onset(spec):

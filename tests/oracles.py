@@ -2,12 +2,14 @@
 
 These recompute package results from first principles (explicit density
 matrices, eigenvalue entropies, projective-measurement sweeps, Wootters
-concurrence, finite differences, scipy's adaptive quadrature) so the
-production paths are checked against genuinely different routes.
+concurrence, finite differences, scipy's adaptive quadrature, mpmath
+at 30 digits) so the production paths are checked against genuinely
+different routes.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate
 
@@ -149,3 +151,65 @@ def scipy_filter_integral(s, instants, tau, rel_tol=1e-10, abs_tol=1e-12):
         assert len(out) == 3, f"scipy quad did not converge on [{lo}, {hi}]: {out[3]}"
         total += out[0]
     return total
+
+
+def mp_controlled_exponent(s, dt, tau, dps=30):
+    """Exponent, rate and curvature at tau under pulses t_m = m * dt, in mpmath.
+
+    The pulses are the float products m * dt (as periodic_schedule builds
+    them) strictly before tau; dt None is free evolution. Works at dps
+    digits from the closed forms of the free exponent and its two
+    derivatives, and sums the pairwise gaps t_m - t_j by their length:
+    n - d pairs lie d * dt apart. Returns three mpf values.
+    """
+    with mpmath.workdps(dps):
+        s, t = mpmath.mpf(s), mpmath.mpf(tau)
+        prefactors = [mpmath.gamma(s - 1) if s != 1 else None, mpmath.gamma(s), mpmath.gamma(s + 1)]
+
+        def free(x):
+            """gamma0 and its first two derivatives at x."""
+            angle, base = mpmath.atan(x), 1 + x * x
+            if s == 1:
+                value = mpmath.log(base) / 2
+            else:
+                value = prefactors[0] * (1 - mpmath.cos((s - 1) * angle) * base ** ((1 - s) / 2))
+            rate = prefactors[1] * mpmath.sin(s * angle) * base ** (-s / 2)
+            curvature = prefactors[2] * mpmath.cos((s + 1) * angle) * base ** (-(s + 1) / 2)
+            return value, rate, curvature
+
+        instants = [] if dt is None else [
+            mpmath.mpf(m * dt) for m in range(1, int(float(tau) / dt) + 2) if m * dt < float(tau)]
+        n = len(instants)
+        total = [(-1) ** n * v for v in free(t)]
+        singles = [free(tm)[0] for tm in instants]
+        for m, tm in enumerate(instants, start=1):
+            total[0] += 2 * (-1) ** (m + 1) * singles[m - 1]
+            for k, v in enumerate(free(t - tm)):
+                total[k] += 2 * (-1) ** (m + n) * v
+        for d in range(1, n):
+            total[0] += 4 * (n - d) * (-1) ** (d - 1) * singles[d - 1]
+        return tuple(total)
+
+
+def mp_newton(f, lo, hi, dps=30, steps=200):
+    """Root of f in [lo, hi] at dps digits, where f changes sign; f(x) returns (value, slope).
+
+    Newton steps from the midpoint, with a bisection wherever a step
+    would leave the bracket, which shrinks around the sign change.
+    """
+    with mpmath.workdps(dps):
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        rising = f(hi)[0] > f(lo)[0]
+        x = (lo + hi) / 2
+        for _ in range(steps):
+            value, slope = f(x)
+            if (value > 0) == rising:
+                hi = x
+            else:
+                lo = x
+            step = x - value / slope if slope else lo - 1
+            step = step if lo < step < hi else (lo + hi) / 2
+            if abs(step - x) < mpmath.mpf(10) ** (5 - dps) * max(1, abs(x)):
+                return +step
+            x = step
+    raise AssertionError("mpmath Newton did not converge")

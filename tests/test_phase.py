@@ -1,7 +1,11 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
-from dd_discord import pulses
+from dd_discord import phase, pulses
 from dd_discord import (
     BellDiagonalState,
     NoiseSide,
@@ -15,6 +19,7 @@ from dd_discord import (
     controlled_gamma,
     decoherence_factor,
     default_time_grid,
+    gamma0,
     discord,
     invariant_discord_value,
     min_decoherence_factor,
@@ -22,6 +27,8 @@ from dd_discord import (
     phase_diagram,
     transition_time,
 )
+
+from oracles import mp_controlled_exponent, mp_newton, naive_controlled_gamma
 
 FREE_25 = PulseSchedule((), 25.0)
 
@@ -236,28 +243,132 @@ def test_crossing_between_grid_and_refined_minimum():
     assert transition_time(spec, FREE_25, BellDiagonalState(c), side) == label.transition_time
 
 
-def test_row_refinement_work(monkeypatch):
-    # per row: a scalar golden-section minimum, and one grid call per
-    # bisection step shared by all c values of the row
-    scalar, grids = {}, {}
+@pytest.mark.parametrize("s,dt,tau", [(0.3, 0.3, 2.05), (2.5, 0.3, 0.9), (1.0, None, 3.3),
+                                       (5.9, 0.05, 0.42)])
+def test_mpmath_reference_matches_naive_sum(s, dt, tau):
+    # the reference groups the pairwise gaps by length; the naive sum does not
+    sched = _schedule(dt)
+    want = naive_controlled_gamma(lambda t: gamma0(OhmicSpectrum(s), t), sched.instants, tau)
+    assert abs(float(mp_controlled_exponent(s, dt, tau)[0]) - want) <= 1e-12 * max(1.0, want)
+
+
+def _mp_reference(s, dt, side, levels):
+    """mpmath maximum of the exponent over [0, 25] and first crossing times of levels.
+
+    A fine closed-form scan only brackets the candidates: sampled local
+    maxima (a pulse, the window end, or a zero of the rate between two
+    samples) and, per level, the first sample above it. Every value and
+    root returned is computed in mpmath.
+    """
+    sched = _schedule(dt)
+    grid = default_time_grid(sched, 0.01 if dt is None else dt / 40)
+    scan = pulses.PulsedDecoherence(OhmicSpectrum(s), sched).gamma_grid(grid)
+
+    def at(t):
+        return mp_controlled_exponent(s, dt, t)
+
+    def one_branch(a, b):
+        return sched.pulses_before(b) - sched.pulses_before(a) == 0 and a < b
+
+    best = mpmath.mpf(0)
+    rising = np.append(True, scan[1:] >= scan[:-1])
+    falling = np.append(scan[:-1] >= scan[1:], True)
+    tops = np.nonzero(rising & falling)[0]
+    for i in tops[np.argsort(-scan[tops])][:2]:
+        best = max(best, at(grid[i])[0])
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        if one_branch(lo, hi) and at(lo)[1] > 0 > at(hi)[1]:
+            root = mp_newton(lambda x: at(x)[1:], lo, hi)
+            best = max(best, at(root)[0])
+    times = []
+    for level in levels:
+        i = int(np.argmax(scan > level))
+        lo, hi = grid[i - 1], grid[i]
+        if one_branch(lo, hi):
+            root = mp_newton(lambda x: (at(x)[0] - level, at(x)[1]), lo, hi)
+        else:   # crossed at the pulse between the two samples
+            root = mpmath.mpf(hi if sched.pulses_before(hi) > sched.pulses_before(lo) else lo)
+        times.append(root)
+    return best, times
+
+
+@pytest.mark.parametrize("dt", [None, 0.3, 0.05])
+@pytest.mark.parametrize("s", [0.3, 1.0, 2.5, 4.0, 5.9])
+@pytest.mark.parametrize("side", list(NoiseSide))
+def test_min_factor_and_crossings_match_mpmath(s, dt, side):
+    mf = min_decoherence_factor(OhmicSpectrum(s), _schedule(dt), side)
+    cs = mf + (1.0 - mf) * np.array([1e-6, 0.03, 0.3, 0.7, 0.97])
+    levels = -np.log(cs) / side.value
+    row = phase_diagram([s], cs, dt, side).labels[0]
+    best, times = _mp_reference(s, dt, side, levels)
+    want = mpmath.exp(-side.value * best)
+    if want < np.finfo(float).tiny:   # the factor's floor
+        assert mf == np.finfo(float).tiny
+    else:
+        assert abs(mf / float(want) - 1.0) <= 1e-12
+    for label, level, t_mp in zip(row, levels, times):
+        assert label.regime is Regime.SUDDEN_TRANSITION
+        t = label.transition_time
+        g, rate, _ = mp_controlled_exponent(s, dt, t)
+        assert abs(g - level) <= 1e-11 * max(1.0, level)
+        if dt != 0.05 and abs(mp_controlled_exponent(s, dt, t_mp)[1]) >= 1e-3:
+            assert abs(t - t_mp) <= 1e-9
+
+
+@pytest.mark.parametrize("dt,most", [(0.3, 6), (None, 12)])
+def test_row_refinement_work(dt, most, monkeypatch):
+    # per row: one scan call, then vectorised Newton steps shared by the row's
+    # c values (and its peaks); no scalar exponent at all. Measured on this
+    # map: at most 4 kernel calls per pulsed row and 9 per free row.
+    scalar, kernel = {}, {}
 
     def counting(method, calls):
-        def wrapper(self, tau):
+        def wrapper(self, *args, **kwargs):
             calls[self.spec] = calls.get(self.spec, 0) + 1   # one evaluator per row
-            return method(self, tau)
+            return method(self, *args, **kwargs)
         return wrapper
 
     evaluator = pulses.PulsedDecoherence
     monkeypatch.setattr(evaluator, "gamma", counting(evaluator.gamma, scalar))
-    monkeypatch.setattr(evaluator, "gamma_grid", counting(evaluator.gamma_grid, grids))
-    diagram = phase_diagram(np.linspace(0.5, 5.5, 6), np.linspace(0.0, 0.99, 50), 0.3,
+    monkeypatch.setattr(evaluator, "_evaluate", counting(evaluator._evaluate, kernel))
+    diagram = phase_diagram(np.linspace(0.1, 6.0, 12), np.linspace(0.0, 0.99, 50), dt,
                             NoiseSide.ONE_SIDED, workers=1)
     sudden = sum(label.regime is Regime.SUDDEN_TRANSITION
                  for row in diagram.labels for label in row)
-    assert sudden > 100
-    assert len(grids) == 6
-    assert max(scalar.values()) <= 30
-    assert max(grids.values()) <= 20
+    assert sudden > 200
+    assert not scalar
+    assert len(kernel) == 12
+    assert max(kernel.values()) <= most
+
+
+@pytest.mark.parametrize("dt", [None, 0.3, 0.05, 1.7])
+def test_one_step_scan_is_certified(dt, monkeypatch):
+    # one scan step per branch leaves the certificate all the work: it must
+    # split its way to the labels, minima and times of the fine scan
+    s_grid, c_grid = [0.3, 1.0, 2.5, 4.0, 5.9], np.linspace(0.0, 0.99, 23)
+    for side in NoiseSide:
+        fine = phase_diagram(s_grid, c_grid, dt, side)
+        monkeypatch.setattr(phase, "_SCAN_STEP", math.inf)
+        monkeypatch.setattr(phase, "_SCAN_MIN_STEPS", 1)
+        coarse = phase_diagram(s_grid, c_grid, dt, side)
+        monkeypatch.undo()
+        assert_allclose(coarse.min_factors, fine.min_factors, rtol=1e-12, atol=0.0)
+        for row_fine, row_coarse in zip(fine.labels, coarse.labels):
+            for a, b in zip(row_fine, row_coarse):
+                assert a.regime is b.regime
+                if a.transition_time is not None:
+                    assert abs(a.transition_time - b.transition_time) <= 1e-12
+
+
+def test_off_grid_horizon_includes_the_window_end():
+    # 10.049 is no multiple of the scan step: the last sample is the window end
+    spec, side, end = OhmicSpectrum(1.0), NoiseSide.ONE_SIDED, 10.049
+    mf = min_decoherence_factor(spec, FREE_25, side, horizon=end)
+    assert abs(mf - math.exp(-gamma0(spec, end))) <= 1e-12 * mf
+    # a c between the factor at the window end and 0.05 earlier is crossed
+    c = 0.5 * (mf + math.exp(-gamma0(spec, end - 0.05)))
+    tbar = transition_time(spec, FREE_25, BellDiagonalState(c), side, horizon=end)
+    assert tbar is not None and end - 0.05 < tbar < end
 
 
 def test_invariant_discord_value():

@@ -19,7 +19,8 @@ from dd_discord import (
     recoherence_onset,
     spectral_density,
 )
-from dd_discord.spectral import _euler_gamma
+from dd_discord import spectral
+from dd_discord.spectral import _derivative_envelopes, _euler_gamma, _gamma0_curvature
 from oracles import bisect_sign_change, central_difference
 
 
@@ -138,6 +139,44 @@ def test_gamma0_negative_tau_rejected():
         gamma0(OhmicSpectrum(1.0), -0.1)
     with pytest.raises(ValueError):
         gamma0_rate(OhmicSpectrum(1.0), np.array([0.0, -2.0]))
+
+
+@pytest.mark.parametrize("fn", [gamma0, gamma0_rate, _gamma0_curvature, _derivative_envelopes],
+                         ids=["gamma0", "gamma0_rate", "curvature", "envelopes"])
+@pytest.mark.parametrize("tau", [float("nan"), np.array([1.0, np.nan])], ids=["scalar", "array"])
+def test_nan_time_is_rejected(fn, tau):
+    with pytest.raises(ValueError, match="tau must be nonnegative"):
+        fn(OhmicSpectrum(1.5), tau)
+
+
+@pytest.mark.parametrize("s", [0.3, 1.0, 2.5, 5.9])
+def test_curvature_and_its_envelopes(s):
+    spec = OhmicSpectrum(s)
+    taus = np.linspace(0.0, 12.0, 241)
+    curvature = _gamma0_curvature(spec, taus)
+    for tau, value in zip(taus[1::40], curvature[1::40]):
+        assert abs(value - central_difference(lambda t: gamma0_rate(spec, t), tau)) < 1e-6
+    second, third = _derivative_envelopes(spec, taus)
+    assert np.all(np.abs(curvature) <= second * (1.0 + 1e-14))
+    jerk = np.abs([central_difference(lambda t: _gamma0_curvature(spec, t), tau) for tau in taus[1:]])
+    assert np.all(jerk <= third[1:] * (1.0 + 1e-6) + 1e-6)
+    # both envelopes decrease, so the value at a time bounds every later one
+    assert np.all(np.diff(second) <= 0.0) and np.all(np.diff(third) <= 0.0)
+
+
+def test_quadrature_tail_follows_rel_tol(monkeypatch):
+    # an integral of 2.35e78: a tail cut at abs_tol alone evaluated 143,299 panels
+    panels = []
+    original = spectral._panel_sums
+
+    def counting(integrand, lo, hi):
+        panels.append(lo.size)
+        return original(integrand, lo, hi)
+
+    monkeypatch.setattr(spectral, "_panel_sums", counting)
+    spec = OhmicSpectrum(60.0)
+    assert abs(gamma0_quadrature(spec, 1000.0) / gamma0(spec, 1000.0) - 1.0) < 1e-9
+    assert sum(panels) < 143_299 / 2
 
 
 def test_quadrature_reports_nonconvergence():

@@ -100,27 +100,13 @@ class _FactorProfile:
                 f"horizon must lie in (0, {schedule.horizon}], got {horizon}")
         self.evaluator = PulsedDecoherence(spec, schedule)
         self.side = side
-        starts, ends, gaps = self.evaluator._branches(horizon)
-        self._starts = starts
-        # one phase set per distinct branch length: the full periods of a
-        # periodic schedule share theirs, so its table has ~2 (m + 1) rows
-        lengths, length_of = np.unique(gaps, return_inverse=True)
-        steps = np.maximum(_SCAN_MIN_STEPS, np.ceil(lengths / _SCAN_STEP)).astype(int)
-        set_start = np.concatenate(([0], np.cumsum(steps + 1)))
-        set_of = np.repeat(np.arange(lengths.size), steps + 1)
-        step_no = np.arange(set_start[-1]) - set_start[set_of]
-        distinct = step_no * (lengths / steps)[set_of]
-        distinct[set_start[1:] - 1] = lengths
-        sizes = steps[length_of] + 1
-        branch = np.repeat(np.arange(starts.size), sizes)
-        which = set_start[length_of][branch] + np.arange(sizes.sum()) - np.repeat(
-            np.cumsum(sizes) - sizes, sizes)
-        phases = distinct[which]
-        taus = starts[branch] + phases
-        taus[np.cumsum(sizes) - 1] = ends   # both sides of every pulse, and the window end
-        self._n, self._r = branch, phases
-        self._f, self._d, self._m2, self._m3 = self._sample(taus, branch, phases,
-                                                            (distinct, which))
+        starts, ends, lengths = self.evaluator._branches(horizon)
+        taus, branch, phases, groups = _scan(starts, ends, lengths)
+        # every point: branch n and phase r (time t_n + r), exponent f, rate
+        # d, and bounds m2, m3 on the second and third derivatives to the
+        # end of its branch
+        self._starts, self._n, self._r = starts, branch, phases
+        self._f, self._d, self._m2, self._m3 = self._sample(taus, branch, phases, groups)
         # per cell, by its left point: the solved peak, where it is, its -g''
         # less the slack of the last Newton step, and whether it is certified
         self._peak, self._peak_at, self._bend = (np.full(taus.size, np.nan) for _ in range(3))
@@ -210,7 +196,8 @@ class _FactorProfile:
         n = self._n[i]
         r = 0.5 * (self._r[i] + self._r[i + 1])
         new = self._sample(self._starts[n] + r, n, r)
-        self._peak[i], self._bend[i], self._peak_sure[i] = np.nan, np.nan, False
+        self._peak[i], self._peak_at[i], self._bend[i] = np.nan, np.nan, np.nan
+        self._peak_sure[i] = False
         at = i + 1
         self._n, self._r = np.insert(self._n, at, n), np.insert(self._r, at, r)
         self._f, self._d, self._m2, self._m3 = (
@@ -292,6 +279,29 @@ class _FactorProfile:
         if private and not sure.all():
             self._split(np.unique(i[~sure]))
         return times
+
+
+def _scan(starts, ends, lengths):
+    """Scan of the branches with these starts, ends and lengths: times, branches, phases, groups.
+
+    A branch of length L takes m = max(_SCAN_MIN_STEPS, ceil(L / _SCAN_STEP))
+    equal steps, phases j (L / m) for j = 0 .. m, the last one exactly L
+    at exactly the branch end. Branches of one length share one phase
+    set, so the full periods of a periodic schedule repeat theirs
+    exactly; groups = (distinct, which) lists every set once.
+    """
+    sets, set_of = np.unique(lengths, return_inverse=True)
+    steps = np.maximum(_SCAN_MIN_STEPS, np.ceil(sets / _SCAN_STEP)).astype(int)
+    distinct = np.concatenate([np.append(np.arange(m) * (size / m), size)
+                               for size, m in zip(sets, steps)])
+    set_first = np.cumsum(steps + 1) - (steps + 1)
+    sizes = steps[set_of] + 1
+    branch = np.repeat(np.arange(lengths.size), sizes)
+    step = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    which = set_first[set_of][branch] + step
+    taus = starts[branch] + distinct[which]
+    taus[np.cumsum(sizes) - 1] = ends
+    return taus, branch, distinct[which], (distinct, which)
 
 
 def _upper_bound(fa, fb, da, db, curv, h):

@@ -108,6 +108,7 @@ def _is_periodic(instants):
 
 # table entries per block of the shared-phase sums: bounds their working set
 _PHASE_BLOCK = 4096
+# a table of at most this many entries is built whole, without sorting its phases
 _WHOLE_TABLE = 1 << 16
 _EPS = float(np.finfo(float).eps)
 
@@ -179,10 +180,10 @@ class PulsedDecoherence:
         return [np.cumsum(values * signs if alt else values, axis=-1)
                 for alt, values in zip(alternate, parts(args))]
 
-    def _not_finite(self, tau):
+    def _not_finite(self, tau, what="exponent"):
         s = self.spec.s
         return ConvergenceError(
-            f"exponent is not a finite double at s={s}, tau={tau}", s=s, tau=tau)
+            f"{what} is not a finite double at s={s}, tau={tau}", s=s, tau=tau)
 
     def gamma(self, tau):
         """Exponent at a single time (pulse instants use the earlier branch)."""
@@ -256,10 +257,11 @@ class PulsedDecoherence:
             out = [self._static[counts] + signs * heads[0] + 2.0 * elapsed[0]]
             out += [(signs if alt else 1.0) * head + 2.0 * sums
                     for alt, head, sums in zip(alternate[1:], heads[1:], elapsed[1:])]
-        for values in out:
+        names = ("exponent", "rate", "curvature")[:order + 1] + ("derivative bound",) * 2 * bounds
+        for name, values in zip(names, out):
             bad = ~np.isfinite(values)
             if bad.any():
-                raise self._not_finite(float(taus[bad][0]))
+                raise self._not_finite(float(taus[bad][0]), name)
         out[0] = np.maximum(out[0], 0.0)
         return out
 

@@ -353,29 +353,27 @@ def filter_function_sq(instants, tau, z):
 def _filter_integral(spec, instants, tau, cfg):
     """Integral of x^(s-2) e^-x |y_n(tau x)|^2 / 2 over x > 0, in log space.
 
-    The integrand is nonnegative, so its integral up to L = max(20,
-    2|s-2| + 2) bounds the whole from below. The tail past X >= L goes
-    once its bound 2 envelope X^(s-2) e^-X (envelope 2 (n+1)^2 = max
-    |y_n|^2 / 2) is below max(abs_tol, eps * that integral) / 2, where
-    eps is the double's relative spacing: a tail the sum cannot resolve.
-    [L, X] is then added as a second integral.
+    The integrand is nonnegative, so the first pass over [0, L], L =
+    max(20, 2|s-2| + 2), less its error estimate bounds the whole from
+    below. The range then ends at the first X >= L (in steps of 1.25)
+    where the tail bound 2 envelope X^(s-2) e^-X (envelope 2 (n+1)^2 = max
+    |y_n|^2 / 2) is below max(abs_tol, eps * that bound) / 2, with eps
+    the double's relative spacing: a tail the sum cannot resolve.
     """
     power = spec.s - 2.0
+    lead_end = max(20.0, 2.0 * abs(power) + 2.0)
+
+    def cutoff(lead):
+        log_bound = math.log(max(cfg.abs_tol, _EPS * lead) / (8.0 * (len(instants) + 1.0) ** 2))
+        upper = lead_end
+        while power * math.log(upper) - upper > log_bound:
+            upper *= 1.25
+        return upper
 
     def integrand(x):
         return np.exp(power * np.log(x) - x) * filter_function_sq(instants, tau, tau * x) / 2.0
 
-    lead_end = max(20.0, 2.0 * abs(power) + 2.0)
-    lead = oscillatory_quad(integrand, lead_end, tau, cfg, s=spec.s, tau=tau)
-    allowed = max(cfg.abs_tol, _EPS * lead)
-    log_bound = math.log(allowed / (8.0 * (len(instants) + 1.0) ** 2))
-    upper = lead_end
-    while power * math.log(upper) - upper > log_bound:
-        upper *= 1.25
-    if upper == lead_end:
-        return lead
-    return lead + oscillatory_quad(lambda x: integrand(lead_end + x), upper - lead_end, tau,
-                                   cfg, s=spec.s, tau=tau)
+    return oscillatory_quad(integrand, lead_end, tau, cfg, s=spec.s, tau=tau, extend=cutoff)
 
 
 def gamma0_quadrature(spec, tau, cfg=DEFAULT_QUADRATURE):

@@ -315,13 +315,10 @@ def test_min_factor_and_crossings_match_mpmath(s, dt, side):
             assert abs(t - t_mp) <= 1e-9
 
 
-@pytest.mark.parametrize("dt,most", [(0.3, 6), (None, 12)])
-def test_row_refinement_work(dt, most, monkeypatch):
+def test_row_refinement_work(monkeypatch):
     # per row: one scan call, then vectorised Newton steps shared by the row's
-    # c values (and its peaks); no scalar exponent at all. Measured on this
-    # map: at most 4 kernel calls per pulsed row and 9 per free row.
-    scalar, kernel = {}, {}
-
+    # c values (and its peaks); no scalar exponent at all. Measured on these
+    # maps: at most 4 kernel calls per pulsed row and 9 per free row.
     def counting(method, calls):
         def wrapper(self, *args, **kwargs):
             calls[self.spec] = calls.get(self.spec, 0) + 1   # one evaluator per row
@@ -329,16 +326,19 @@ def test_row_refinement_work(dt, most, monkeypatch):
         return wrapper
 
     evaluator = pulses.PulsedDecoherence
-    monkeypatch.setattr(evaluator, "gamma", counting(evaluator.gamma, scalar))
-    monkeypatch.setattr(evaluator, "_evaluate", counting(evaluator._evaluate, kernel))
-    diagram = phase_diagram(np.linspace(0.1, 6.0, 12), np.linspace(0.0, 0.99, 50), dt,
-                            NoiseSide.ONE_SIDED, workers=1)
-    sudden = sum(label.regime is Regime.SUDDEN_TRANSITION
-                 for row in diagram.labels for label in row)
-    assert sudden > 200
-    assert not scalar
-    assert len(kernel) == 12
-    assert max(kernel.values()) <= most
+    for dt, most in ((0.3, 6), (None, 12)):
+        scalar, kernel = {}, {}
+        monkeypatch.setattr(evaluator, "gamma", counting(evaluator.gamma, scalar))
+        monkeypatch.setattr(evaluator, "_evaluate", counting(evaluator._evaluate, kernel))
+        diagram = phase_diagram(np.linspace(0.1, 6.0, 12), np.linspace(0.0, 0.99, 50), dt,
+                                NoiseSide.ONE_SIDED, workers=1)
+        monkeypatch.undo()
+        sudden = sum(label.regime is Regime.SUDDEN_TRANSITION
+                     for row in diagram.labels for label in row)
+        assert sudden > 200
+        assert not scalar
+        assert len(kernel) == 12
+        assert max(kernel.values()) <= most
 
 
 @pytest.mark.parametrize("dt", [None, 0.3, 0.05, 1.7])

@@ -164,7 +164,7 @@ def test_curvature_and_its_envelopes(s):
     assert np.all(np.diff(second) <= 0.0) and np.all(np.diff(third) <= 0.0)
 
 
-def test_quadrature_tail_follows_rel_tol(monkeypatch):
+def test_quadrature_tail_is_cut_relative_to_the_integral(monkeypatch):
     # an integral of 2.35e78: a tail cut at abs_tol alone evaluated 143,299 panels
     panels = []
     original = spectral._panel_sums

@@ -19,8 +19,8 @@ from dd_discord import (
     controlled_gamma,
     decoherence_factor,
     default_time_grid,
-    gamma0,
     discord,
+    gamma0,
     invariant_discord_value,
     min_decoherence_factor,
     periodic_schedule,
@@ -252,7 +252,7 @@ def test_mpmath_reference_matches_naive_sum(s, dt, tau):
     assert abs(float(mp_controlled_exponent(s, dt, tau)[0]) - want) <= 1e-12 * max(1.0, want)
 
 
-def _mp_reference(s, dt, side, levels):
+def _mp_reference(s, dt, levels):
     """mpmath maximum of the exponent over [0, 25] and first crossing times of levels.
 
     A fine closed-form scan only brackets the candidates: sampled local
@@ -300,7 +300,7 @@ def test_min_factor_and_crossings_match_mpmath(s, dt, side):
     cs = mf + (1.0 - mf) * np.array([1e-6, 0.03, 0.3, 0.7, 0.97])
     levels = -np.log(cs) / side.value
     row = phase_diagram([s], cs, dt, side).labels[0]
-    best, times = _mp_reference(s, dt, side, levels)
+    best, times = _mp_reference(s, dt, levels)
     want = mpmath.exp(-side.value * best)
     if want < np.finfo(float).tiny:   # the factor's floor
         assert mf == np.finfo(float).tiny
@@ -309,7 +309,7 @@ def test_min_factor_and_crossings_match_mpmath(s, dt, side):
     for label, level, t_mp in zip(row, levels, times):
         assert label.regime is Regime.SUDDEN_TRANSITION
         t = label.transition_time
-        g, rate, _ = mp_controlled_exponent(s, dt, t)
+        g = mp_controlled_exponent(s, dt, t)[0]
         assert abs(g - level) <= 1e-11 * max(1.0, level)
         if dt != 0.05 and abs(mp_controlled_exponent(s, dt, t_mp)[1]) >= 1e-3:
             assert abs(t - t_mp) <= 1e-9
@@ -344,16 +344,20 @@ def test_row_refinement_work(monkeypatch):
 @pytest.mark.parametrize("dt", [None, 0.3, 0.05, 1.7])
 def test_one_step_scan_is_certified(dt, monkeypatch):
     # one scan step per branch leaves the certificate all the work: it must
-    # split its way to the labels, minima and times of the fine scan
+    # split its way to the labels, minima and times of the fine scan, and a
+    # single-c query must still print its row's time
     s_grid, c_grid = [0.3, 1.0, 2.5, 4.0, 5.9], np.linspace(0.0, 0.99, 23)
     for side in NoiseSide:
         fine = phase_diagram(s_grid, c_grid, dt, side)
         monkeypatch.setattr(phase, "_SCAN_STEP", math.inf)
         monkeypatch.setattr(phase, "_SCAN_MIN_STEPS", 1)
         coarse = phase_diagram(s_grid, c_grid, dt, side)
+        alone = [[transition_time(OhmicSpectrum(s), _schedule(dt), BellDiagonalState(c), side)
+                  for c in c_grid[::4]] for s in s_grid]
         monkeypatch.undo()
         assert_allclose(coarse.min_factors, fine.min_factors, rtol=1e-12, atol=0.0)
-        for row_fine, row_coarse in zip(fine.labels, coarse.labels):
+        for row_fine, row_coarse, row_alone in zip(fine.labels, coarse.labels, alone):
+            assert [label.transition_time for label in row_coarse[::4]] == row_alone
             for a, b in zip(row_fine, row_coarse):
                 assert a.regime is b.regime
                 if a.transition_time is not None:

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .correlations import BellDiagonalState, NoiseSide, correlation_bits, decoherence_factor
-from .pulses import PulsedDecoherence, schedule_for
+from .pulses import MAX_POINTS, PulsedDecoherence, schedule_for
 from .spectral import OhmicSpectrum
 
 _SCAN_STEP = 0.05         # longest scan step, as in default_time_grid
@@ -288,10 +288,19 @@ def _scan(starts, ends, lengths):
     equal steps, phases j (L / m) for j = 0 .. m, the last one exactly L
     at exactly the branch end. Branches of one length share one phase
     set, so the full periods of a periodic schedule repeat theirs
-    exactly; groups = (distinct, which) lists every set once.
+    exactly; groups = (distinct, which) lists every set once. More than
+    MAX_POINTS steps in all is a ValueError, raised before any sample
+    is allocated.
     """
-    sets, set_of = np.unique(lengths, return_inverse=True)
-    steps = np.maximum(_SCAN_MIN_STEPS, np.ceil(sets / _SCAN_STEP)).astype(int)
+    sets, set_of, uses = np.unique(lengths, return_inverse=True, return_counts=True)
+    steps = np.maximum(_SCAN_MIN_STEPS, np.ceil(sets / _SCAN_STEP))
+    total = float(np.dot(steps, uses))
+    if not total <= MAX_POINTS:
+        raise ValueError(
+            f"the regime scan of [0, {ends[-1]}] asks for about {total:.3g} steps "
+            f"(at least {_SCAN_MIN_STEPS} per pulse interval), more than the limit "
+            f"of {MAX_POINTS:,}")
+    steps = steps.astype(int)
     distinct = np.concatenate([np.append(np.arange(m) * (size / m), size)
                                for size, m in zip(sets, steps)])
     set_first = np.cumsum(steps + 1) - (steps + 1)

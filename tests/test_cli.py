@@ -310,6 +310,27 @@ def test_oversized_map_exits_one(args, capsys):
     assert "grid" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["phase-diagram", "--dt", "2e-4"],
+    ["transition", "--s", "1", "--c", "0.5", "--dt", "2e-4"],
+    ["boundary", "--free", "--horizon", "1e300"],
+])
+def test_oversized_regime_scan_exits_one(args, capsys):
+    # 2.5 million scan steps would take hundreds of MB; the refusal comes
+    # before the scan is allocated
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        assert main([*args, "--output", "-"]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the regime scan")
+    assert "limit" in err
+    assert peak < 64e6
+
+
 _BASE = {
     "s": ["decoherence", "--free", "--tau", "1"],
     "c": ["transition", "--s", "1", "--free"],

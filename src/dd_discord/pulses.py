@@ -108,8 +108,6 @@ def _is_periodic(instants):
 
 # table entries per block of the shared-phase sums: bounds their working set
 _PHASE_BLOCK = 4096
-# a table of at most this many entries is built whole, without sorting its phases
-_WHOLE_TABLE = 1 << 16
 _EPS = float(np.finfo(float).eps)
 
 
@@ -283,21 +281,12 @@ class PulsedDecoherence:
         """Elapsed sums, into out, of the points with phases distinct[which] after counts pulses.
 
         Each distinct phase r gets one table row of prefix sums over
-        f(r + t_k), up to its largest count. A table of at most
-        _WHOLE_TABLE entries is built at once; a larger one goes longest
-        phase first, in blocks of at most _PHASE_BLOCK entries, so every
-        row of a block fits the block's first width.
+        f(r + t_k), up to its largest count. Phases go longest first, in
+        blocks of at most _PHASE_BLOCK table entries, so every row of a
+        block fits the block's first width.
         """
         longest = np.zeros(distinct.size, dtype=int)
         np.maximum.at(longest, which, counts)
-        width = int(longest.max(initial=0))
-        if not width:
-            return
-        if distinct.size * width <= _WHOLE_TABLE:   # no sorting or blocks needed
-            args = distinct[:, None] + self._starts[:width]
-            for row, table in zip(out, self._prefix_sums(parts, alternate, args)):
-                row[:] = np.where(counts > 0, table[which, counts - 1], 0.0)
-            return
         order = np.argsort(-longest, kind="stable")
         point_rank = np.argsort(order)[which]   # table row of each point's phase
         by_rank = np.argsort(point_rank, kind="stable")
@@ -363,8 +352,9 @@ def _filter_integral(spec, instants, tau, cfg):
     power = spec.s - 2.0
     lead_end = max(20.0, 2.0 * abs(power) + 2.0)
 
-    def cutoff(lead):
-        log_bound = math.log(max(cfg.abs_tol, _EPS * lead) / (8.0 * (len(instants) + 1.0) ** 2))
+    def cutoff(lower_bound):
+        log_bound = math.log(max(cfg.abs_tol, _EPS * lower_bound)
+                             / (8.0 * (len(instants) + 1.0) ** 2))
         upper = lead_end
         while power * math.log(upper) - upper > log_bound:
             upper *= 1.25
@@ -373,7 +363,7 @@ def _filter_integral(spec, instants, tau, cfg):
     def integrand(x):
         return np.exp(power * np.log(x) - x) * filter_function_sq(instants, tau, tau * x) / 2.0
 
-    return oscillatory_quad(integrand, lead_end, tau, cfg, s=spec.s, tau=tau, extend=cutoff)
+    return oscillatory_quad(integrand, lead_end, cutoff, tau, cfg, s=spec.s, tau=tau)
 
 
 def gamma0_quadrature(spec, tau, cfg=DEFAULT_QUADRATURE):

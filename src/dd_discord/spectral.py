@@ -209,19 +209,20 @@ def _panel_sums(integrand, lo, hi):
     return sums[:, 0], np.abs(sums[:, 0] - sums[:, 1])
 
 
-def oscillatory_quad(integrand, upper, osc_rate, cfg, *, s, tau, extend=None):
-    """Integrate a vectorised integrand on [0, upper] with Gauss-Legendre panels.
+def oscillatory_quad(integrand, lead, upper, osc_rate, cfg, *, s, tau):
+    """Integrate a nonnegative vectorised integrand from 0 with Gauss-Legendre panels.
 
     Panels are no wider than pi / max(osc_rate, 1), half an oscillation of
     cos(osc_rate x) or the decay scale of e^-x, and the first is graded
-    toward 0. extend, when given, maps a lower bound on the integral over
-    [0, upper] (the first pass less its error estimate) to a further end;
-    panels up to that end join the first pass before any is bisected.
-    While the panels' 24- against 12-point differences add up to more
-    than max(cfg.abs_tol, cfg.rel_tol |integral|), every panel whose
-    difference exceeds its width's share of that bound is bisected.
-    ConvergenceError names (s, tau) for a non-finite integral, more than
-    _MAX_PANELS initial panels or more than cfg.max_subdivisions bisections.
+    toward 0. A first pass covers [0, lead]; upper maps its lower bound on
+    the integral (the pass less its error estimate) to the end of the
+    range, and panels from lead to that end join the first pass before
+    any is bisected. While the panels' 24- against 12-point differences
+    add up to more than max(cfg.abs_tol, cfg.rel_tol |integral|), every
+    panel whose difference exceeds its width's share of that bound is
+    bisected. ConvergenceError names (s, tau) for a non-finite integral,
+    more than _MAX_PANELS initial panels or more than
+    cfg.max_subdivisions bisections.
     """
     def failure(what):
         return ConvergenceError(f"quadrature {what} at s={s}, tau={tau}", s=s, tau=tau)
@@ -231,36 +232,33 @@ def oscillatory_quad(integrand, upper, osc_rate, cfg, *, s, tau, extend=None):
             raise failure(f"needs {end / width:.3g} panels, more than {_MAX_PANELS:,},")
 
     width = math.pi / max(osc_rate, 1.0)
-    check(upper)
+    check(lead)
     # the first panel is graded geometrically toward 0, where the integrand may go like x^s
     grading = width * 0.25 ** np.arange(16.0, 0.0, -1.0)
     edges = np.concatenate(([0.0], grading,
-                            np.linspace(width, upper, max(1, math.ceil(upper / width - 1.0)) + 1)))
+                            np.linspace(width, lead, max(1, math.ceil(lead / width - 1.0)) + 1)))
     splits = 0
     # a non-finite integral is reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
+        value, error = _panel_sums(integrand, edges[:-1], edges[1:])
+        end = max(lead, upper(max(value.sum() - error.sum(), 0.0)))
+        if end > lead:
+            check(end)
+            more = np.linspace(lead, end, max(1, math.ceil((end - lead) / width)) + 1)
+            more_value, more_error = _panel_sums(integrand, more[:-1], more[1:])
+            edges = np.concatenate((edges, more[1:]))
+            value, error = np.concatenate((value, more_value)), np.concatenate((error, more_error))
         while True:
             lo, hi = edges[:-1], edges[1:]
-            value, error = _panel_sums(integrand, lo, hi)
-            if extend is not None:
-                end = extend(max(value.sum() - error.sum(), 0.0))
-                extend = None
-                if end > upper:
-                    check(end)
-                    more = np.linspace(upper, end, max(1, math.ceil((end - upper) / width)) + 1)
-                    more_value, more_error = _panel_sums(integrand, more[:-1], more[1:])
-                    edges, upper = np.concatenate((edges, more[1:])), end
-                    lo, hi = edges[:-1], edges[1:]
-                    value = np.concatenate((value, more_value))
-                    error = np.concatenate((error, more_error))
             total = value.sum()
             if not math.isfinite(total):
                 raise failure("integral is not a finite double")
             bound = max(cfg.abs_tol, cfg.rel_tol * abs(total))
             if error.sum() <= bound:
                 return float(total)
-            split = error > bound * (hi - lo) / upper
+            split = error > bound * (hi - lo) / end
             splits += np.count_nonzero(split)
             if splits > cfg.max_subdivisions:
                 raise failure(f"did not converge within {cfg.max_subdivisions} bisections")
             edges = np.sort(np.concatenate((edges, 0.5 * (lo[split] + hi[split]))))
+            value, error = _panel_sums(integrand, edges[:-1], edges[1:])

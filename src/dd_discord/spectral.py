@@ -214,15 +214,17 @@ def oscillatory_quad(integrand, lead, upper, osc_rate, cfg, *, s, tau):
 
     Panels are no wider than pi / max(osc_rate, 1), half an oscillation of
     cos(osc_rate x) or the decay scale of e^-x, and the first is graded
-    toward 0. A first pass covers [0, lead]; upper maps its lower bound on
-    the integral (the pass less its error estimate) to the end of the
-    range, and panels from lead to that end join the first pass before
-    any is bisected. While the panels' 24- against 12-point differences
-    add up to more than max(cfg.abs_tol, cfg.rel_tol |integral|), every
-    panel whose difference exceeds its width's share of that bound is
-    bisected. ConvergenceError names (s, tau) for a non-finite integral,
-    more than _MAX_PANELS initial panels or more than
-    cfg.max_subdivisions bisections.
+    toward 0. upper maps a lower bound on the integral to the end of the
+    range, and must not grow with the bound. A first pass covers [0, lead]
+    and, past lead, as much of [0, upper(0)] as one integrand call of
+    _PANEL_BLOCK panels reaches; upper of its lower bound (the pass less
+    its error estimate) ends the range, and panels up to that end join
+    the first pass before any is bisected. While the panels' 24- against
+    12-point differences add up to more than max(cfg.abs_tol, cfg.rel_tol
+    |integral|), every panel whose difference exceeds its width's share
+    of that bound is bisected. ConvergenceError names (s, tau) for a
+    non-finite integral, more than _MAX_PANELS initial panels or more
+    than cfg.max_subdivisions bisections.
     """
     def failure(what):
         return ConvergenceError(f"quadrature {what} at s={s}, tau={tau}", s=s, tau=tau)
@@ -232,19 +234,21 @@ def oscillatory_quad(integrand, lead, upper, osc_rate, cfg, *, s, tau):
             raise failure(f"needs {end / width:.3g} panels, more than {_MAX_PANELS:,},")
 
     width = math.pi / max(osc_rate, 1.0)
-    check(lead)
     # the first panel is graded geometrically toward 0, where the integrand may go like x^s
     grading = width * 0.25 ** np.arange(16.0, 0.0, -1.0)
+    # panels that fill the first integrand call cost no extra call
+    reach = max(lead, min(upper(0.0), (_PANEL_BLOCK - grading.size) * width))
+    check(reach)
     edges = np.concatenate(([0.0], grading,
-                            np.linspace(width, lead, max(1, math.ceil(lead / width - 1.0)) + 1)))
+                            np.linspace(width, reach, max(1, math.ceil(reach / width - 1.0)) + 1)))
     splits = 0
     # a non-finite integral is reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         value, error = _panel_sums(integrand, edges[:-1], edges[1:])
-        end = max(lead, upper(max(value.sum() - error.sum(), 0.0)))
-        if end > lead:
+        end = max(reach, upper(max(value.sum() - error.sum(), 0.0)))
+        if end > reach:
             check(end)
-            more = np.linspace(lead, end, max(1, math.ceil((end - lead) / width)) + 1)
+            more = np.linspace(reach, end, max(1, math.ceil((end - reach) / width)) + 1)
             more_value, more_error = _panel_sums(integrand, more[:-1], more[1:])
             edges = np.concatenate((edges, more[1:]))
             value, error = np.concatenate((value, more_value)), np.concatenate((error, more_error))

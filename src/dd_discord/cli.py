@@ -396,13 +396,27 @@ def _atomic_write(path, text):
         raise
 
 
+def _is_stream(output):
+    """True for '-' (stdout) and for an existing device or FIFO: no sidecar or companion."""
+    path = Path(output)
+    return output == "-" or (path.exists() and not (path.is_file() or path.is_dir()))
+
+
 def emit(dataset, cfg, output):
-    """Write one dataset as CSV plus its JSON sidecar; '-' streams to stdout."""
+    """Write one dataset as CSV plus its JSON sidecar; '-' streams to stdout.
+
+    A device or FIFO gets the CSV written straight to it and no sidecar:
+    renaming a temporary file onto it would replace it with a regular file.
+    """
     text = _render_csv(dataset)
     if output == "-":
         sys.stdout.write(text)
         return []
     path = Path(output)
+    if _is_stream(output):
+        with open(path, "w") as fh:
+            fh.write(text)
+        return [path]
     _atomic_write(path, text)
     sidecar = path.with_suffix(".json")
     resolved = dict(asdict(cfg), package_version=__version__)
@@ -418,7 +432,7 @@ def run(cfg):
     written = emit(runner(cfg), cfg, cfg.output)
     # overlay companion: same grids under free evolution, for region overlays
     if (cfg.command == "phase-diagram" and cfg.dt is not None
-            and cfg.free_companion and cfg.output != "-"):
+            and cfg.free_companion and not _is_stream(cfg.output)):
         path = Path(cfg.output)
         companion = path.with_name(path.stem + "-free" + path.suffix)
         free_cfg = replace(cfg, dt=None, free_companion=False,

@@ -7,7 +7,10 @@ gamma0 evaluated at pulse instants, pairwise pulse gaps, and the
 intervals elapsed since each pulse. Equivalently, the pulses act in
 frequency space through a filter |y_n(omega t)|^2 on the bath spectrum.
 Both routes are implemented: the signed sum is the production path, the
-filter-function quadrature the independent oracle.
+filter-function quadrature the independent oracle. For a periodic
+schedule the filter is a geometric series in closed form, so each
+quadrature node costs the same at any pulse count: an oracle value
+costs O(panels), and its panels grow with tau, not with the pulses.
 
 For periodic schedules the signed sum collapses into alternating prefix
 sums over the pulse index. Its schedule-only part costs O(pulses) once,
@@ -323,8 +326,16 @@ def filter_function_sq(instants, tau, z):
     y_n(z) = 1 + (-1)^(n+1) e^(iz) + 2 sum_m (-1)^m e^(iz t_m / tau);
     with no pulses this reduces to 2 (1 - cos z), and y_n(0) = 0 for
     every n. The pulse instants t_m must lie inside (0, tau).
-    z may be a scalar or an array of nonnegative phases; the sum runs
-    pulse by pulse, so its working set is that of z alone.
+    z may be a scalar or an array of nonnegative phases.
+
+    For instants exactly m * t_1 (as periodic_schedule builds them) the
+    sum is geometric: with theta = z t_1 / tau and psi = (theta + pi) / 2,
+    sum_m (-1)^m e^(i m theta) = e^(i (n+1) psi) sin(n psi) / sin(psi).
+    It depends on psi only modulo pi, so it is evaluated at the reduced
+    angle eps = psi - k pi, k = rint(psi / pi), as
+    e^(i (n+1) eps) sin(n eps) / sin(eps), whose limit n at eps = 0
+    removes the resonances sin(psi) = 0; the cost per z is then
+    independent of n. Other schedules add their pulses one by one.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0):
@@ -332,10 +343,23 @@ def filter_function_sq(instants, tau, z):
     inst = np.asarray(instants, dtype=float)
     if not np.all((0.0 < inst) & (inst < tau)):
         raise ValueError(f"pulse instants must lie in (0, tau), tau = {tau}")
-    y = 1.0 + (-1.0) ** (inst.size + 1) * np.exp(1j * z)
-    for m, t_m in enumerate(inst, start=1):
-        y += 2.0 * (-1.0) ** m * np.exp(1j * (t_m / tau) * z)
-    out = np.abs(y) ** 2
+    n = inst.size
+    end = (-1.0) ** (n + 1)
+    real, imag = 1.0 + end * np.cos(z), end * np.sin(z)
+    if _is_periodic(inst):
+        psi = 0.5 * (z * (inst[0] / tau) + np.pi)
+        eps = psi - np.pi * np.rint(psi / np.pi)
+        den = np.sin(eps)
+        ratio = 2.0 * np.divide(np.sin(n * eps), den, out=np.full_like(den, float(n)),
+                                where=den != 0.0)
+        real += ratio * np.cos((n + 1) * eps)
+        imag += ratio * np.sin((n + 1) * eps)
+    else:
+        for m, t_m in enumerate(inst, start=1):
+            phase = (t_m / tau) * z
+            real += 2.0 * (-1.0) ** m * np.cos(phase)
+            imag += 2.0 * (-1.0) ** m * np.sin(phase)
+    out = real * real + imag * imag
     return float(out) if out.ndim == 0 else out
 
 

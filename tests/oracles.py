@@ -2,11 +2,12 @@
 
 These recompute package results from first principles (explicit density
 matrices, eigenvalue entropies, projective-measurement sweeps, Wootters
-concurrence, finite differences, scipy's adaptive quadrature, mpmath
-at 30 digits) so the production paths are checked against genuinely
+concurrence, finite differences, term-by-term filter sums, scipy's
+adaptive quadrature, mpmath at 30 digits) so the production paths are checked against genuinely
 different routes.
 """
 
+import cmath
 import math
 
 import mpmath
@@ -114,6 +115,19 @@ def naive_controlled_gamma(gamma0_fn, instants, tau):
         for j in range(1, m):
             total += 4.0 * (-1.0) ** (m - 1 + j) * gamma0_fn(past[m - 1] - past[j - 1])
     return total
+
+
+def naive_filter_sq(instants, tau, z):
+    """|y_n(z)|^2 for the pulses `instants` before tau, one complex exponential per pulse.
+
+    y_n(z) = 1 + (-1)^(n+1) e^(iz) + 2 sum_m (-1)^m e^(iz t_m / tau), summed
+    term by term for a scalar z, with no closed form for any schedule.
+    """
+    n = len(instants)
+    y = 1.0 + (-1.0) ** (n + 1) * cmath.exp(1j * z)
+    for m, t_m in enumerate(instants, start=1):
+        y += 2.0 * (-1.0) ** m * cmath.exp(1j * z * t_m / tau)
+    return abs(y) ** 2
 
 
 def scipy_filter_integral(s, instants, tau, rel_tol=1e-10, abs_tol=1e-12):

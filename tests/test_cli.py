@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +33,20 @@ def test_decoherence_single_point_to_stdout(capsys):
     assert rows[0]["factor"] == "0.00673794699909"  # 12 significant digits
 
 
-def test_decoherence_oracle_flag_matches_closed_form(capsys):
-    args = ["decoherence", "--s", "4", "--dt", "1", "--tau", "3.7",
-            "--output", "-"]
+@pytest.mark.parametrize("query", [
+    ["--s", "4", "--dt", "1", "--tau", "3.7"],
+    # 100 pulses over a default grid of about 200 rows
+    ["--s", "0.7", "--dt", "0.05", "--horizon", "5", "--time-step", "1"],
+], ids=["point", "dense-grid"])
+def test_decoherence_oracle_flag_matches_closed_form(query, capsys):
+    args = ["decoherence", *query, "--output", "-"]
     assert main(args) == 0
-    closed = float(read_rows(capsys.readouterr().out)[0]["gamma"])
+    closed = read_rows(capsys.readouterr().out)
     assert main(args + ["--oracle"]) == 0
-    integral = float(read_rows(capsys.readouterr().out)[0]["gamma"])
-    assert abs(closed - integral) < 1e-8
+    integral = read_rows(capsys.readouterr().out)
+    assert [row["tau"] for row in integral] == [row["tau"] for row in closed]
+    for want, got in zip(closed, integral):
+        assert abs(float(want["gamma"]) - float(got["gamma"])) < 1e-8
 
 
 def test_trajectory_invariant_discord(tmp_path, capsys):
@@ -248,6 +256,28 @@ def test_sidecar_records_package_version(tmp_path, capsys):
     resolved = json.loads(out.with_suffix(".json").read_text())
     assert resolved["package_version"] == "0.1.0"
     assert resolved["command"] == "decoherence"
+
+
+@pytest.mark.parametrize("args", [
+    ["decoherence", "--s", "4", "--free", "--tau", "1"],
+    # a map's free companion would be a second file beside the FIFO
+    ["phase-diagram", "--dt", "0.6", "--s-grid", "0.5:3:2", "--c-grid", "0:0.8:2",
+     "--workers", "1"],
+], ids=["decoherence", "phase-diagram"])
+def test_output_to_fifo_is_written_in_place(args, tmp_path, capsys):
+    fifo = tmp_path / "out.csv"
+    os.mkfifo(fifo)
+    received = []
+    # daemon: a run that never opens the FIFO must not keep the reader alive
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main([*args, "--output", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert read_rows(received[0])
+    assert capsys.readouterr().out == f"wrote {fifo}\n"
+    assert fifo.is_fifo()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]   # no sidecar, no companion
 
 
 def test_worker_pool_size_is_invisible_in_output(tmp_path, run_cli):

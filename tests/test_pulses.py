@@ -19,7 +19,8 @@ from dd_discord import (
     periodic_schedule,
 )
 from dd_discord.pulses import PulsedDecoherence
-from oracles import naive_controlled_gamma, scipy_filter_integral
+from oracles import (mp_controlled_exponent, naive_controlled_gamma, naive_filter_sq,
+                     scipy_filter_integral)
 
 FROZEN_ECHO_AT_TWO = 0.5815754049028404  # 2*ln2 - ln5/2, marginal spectrum
 
@@ -258,6 +259,15 @@ def test_oracles_match_scipy_reference(s, dt):
             assert abs(gamma0_quadrature(spec, tau) - want) < 1e-10
 
 
+@pytest.mark.parametrize("s", [0.1, 0.5, 1.0, 3.0, 6.0])
+def test_dense_pulse_oracle_matches_mpmath(s):
+    # up to 499 pulses at dt 0.05: the filter-function quadrature against the 30-digit signed sum
+    spec, sched = OhmicSpectrum(s), periodic_schedule(0.05, 25.0)
+    for tau in (0.07, 4.97, 12.51, 24.97):
+        want = float(mp_controlled_exponent(s, 0.05, tau)[0])
+        assert abs(controlled_gamma_oracle(spec, sched, tau) - want) < 1e-11
+
+
 @pytest.mark.parametrize("evaluate", [
     lambda spec, sched: controlled_gamma(spec, sched, float("nan")),
     lambda spec, sched: PulsedDecoherence(spec, sched).gamma_grid([1.0, float("nan")]),
@@ -306,6 +316,22 @@ def test_filter_function_vanishes_at_origin():
         prefix = sched.instants[:n]
         tau = prefix[-1] + 0.2
         assert abs(filter_function_sq(prefix, tau, 0.0)) < 1e-12
+
+
+@pytest.mark.parametrize("instants", [
+    *(periodic_schedule(2.0 ** -9, 1.0).instants[:n] for n in (0, 1, 2, 41, 499)),
+    (0.1, 0.25, 0.7),
+], ids=["n0", "n1", "n2", "n41", "n499", "aperiodic"])
+def test_filter_function_matches_pulse_by_pulse_sum(instants):
+    # the periodic closed form, at its resonances z t_1 / tau = (2j+1) pi
+    # (exactly at j = 0, where sin(psi) = 0), 1e-9 off them and at random z
+    t_1, tau = 2.0 ** -9, 1.0
+    odd = (2 * np.arange(12) + 1) * np.pi
+    theta = np.concatenate((odd, odd + 1e-9, odd - 1e-9))
+    z = np.concatenate((theta * (tau / t_1), np.random.default_rng(8).uniform(0.0, 2000.0, 200)))
+    want = np.array([naive_filter_sq(instants, tau, x) for x in z])
+    envelope = (2 * len(instants) + 2) ** 2
+    assert np.max(np.abs(filter_function_sq(instants, tau, z) - want)) <= 1e-12 * envelope
 
 
 def test_filter_function_validation():

@@ -350,15 +350,15 @@ def filter_function_sq(instants, tau, z):
         psi = 0.5 * (z * (inst[0] / tau) + np.pi)
         eps = psi - np.pi * np.rint(psi / np.pi)
         den = np.sin(eps)
-        ratio = 2.0 * np.divide(np.sin(n * eps), den, out=np.full_like(den, float(n)),
+        ratio = 2.0 * np.divide(np.sin(n * eps), den, out=np.full_like(den, n),
                                 where=den != 0.0)
         real += ratio * np.cos((n + 1) * eps)
         imag += ratio * np.sin((n + 1) * eps)
     else:
         for m, t_m in enumerate(inst, start=1):
-            phase = (t_m / tau) * z
-            real += 2.0 * (-1.0) ** m * np.cos(phase)
-            imag += 2.0 * (-1.0) ** m * np.sin(phase)
+            phase, weight = (t_m / tau) * z, 2.0 * (-1.0) ** m
+            real += weight * np.cos(phase)
+            imag += weight * np.sin(phase)
     out = real * real + imag * imag
     return float(out) if out.ndim == 0 else out
 

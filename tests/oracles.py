@@ -3,8 +3,8 @@
 These recompute package results from first principles (explicit density
 matrices, eigenvalue entropies, projective-measurement sweeps, Wootters
 concurrence, finite differences, term-by-term filter sums, scipy's
-adaptive quadrature, mpmath at 30 digits) so the production paths are checked against genuinely
-different routes.
+adaptive quadrature, mpmath at 30 digits) so the production paths are
+checked against genuinely different routes.
 """
 
 import cmath

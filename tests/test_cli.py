@@ -33,20 +33,18 @@ def test_decoherence_single_point_to_stdout(capsys):
     assert rows[0]["factor"] == "0.00673794699909"  # 12 significant digits
 
 
-@pytest.mark.parametrize("query", [
-    ["--s", "4", "--dt", "1", "--tau", "3.7"],
-    # 100 pulses over a default grid of about 200 rows
-    ["--s", "0.7", "--dt", "0.05", "--horizon", "5", "--time-step", "1"],
-], ids=["point", "dense-grid"])
-def test_decoherence_oracle_flag_matches_closed_form(query, capsys):
-    args = ["decoherence", *query, "--output", "-"]
-    assert main(args) == 0
-    closed = read_rows(capsys.readouterr().out)
-    assert main(args + ["--oracle"]) == 0
-    integral = read_rows(capsys.readouterr().out)
-    assert [row["tau"] for row in integral] == [row["tau"] for row in closed]
-    for want, got in zip(closed, integral):
-        assert abs(float(want["gamma"]) - float(got["gamma"])) < 1e-8
+def test_decoherence_oracle_flag_matches_closed_form(capsys):
+    # one point, then 100 pulses over 200 rows
+    for query in (["--s", "4", "--dt", "1", "--tau", "3.7"],
+                  ["--s", "0.7", "--dt", "0.05", "--horizon", "5", "--time-step", "1"]):
+        args = ["decoherence", *query, "--output", "-"]
+        assert main(args) == 0
+        closed = read_rows(capsys.readouterr().out)
+        assert main(args + ["--oracle"]) == 0
+        integral = read_rows(capsys.readouterr().out)
+        assert [row["tau"] for row in integral] == [row["tau"] for row in closed]
+        for want, got in zip(closed, integral):
+            assert abs(float(want["gamma"]) - float(got["gamma"])) < 1e-8
 
 
 def test_trajectory_invariant_discord(tmp_path, capsys):

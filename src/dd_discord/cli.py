@@ -378,22 +378,37 @@ def _render_csv(dataset):
     return buf.getvalue()
 
 
-def _atomic_write(path, text):
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=path.parent or ".", prefix=path.name + ".", delete=False)
+def _write(path, text, stream=False):
+    """Write one output file: in place when stream, else by renaming a temporary file onto it.
+
+    A symlink's target is written and the link stays a link; the file gets
+    mode 0o666 less the umask, as open() would create it. An OSError is a
+    configuration error that names the path.
+    """
     try:
-        with handle as fh:
-            fh.write(text)
-        os.replace(handle.name, path)
-    except BaseException:
+        if stream:
+            with open(path, "w") as fh:
+                fh.write(text)
+            return
+        target = Path(os.path.realpath(path))
+        target.parent.mkdir(parents=True, exist_ok=True)
+        handle = tempfile.NamedTemporaryFile(
+            "w", dir=target.parent, prefix=target.name + ".", delete=False)
         try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
+            with handle as fh:
+                fh.write(text)
+                umask = os.umask(0)
+                os.umask(umask)
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
+            os.replace(handle.name, target)
+        except BaseException:
+            try:
+                os.unlink(handle.name)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise ValueError(f"output: cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _is_stream(output):
@@ -412,15 +427,13 @@ def emit(dataset, cfg, output):
     if output == "-":
         sys.stdout.write(text)
         return []
-    path = Path(output)
-    if _is_stream(output):
-        with open(path, "w") as fh:
-            fh.write(text)
+    path, stream = Path(output), _is_stream(output)
+    _write(path, text, stream)
+    if stream:
         return [path]
-    _atomic_write(path, text)
     sidecar = path.with_suffix(".json")
     resolved = dict(asdict(cfg), package_version=__version__)
-    _atomic_write(sidecar, json.dumps(resolved, indent=2, sort_keys=True) + "\n")
+    _write(sidecar, json.dumps(resolved, indent=2, sort_keys=True) + "\n")
     return [path, sidecar]
 
 

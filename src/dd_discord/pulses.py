@@ -26,8 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import (DEFAULT_QUADRATURE, ConvergenceError, _derivative_envelopes,
-                       _gamma0_curvature, gamma0, gamma0_rate, oscillatory_quad)
+from .spectral import DEFAULT_QUADRATURE, ConvergenceError, _closed_forms, oscillatory_quad
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,7 @@ class PulsedDecoherence:
         # near the overflow edge (s ~ 172) these sums leave non-finite
         # entries; gamma and gamma_grid report any exponent they reach
         with np.errstate(over="ignore", invalid="ignore"):
-            singles = np.atleast_1d(gamma0(spec, t)) * self._signs   # (-1)^(n+1) G(t_n)
+            singles = _closed_forms(spec, t)[0] * self._signs   # (-1)^(n+1) G(t_n)
             if self._periodic:
                 # the gap sum of pulse n is sum_k (-1)^(k+1) G(t_k), k < n
                 gaps = np.concatenate(([0.0], np.cumsum(singles)[:-1]))
@@ -158,7 +157,7 @@ class PulsedDecoherence:
                 gaps = np.zeros(count)
                 for n in range(1, count):
                     gaps[n] = np.dot(self._signs[n - 1::-1],
-                                     gamma0(spec, t[n] - t[:n]))
+                                     _closed_forms(spec, t[n] - t[:n])[0])
             self._static = np.concatenate(([0.0], np.cumsum(2.0 * singles + 4.0 * gaps)))
 
     def _check(self, tau_min, tau_max):
@@ -166,20 +165,17 @@ class PulsedDecoherence:
             raise ValueError(
                 f"tau must lie in [0, {self.schedule.horizon}]")
 
-    def _elapsed_args(self, taus, n):
-        """Arguments tau - t_(n-k), k = 0 .. n-1, of the elapsed sum (n >= 1)."""
-        if self._periodic:
-            return (taus - self._starts[n]) + self._starts[:n]
-        return taus - self._instants[n - 1::-1]
+    def _prefix_sums(self, order, bounds, args):
+        """Prefix sums along the last axis of sign_k f(args[..., k]), one per closed form f.
 
-    def _prefix_sums(self, parts, alternate, args):
-        """Prefix sums along the last axis of sign_k f(args[..., k]), one per f in parts(args).
-
-        sign_k is (-1)^k for the parts that alternate, else 1.
+        The forms are gamma0 and its derivatives up to order, with sign_k
+        = (-1)^k, then with bounds the two derivative envelopes, with
+        sign_k = 1.
         """
         signs = self._signs[:args.shape[-1]]
-        return [np.cumsum(values * signs if alt else values, axis=-1)
-                for alt, values in zip(alternate, parts(args))]
+        values = _closed_forms(self.spec, args, range(order + 1), bounds)
+        return [np.cumsum(f * signs if k <= order else f, axis=-1)
+                for k, f in enumerate(values)]
 
     def _not_finite(self, tau, what="exponent"):
         s = self.spec.s
@@ -187,21 +183,11 @@ class PulsedDecoherence:
             f"{what} is not a finite double at s={s}, tau={tau}", s=s, tau=tau)
 
     def gamma(self, tau):
-        """Exponent at a single time (pulse instants use the earlier branch)."""
-        tau = float(tau)
-        self._check(tau, tau)
-        n = bisect_left(self.schedule.instants, tau)
-        # an overflowing sum is reported just below, as a non-finite exponent
-        with np.errstate(over="ignore", invalid="ignore"):
-            elapsed = 0.0
-            if n:
-                args = self._elapsed_args(tau, n)
-                elapsed = self._prefix_sums(self._parts(0, False), (True,), args)[0][-1]
-            value = float(self._static[n] + (-1.0) ** n * gamma0(self.spec, tau)
-                          + 2.0 * elapsed)
-        if not math.isfinite(value):
-            raise self._not_finite(tau)
-        return max(value, 0.0)
+        """Exponent at a single time (pulse instants use the earlier branch).
+
+        gamma_grid at one point, so the same double.
+        """
+        return float(self.gamma_grid([float(tau)])[0])
 
     def gamma_grid(self, taus):
         """Vectorized exponent at an array of times, in any order (kept in the output)."""
@@ -225,16 +211,6 @@ class PulsedDecoherence:
             gaps[:np.searchsorted(self._instants, horizon, side="right")] = self._instants[0]
         return starts, ends, gaps
 
-    def _parts(self, order, bounds):
-        """gamma0 and its derivatives up to order, then with bounds the two derivative envelopes."""
-        fns = (gamma0, gamma0_rate, _gamma0_curvature)[:order + 1]
-
-        def parts(args):
-            values = [f(self.spec, args) for f in fns]
-            return values + list(_derivative_envelopes(self.spec, args)) if bounds else values
-
-        return parts
-
     def _evaluate(self, taus, counts, phases, order=0, bounds=False, groups=None):
         """The exponent and its time derivatives up to order, at taus after counts pulses.
 
@@ -249,15 +225,14 @@ class PulsedDecoherence:
         arrays; the exponent is clamped at zero, and a value that is not a
         finite double raises ConvergenceError.
         """
-        parts = self._parts(order, bounds)
-        alternate = (True,) * (order + 1) + (False, False) * bounds
         # an overflowing sum is reported just below, as a non-finite value
         with np.errstate(over="ignore", invalid="ignore"):
-            elapsed = self._elapsed(parts, alternate, taus, counts, phases, groups)
-            heads, signs = parts(taus), 1.0 - 2.0 * (counts & 1)   # (-1)^n
+            elapsed = self._elapsed(order, bounds, taus, counts, phases, groups)
+            heads = _closed_forms(self.spec, taus, range(order + 1), bounds)
+            signs = 1.0 - 2.0 * (counts & 1)   # (-1)^n
             out = [self._static[counts] + signs * heads[0] + 2.0 * elapsed[0]]
-            out += [(signs if alt else 1.0) * head + 2.0 * sums
-                    for alt, head, sums in zip(alternate[1:], heads[1:], elapsed[1:])]
+            out += [(signs * head if k <= order else head) + 2.0 * sums
+                    for k, (head, sums) in enumerate(zip(heads[1:], elapsed[1:]), 1)]
         names = ("exponent", "rate", "curvature")[:order + 1] + ("derivative bound",) * 2 * bounds
         for name, values in zip(names, out):
             bad = ~np.isfinite(values)
@@ -266,21 +241,21 @@ class PulsedDecoherence:
         out[0] = np.maximum(out[0], 0.0)
         return out
 
-    def _elapsed(self, parts, alternate, taus, counts, phases, groups):
-        """Elapsed sums sum_k sign_k f(tau - t_(n-k)), k = 0 .. n-1, one row per part."""
-        out = np.zeros((len(alternate), taus.size))
+    def _elapsed(self, order, bounds, taus, counts, phases, groups):
+        """Elapsed sums sum_k sign_k f(tau - t_(n-k)), k = 0 .. n-1, one row per closed form."""
+        out = np.zeros((order + 1 + 2 * bounds, taus.size))
         if self._periodic:
             distinct, which = np.unique(phases, return_inverse=True) if groups is None else groups
-            self._phase_sums(parts, alternate, distinct, which, counts, out)
+            self._phase_sums(order, bounds, distinct, which, counts, out)
         else:
             for n in np.unique(counts[counts > 0]):
                 pick = counts == n
-                args = self._elapsed_args(taus[pick][:, None], n)
-                for row, sums in zip(out, self._prefix_sums(parts, alternate, args)):
+                args = taus[pick][:, None] - self._instants[n - 1::-1]
+                for row, sums in zip(out, self._prefix_sums(order, bounds, args)):
                     row[pick] = sums[:, -1]
         return out
 
-    def _phase_sums(self, parts, alternate, distinct, which, counts, out):
+    def _phase_sums(self, order, bounds, distinct, which, counts, out):
         """Elapsed sums, into out, of the points with phases distinct[which] after counts pulses.
 
         Each distinct phase r gets one table row of prefix sums over
@@ -290,18 +265,18 @@ class PulsedDecoherence:
         """
         longest = np.zeros(distinct.size, dtype=int)
         np.maximum.at(longest, which, counts)
-        order = np.argsort(-longest, kind="stable")
-        point_rank = np.argsort(order)[which]   # table row of each point's phase
+        ranked = np.argsort(-longest, kind="stable")
+        point_rank = np.argsort(ranked)[which]   # table row of each point's phase
         by_rank = np.argsort(point_rank, kind="stable")
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(point_rank, minlength=order.size))))
+        ends = np.concatenate(([0], np.cumsum(np.bincount(point_rank, minlength=ranked.size))))
         first = 0
-        while first < order.size and longest[order[first]]:
-            width = int(longest[order[first]])
-            stop = min(order.size, first + max(1, _PHASE_BLOCK // (width + 1)))
-            pts = by_rank[bounds[first]:bounds[stop]]
+        while first < ranked.size and longest[ranked[first]]:
+            width = int(longest[ranked[first]])
+            stop = min(ranked.size, first + max(1, _PHASE_BLOCK // (width + 1)))
+            pts = by_rank[ends[first]:ends[stop]]
             rows, cols = point_rank[pts] - first, counts[pts] - 1
-            args = distinct[order[first:stop], None] + self._starts[:width]
-            for row, table in zip(out, self._prefix_sums(parts, alternate, args)):
+            args = distinct[ranked[first:stop], None] + self._starts[:width]
+            for row, table in zip(out, self._prefix_sums(order, bounds, args)):
                 row[pts] = np.where(cols >= 0, table[rows, cols], 0.0)
             first = stop
 

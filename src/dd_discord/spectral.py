@@ -82,7 +82,7 @@ _OHMIC_WINDOW = 1e-6
 
 
 def _euler_gamma(x, s, t):
-    """Euler Gamma(x), the prefactor of gamma0 or its rate at times t.
+    """Euler Gamma(x), the prefactor of a closed form at times t.
 
     Gamma overflows a double for x above about 171.6; that is reported
     as a numerical failure at Ohmicity s (and tau, when t is a single
@@ -112,27 +112,47 @@ def spectral_density(spec, omega):
     return float(out) if out.ndim == 0 else out
 
 
-def gamma0(spec, tau):
-    """Decoherence exponent of free (unpulsed) dephasing at time tau.
+def _closed_forms(spec, tau, orders=(0,), envelopes=False):
+    """gamma0 and its time derivatives of the given orders (0, 1, 2), then two envelopes.
 
-    Evaluates the closed form
-
-        Gamma(s-1) * [1 - cos((s-1) arctan tau) / (1 + tau^2)^((s-1)/2)]
-
-    for s != 1 (the gamma prefactor continues analytically through
-    0 < s < 1) and (1/2) log(1 + tau^2) at s = 1. Accepts scalars or
-    arrays; always nonnegative.
+    Order k is Gamma(a) trig(a arctan tau) / (1 + tau^2)^(a/2) with
+    a = s - 1 + k and trig = sin, cos for k = 1, 2; order 0, gamma0, is
+    Gamma(s-1) [1 - cos((s-1) arctan tau) / (1 + tau^2)^((s-1)/2)], the
+    prefactor continued analytically through 0 < s < 1, and
+    (1/2) log(1 + tau^2) at s = 1. With envelopes, Gamma(s+1) /
+    (1 + tau^2)^((s+1)/2) and (s+1) times that over sqrt(1 + tau^2)
+    follow: the moduli of orders 2 and 3 without their cosine and sine,
+    so each decreases in tau and bounds its derivative at every later
+    time as well. A scalar tau takes the same ufuncs as an array (np.power,
+    not ** on a numpy scalar, which calls another pow): the same double.
     """
     t = _as_times(tau)
     s = spec.s
-    if abs(s - 1.0) < _OHMIC_WINDOW:
-        out = 0.5 * np.log1p(t * t)
-    else:
-        a = s - 1.0
-        bracket = 1.0 - np.cos(a * np.arctan(t)) * (1.0 + t * t) ** (-0.5 * a)
-        # exact value is >= 0; clamp sub-epsilon rounding at tiny tau
-        prefactor = _euler_gamma(a, s, t)
-        out = np.maximum(prefactor * bracket, 0.0)
+    angle, q = np.arctan(t), 1.0 + t * t
+    out = []
+    for k in orders:
+        a = s + (k - 1.0)
+        if k == 0 and abs(a) < _OHMIC_WINDOW:
+            out.append(0.5 * np.log1p(t * t))
+        elif k == 0:   # the exact value is >= 0; clamp sub-epsilon rounding at tiny tau
+            bracket = 1.0 - np.cos(a * angle) * np.power(q, -0.5 * a)
+            out.append(np.maximum(_euler_gamma(a, s, tau) * bracket, 0.0))
+        else:
+            trig = np.sin if k == 1 else np.cos
+            out.append(_euler_gamma(a, s, tau) * trig(a * angle) * np.power(q, -0.5 * a))
+    if envelopes:
+        second = _euler_gamma(s + 1.0, s, tau) * np.power(q, -0.5 * (s + 1.0))
+        out += [second, (s + 1.0) * second / np.sqrt(q)]
+    return out
+
+
+def gamma0(spec, tau):
+    """Decoherence exponent of free (unpulsed) dephasing at time tau.
+
+    The closed form of order 0 in _closed_forms. Accepts scalars or
+    arrays; always nonnegative.
+    """
+    out = _closed_forms(spec, tau)[0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -142,35 +162,8 @@ def gamma0_rate(spec, tau):
     Closed form Gamma(s) sin(s arctan tau) / (1 + tau^2)^(s/2); regular
     for every s > 0 and temporarily negative only when s > 2.
     """
-    t = _as_times(tau)
-    s = spec.s
-    prefactor = _euler_gamma(s, s, t)
-    out = prefactor * np.sin(s * np.arctan(t)) * (1.0 + t * t) ** (-0.5 * s)
+    out = _closed_forms(spec, tau, (1,))[0]
     return float(out) if out.ndim == 0 else out
-
-
-def _gamma0_curvature(spec, tau):
-    """Second time derivative of gamma0, an array like tau.
-
-    Closed form Gamma(s+1) cos((s+1) arctan tau) / (1 + tau^2)^((s+1)/2).
-    """
-    t = _as_times(tau)
-    a = spec.s + 1.0
-    return _euler_gamma(a, spec.s, t) * np.cos(a * np.arctan(t)) * (1.0 + t * t) ** (-0.5 * a)
-
-
-def _derivative_envelopes(spec, tau):
-    """Bounds on the second and third time derivatives of gamma0 at tau.
-
-    Gamma(s+1) / (1 + tau^2)^((s+1)/2) and Gamma(s+2) / (1 + tau^2)^((s+2)/2),
-    two arrays like tau: the moduli of the closed forms without their
-    cosine and sine, so each decreases in tau and bounds its derivative
-    at every later time as well.
-    """
-    t = _as_times(tau)
-    s = spec.s
-    second = _euler_gamma(s + 1.0, s, t) * (1.0 + t * t) ** (-0.5 * (s + 1.0))
-    return second, (s + 1.0) * second / np.sqrt(1.0 + t * t)
 
 
 def recoherence_onset(spec):

@@ -278,6 +278,39 @@ def test_output_to_fifo_is_written_in_place(args, tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]   # no sidecar, no companion
 
 
+_POINT = ["decoherence", "--s", "1", "--free", "--tau", "0.5"]
+
+
+def test_symlinked_output_writes_its_target(tmp_path, capsys):
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    assert main([*_POINT, "--output", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == real
+    assert read_rows(real)[0]["tau"] == "0.5"
+    assert capsys.readouterr().out == f"wrote {link}\nwrote {tmp_path / 'link.json'}\n"
+
+
+def test_directory_as_output_exits_one(tmp_path, capsys):
+    target = tmp_path / "adir"
+    target.mkdir()
+    assert main([*_POINT, "--output", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: output: cannot write {target}: ")
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"] and not any(target.iterdir())
+
+
+def test_output_files_follow_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        assert main([*_POINT, "--output", str(tmp_path / "out.csv")]) == 0
+    finally:
+        os.umask(old)
+    for name in ("out.csv", "out.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
+
+
 def test_worker_pool_size_is_invisible_in_output(tmp_path, run_cli):
     args = ["phase-diagram", "--dt", "0.6", "--side", "two", "--workers", "4",
             "--s-grid", "0.5:3:4", "--c-grid", "0:0.8:4", "--output", "map.csv"]

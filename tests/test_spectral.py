@@ -20,7 +20,7 @@ from dd_discord import (
     spectral_density,
 )
 from dd_discord import spectral
-from dd_discord.spectral import _derivative_envelopes, _euler_gamma, _gamma0_curvature
+from dd_discord.spectral import _closed_forms, _euler_gamma
 from oracles import bisect_sign_change, central_difference
 
 
@@ -76,12 +76,15 @@ def test_gamma0_just_outside_ohmic_branch():
 
 
 def test_gamma0_vectorized_matches_scalar():
-    spec = OhmicSpectrum(2.5)
+    # a scalar is the same double as its point in an array; ** on a numpy
+    # float64 calls another pow, whose last bit 1 - cos * pow amplifies
     taus = np.linspace(0.0, 20.0, 57)
-    grid = gamma0(spec, taus)
-    assert grid.shape == taus.shape
-    for t, g in zip(taus[::8], grid[::8]):
-        assert g == gamma0(spec, float(t))
+    for s in (0.1, 0.5, 0.999, 1.3, 2.5):
+        spec = OhmicSpectrum(s)
+        for fn in (gamma0, gamma0_rate):
+            grid = fn(spec, taus)
+            assert grid.shape == taus.shape
+            assert [fn(spec, float(t)) for t in taus] == grid.tolist()
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0])
@@ -141,7 +144,15 @@ def test_gamma0_negative_tau_rejected():
         gamma0_rate(OhmicSpectrum(1.0), np.array([0.0, -2.0]))
 
 
-@pytest.mark.parametrize("fn", [gamma0, gamma0_rate, _gamma0_curvature, _derivative_envelopes],
+def _curvature(spec, tau):
+    return _closed_forms(spec, tau, (2,))[0]
+
+
+def _envelopes(spec, tau):
+    return _closed_forms(spec, tau, (), envelopes=True)
+
+
+@pytest.mark.parametrize("fn", [gamma0, gamma0_rate, _curvature, _envelopes],
                          ids=["gamma0", "gamma0_rate", "curvature", "envelopes"])
 @pytest.mark.parametrize("tau", [float("nan"), np.array([1.0, np.nan])], ids=["scalar", "array"])
 def test_nan_time_is_rejected(fn, tau):
@@ -153,12 +164,12 @@ def test_nan_time_is_rejected(fn, tau):
 def test_curvature_and_its_envelopes(s):
     spec = OhmicSpectrum(s)
     taus = np.linspace(0.0, 12.0, 241)
-    curvature = _gamma0_curvature(spec, taus)
+    curvature = _curvature(spec, taus)
     for tau, value in zip(taus[1::40], curvature[1::40]):
         assert abs(value - central_difference(lambda t: gamma0_rate(spec, t), tau)) < 1e-6
-    second, third = _derivative_envelopes(spec, taus)
+    second, third = _envelopes(spec, taus)
     assert np.all(np.abs(curvature) <= second * (1.0 + 1e-14))
-    jerk = np.abs([central_difference(lambda t: _gamma0_curvature(spec, t), tau) for tau in taus[1:]])
+    jerk = np.abs([central_difference(lambda t: _curvature(spec, t), tau) for tau in taus[1:]])
     assert np.all(jerk <= third[1:] * (1.0 + 1e-6) + 1e-6)
     # both envelopes decrease, so the value at a time bounds every later one
     assert np.all(np.diff(second) <= 0.0) and np.all(np.diff(third) <= 0.0)
@@ -223,6 +234,10 @@ def test_gamma_overflow_is_a_convergence_error():
         gamma0(OhmicSpectrum(200.0), 1.0)
     assert (err.value.s, err.value.tau) == (200.0, 1.0)
     assert "s=200" in str(err.value)
+    # Gamma(172) overflows: the scalar time is named, not a one-point array
+    with pytest.raises(ConvergenceError) as err:
+        gamma0(OhmicSpectrum(173.0), 1.0)
+    assert err.value.tau == 1.0
     with pytest.raises(ConvergenceError) as err:
         gamma0_rate(OhmicSpectrum(180.0), np.array([1.0, 2.0]))
     assert (err.value.s, err.value.tau) == (180.0, None)

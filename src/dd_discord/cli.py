@@ -49,23 +49,29 @@ class RunConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_subdivisions: int = 10000
-    workers: int = 1
     oracle: bool = False
     free_companion: bool = True
     output: str = ""
 
 
+def _float(value):
+    """float(value), refusing booleans: a config file's true is no number."""
+    if isinstance(value, bool):
+        raise TypeError(value)
+    return float(value)
+
+
 def _parse_grid(value, name):
     """Accept 'lo:hi:n' strings or [lo, hi, n] sequences."""
-    if isinstance(value, str):
-        parts = value.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"{name}: expected lo:hi:count, got {value!r}")
-        value = parts
+    parts = value.split(":") if isinstance(value, str) else value
     try:
-        lo, hi, count = float(value[0]), float(value[1]), int(float(value[2]))
-    except (TypeError, ValueError, IndexError, OverflowError):
+        if not isinstance(parts, (list, tuple)) or len(parts) != 3:
+            raise TypeError
+        lo, hi, count = _float(parts[0]), _float(parts[1]), int(_float(parts[2]))
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name}: expected lo:hi:count, got {value!r}") from None
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"{name}: bounds and their span must be finite, got {value!r}")
     if count < 1:
         raise ValueError(f"{name}: count must be >= 1, got {count}")
     if hi < lo:
@@ -82,8 +88,8 @@ def _parse_dt(value):
     elif isinstance(value, (int, float)):
         value = [value]
     try:
-        out = tuple(float(v) for v in value)
-    except (TypeError, ValueError):
+        out = tuple(_float(v) for v in value)
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"dt: expected number(s), got {value!r}") from None
     if not out:
         raise ValueError("dt: expected at least one value")
@@ -124,7 +130,7 @@ def _build_parser():
         p.add_argument("--abs-tol", type=float, default=None)
         p.add_argument("--max-subdivisions", type=int, default=None)
         p.add_argument("--workers", type=int, default=None,
-                       help="worker processes for grid scans (default 1)")
+                       help="accepted for older command lines and ignored")
         p.add_argument("--oracle", action="store_true", default=None,
                        help="decoherence: evaluate by quadrature instead of closed form")
         p.add_argument("--no-free-companion", dest="free_companion",
@@ -162,14 +168,16 @@ def _resolve(args):
     """Merge defaults, config file, and flags (flags win) into a RunConfig."""
     if not args.command:
         raise ValueError("command: one of " + ", ".join(_RUNNERS) + " is required")
+    if args.workers is not None and args.workers < 1:
+        raise ValueError(f"workers: must be a positive integer, got {args.workers}")
     cfg = RunConfig(command=args.command)
     fields = set(asdict(cfg))
     if args.config:
         file_values = _load_config_file(args.config)
         for key, value in file_values.items():
             key = key.replace("-", "_")
-            if key == "format" and value == "csv":
-                continue   # older sidecars record the one output format there was
+            if (key == "format" and value == "csv") or key == "workers":
+                continue   # older sidecars record the one output format and the pool size
             if key not in fields:
                 raise ValueError(f"config: unknown key {key!r}")
             if key == "command":
@@ -190,11 +198,13 @@ def _resolve(args):
 
 
 def _check_finite(name, value):
-    """Reject a non-numeric or non-finite value of the named field."""
+    """Reject a non-numeric, boolean or non-finite value of the named field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
     try:
         finite = math.isfinite(value)
-    except TypeError:
-        raise ValueError(f"{name}: expected a number, got {value!r}") from None
+    except OverflowError:   # an integer beyond the largest double
+        finite = False
     if not finite:
         raise ValueError(f"{name}: must be finite, got {value}")
 
@@ -204,10 +214,19 @@ def _normalize(cfg):
     cfg.dt = _parse_dt(cfg.dt)
     for name in ("s", "c", "horizon", "tau", "time_step", "rel_tol", "abs_tol"):
         value = getattr(cfg, name)
-        if value is not None:
+        # a field whose default is a number may not be unset
+        if value is not None or getattr(RunConfig, name) is not None:
             _check_finite(name, value)
     for value in cfg.dt or ():
         _check_finite("dt", value)
+    n = cfg.max_subdivisions
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"max_subdivisions: must be an integer >= 1, got {n!r}")
+    for name in ("oracle", "free_companion"):
+        if not isinstance(getattr(cfg, name), bool):
+            raise ValueError(f"{name}: must be true or false, got {getattr(cfg, name)!r}")
+    if not isinstance(cfg.output, str):
+        raise ValueError(f"output: expected a path, got {cfg.output!r}")
     cfg.s_grid = _parse_grid(cfg.s_grid, "s_grid")
     cfg.c_grid = _parse_grid(cfg.c_grid, "c_grid")
     cells = cfg.s_grid[2] * (cfg.c_grid[2] if cfg.command == "phase-diagram" else 1)
@@ -248,20 +267,6 @@ def _normalize(cfg):
         raise ValueError(f"rel_tol: must be > 0, got {cfg.rel_tol}")
     if not cfg.abs_tol > 0.0:
         raise ValueError(f"abs_tol: must be > 0, got {cfg.abs_tol}")
-    if cfg.max_subdivisions < 1:
-        raise ValueError(f"max_subdivisions: must be >= 1, got {cfg.max_subdivisions}")
-    if not isinstance(cfg.workers, int) or cfg.workers < 1:
-        raise ValueError(f"workers: must be a positive integer, got {cfg.workers}")
-    cap = os.environ.get("DD_DISCORD_THREADS")
-    if cap is not None:
-        try:
-            cap = int(cap)
-        except ValueError:
-            raise ValueError(
-                f"DD_DISCORD_THREADS: must be an integer, got {cap!r}") from None
-        if cap < 1:
-            raise ValueError(f"DD_DISCORD_THREADS: must be >= 1, got {cap}")
-        cfg.workers = min(cfg.workers, cap)
     if not cfg.output:
         stamp = time.strftime("%Y%m%d-%H%M%S")
         cfg.output = os.path.join("out", f"{cfg.command}-{stamp}.csv")
@@ -320,8 +325,7 @@ def _run_trajectory(cfg):
 
 def _run_phase_diagram(cfg):
     diagram = phase_diagram(_grid_values(cfg.s_grid), _grid_values(cfg.c_grid),
-                            _single_dt(cfg), _side(cfg), cfg.horizon,
-                            workers=cfg.workers)
+                            _single_dt(cfg), _side(cfg), cfg.horizon)
     rows = []
     for i, s in enumerate(diagram.s_grid):
         for j, c in enumerate(diagram.c_grid):
@@ -335,8 +339,7 @@ def _run_boundary(cfg):
     intervals = cfg.dt if cfg.dt is not None else (None,)
     rows = []
     for dt in intervals:
-        curve = boundary_curve(_grid_values(cfg.s_grid), dt, _side(cfg),
-                               cfg.horizon, workers=cfg.workers)
+        curve = boundary_curve(_grid_values(cfg.s_grid), dt, _side(cfg), cfg.horizon)
         rows.extend((s, mf, dt) for s, mf in curve)
     return _Dataset(("s", "min_factor", "dt"), rows)
 

@@ -114,8 +114,6 @@ def concurrence(state, gamma_value):
     clips to zero (sudden death) once f < (1-c)/(1+c).
     """
     c = state.c
-    if not 0.0 <= c < 1.0:
-        raise ValueError(f"c must lie in [0, 1) for concurrence, got {c}")
     f = np.asarray(decoherence_factor(gamma_value, NoiseSide.ONE_SIDED))
     return _scalar_or_array(0.5 * np.maximum(0.0, np.maximum(
         np.abs(f * (1.0 - c)) - 1.0 - c,

@@ -6,7 +6,8 @@ decoherence factor over the evolution window. States with |c| at or below
 that minimum keep their discord pinned at correlation_bits(c) for the
 whole window; every other state hits a sudden transition at the first
 time the factor crosses |c| from above. Discord depends on |c| only, so
-c and -c always share a label.
+c and -c always share a label. A map classifies its rows one after
+another in one process, each from its own scan.
 
 Both are found in exponent space: the minimum factor is the maximum of
 the exponent g, and the factor crosses |c| where g first exceeds
@@ -430,30 +431,13 @@ def _labels(profile, c_values):
                  for r in regimes)
 
 
-def _phase_row(args):
-    """One diagram row: (min_factor, labels over c_grid) at a single s."""
-    s, c_grid, pulse_interval, side, horizon = args
-    profile = _FactorProfile(OhmicSpectrum(s), schedule_for(pulse_interval, horizon), side)
-    return profile.min_factor, _labels(profile, c_grid)
-
-
-def _run_rows(tasks, workers):
-    if workers is not None and workers > 1:
-        # imported here: serial runs should not pay for the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_phase_row, tasks))
-    return [_phase_row(t) for t in tasks]
-
-
-def phase_diagram(s_grid, c_grid, pulse_interval, side, horizon=25.0,
-                  workers=None):
+def phase_diagram(s_grid, c_grid, pulse_interval, side, horizon=25.0, workers=None):
     """Classify every (s, c) grid cell for one schedule and noise side.
 
-    Rows (fixed s) are independent and may be computed concurrently;
-    results are always assembled in grid order, so the diagram is
-    deterministic for any worker count. pulse_interval None means free
-    evolution over the same window.
+    Rows (fixed s) are computed one after another in grid order, each
+    from its own factor profile, so the diagram is deterministic.
+    pulse_interval None means free evolution over the same window.
+    workers is accepted for older callers and ignored.
     """
     s_vals = tuple(float(s) for s in s_grid)
     c_vals = tuple(float(c) for c in c_grid)
@@ -461,13 +445,17 @@ def phase_diagram(s_grid, c_grid, pulse_interval, side, horizon=25.0,
         raise ValueError("s_grid values must be > 0")
     if any(not abs(c) < 1.0 for c in c_vals):
         raise ValueError("c_grid values must satisfy |c| < 1")
-    tasks = [(s, c_vals, pulse_interval, side, horizon) for s in s_vals]
-    rows = _run_rows(tasks, workers)
+    schedule = schedule_for(pulse_interval, horizon)
+    labels, min_factors = [], []
+    for s in s_vals:
+        profile = _FactorProfile(OhmicSpectrum(s), schedule, side)
+        min_factors.append(profile.min_factor)
+        labels.append(_labels(profile, c_vals))
     return PhaseDiagram(
         s_grid=s_vals,
         c_grid=c_vals,
-        labels=tuple(r[1] for r in rows),
-        min_factors=tuple(r[0] for r in rows),
+        labels=tuple(labels),
+        min_factors=tuple(min_factors),
         side=side,
         pulse_interval=pulse_interval,
         horizon=horizon,
@@ -479,9 +467,10 @@ def boundary_curve(s_grid, pulse_interval, side, horizon=25.0, workers=None):
 
     States with c at or below the curve stay time-invariant for this
     schedule and noise side. Returns a list of (s, min_factor) pairs: the
-    min_factors of a phase diagram with no c values.
+    min_factors of a phase diagram with no c values. workers is accepted
+    for older callers and ignored.
     """
-    diagram = phase_diagram(s_grid, (), pulse_interval, side, horizon, workers)
+    diagram = phase_diagram(s_grid, (), pulse_interval, side, horizon)
     return list(zip(diagram.s_grid, diagram.min_factors))
 
 

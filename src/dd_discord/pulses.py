@@ -41,9 +41,9 @@ class PulseSchedule:
             raise ValueError(f"horizon must be > 0, got {self.horizon}")
         inst = tuple(float(t) for t in self.instants)
         object.__setattr__(self, "instants", inst)
-        if any(t <= 0.0 for t in inst):
+        if any(not t > 0.0 for t in inst):
             raise ValueError("pulse instants must be positive")
-        if any(b <= a for a, b in zip(inst, inst[1:])):
+        if any(not b > a for a, b in zip(inst, inst[1:])):
             raise ValueError("pulse instants must be strictly increasing")
         if inst and inst[-1] > self.horizon:
             raise ValueError("pulse instants must not exceed the horizon")

@@ -16,7 +16,6 @@ _SRC = str(Path(dd_discord.__file__).resolve().parents[1])
 
 def _run_python(argv, cwd, extra_env=None):
     env = dict(os.environ)
-    env.pop("DD_DISCORD_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, env.get("PYTHONPATH")) if p)
     env.update(extra_env or {})
@@ -28,8 +27,7 @@ def _run_python(argv, cwd, extra_env=None):
 def run_cli():
     """Run `python -m dd_discord.cli ARGS` in cwd; returns the CompletedProcess.
 
-    DD_DISCORD_THREADS is cleared unless extra_env sets it, so --workers
-    stays authoritative.
+    extra_env adds variables to the child's environment.
     """
 
     def run(args, cwd, extra_env=None):

@@ -48,20 +48,22 @@ def test_decoherence_oracle_flag_matches_closed_form(capsys):
 
 
 def test_trajectory_invariant_discord(tmp_path, capsys):
-    out = tmp_path / "traj.csv"
-    rc = main(["trajectory", "--s", "1.01", "--dt", "0.3", "--side", "one",
-               "--c", "0.5", "--output", str(out)])
-    assert rc == 0
-    printed = capsys.readouterr().out
-    assert f"wrote {out}" in printed
-    rows = read_rows(out)
-    assert len(rows) > 1000
-    plateau = 0.18872187554086714
-    discord_vals = np.array([float(r["discord"]) for r in rows])
-    assert np.max(np.abs(discord_vals - plateau)) < 1e-10
-    # entanglement is still being eroded while the discord stays pinned
-    conc = np.array([float(r["concurrence"]) for r in rows])
-    assert conc[0] > conc[-1]
+    # discord and concurrence are even in c
+    for c in ("0.5", "-0.5"):
+        out = tmp_path / f"traj{c}.csv"
+        rc = main(["trajectory", "--s", "1.01", "--dt", "0.3", "--side", "one",
+                   "--c", c, "--output", str(out)])
+        assert rc == 0
+        printed = capsys.readouterr().out
+        assert f"wrote {out}" in printed
+        rows = read_rows(out)
+        assert len(rows) > 1000
+        plateau = 0.18872187554086714
+        discord_vals = np.array([float(r["discord"]) for r in rows])
+        assert np.max(np.abs(discord_vals - plateau)) < 1e-10
+        # entanglement is still being eroded while the discord stays pinned
+        conc = np.array([float(r["concurrence"]) for r in rows])
+        assert conc[0] > conc[-1]
 
 
 def test_trajectory_two_sided_leaves_concurrence_empty(tmp_path):
@@ -169,13 +171,6 @@ def test_nonconvergence_exits_two(capsys):
     assert "s=0.5" in err and "tau=1" in err
 
 
-def test_env_worker_cap_must_be_integer(monkeypatch, capsys):
-    monkeypatch.setenv("DD_DISCORD_THREADS", "many")
-    rc = main(["boundary", "--s-grid", "1:2:2"])
-    assert rc == 1
-    assert "DD_DISCORD_THREADS" in capsys.readouterr().err
-
-
 def test_stdout_streaming_writes_nothing(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     rc = main(["transition", "--s", "1", "--c", "0.2", "--free",
@@ -244,6 +239,36 @@ def test_sidecar_reruns_byte_identical(tmp_path, capsys):
     assert main(["transition", "--config", str(old_sidecar), "--output", str(rerun)]) == 0
     capsys.readouterr()
     assert rerun.read_bytes() == first.read_bytes()
+    # and while the process-pool size was recorded
+    assert "workers" not in older
+    older["workers"] = 4
+    old_sidecar.write_text(json.dumps(older))
+    assert main(["transition", "--config", str(old_sidecar), "--output", str(rerun)]) == 0
+    capsys.readouterr()
+    assert rerun.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("line, field", [
+    ("output = 5", "output"),
+    ('max_subdivisions = "x"', "max_subdivisions"),
+    ("max_subdivisions = NaN", "max_subdivisions"),
+    ("max_subdivisions = 2.5", "max_subdivisions"),
+    ("max_subdivisions = true", "max_subdivisions"),
+    ('oracle = "no"', "oracle"),
+    ('free_companion = "no"', "free_companion"),
+    ("dt = true", "dt"),
+    ("horizon = true", "horizon"),
+    ("horizon = null", "horizon"),
+    ('s_grid = {"a": 1}', "s_grid"),
+    pytest.param("s = 1" + "0" * 400, "s", id="s = 1e400 as an integer"),
+    pytest.param("dt = 1" + "0" * 400, "dt", id="dt = 1e400 as an integer"),
+])
+def test_config_values_take_the_flag_types(line, field, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("s = 1\ntau = 0.5\n" + line + "\n")
+    assert main(["decoherence", "--config", "run.cfg"]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
 
 
 def test_sidecar_records_package_version(tmp_path, capsys):
@@ -362,6 +387,9 @@ def test_oversized_grid_exits_one(args, capsys):
     ["phase-diagram", "--free", "--s-grid", "0.1:6:2000", "--c-grid", "0:0.9:1000"],
     ["boundary", "--free", "--s-grid", "0.1:6:2e6"],
     ["phase-diagram", "--free", "--c-grid", "0:0.9:1e400"],
+    # an infinite bound: numpy's linspace would warn before the map is refused
+    ["phase-diagram", "--free", "--c-grid", "0:inf:3"],
+    ["boundary", "--free", "--s-grid", "1:inf:3"],
 ])
 def test_oversized_map_exits_one(args, capsys):
     # refused before any grid is allocated, so this returns at once
@@ -440,7 +468,7 @@ def heavy():
 seen = {"import": heavy()}
 seen["transition"] = cli.main(["transition", "--s", "2.5", "--dt", "1",
                                "--c", "0.4", "--output", "tr.csv"]), heavy()
-seen["phase-diagram"] = cli.main(["phase-diagram", "--dt", "0.5", "--workers", "1",
+seen["phase-diagram"] = cli.main(["phase-diagram", "--dt", "0.5", "--workers", "2",
                                   "--s-grid", "1:2:2", "--c-grid", "0:0.5:2",
                                   "--output", "map.csv"]), heavy()
 seen["oracle"] = cli.main(["decoherence", "--s", "4", "--dt", "1", "--tau", "3.7",

@@ -215,6 +215,8 @@ def test_concurrence_reference_values():
     gammas = np.array([0.0, g, np.log(5.0)])
     vector = concurrence(BellDiagonalState(0.5), gammas)
     assert vector.tolist() == [concurrence(BellDiagonalState(0.5), x) for x in gammas]
+    # even in c
+    assert concurrence(BellDiagonalState(-0.5), gammas).tolist() == vector.tolist()
 
 
 def test_concurrence_sudden_death_threshold():
@@ -231,14 +233,13 @@ def test_concurrence_against_wootters_oracle():
     for _ in range(30):
         c = float(rng.uniform(0.0, 0.98))
         g = float(rng.uniform(0.0, 3.0))
-        got = concurrence(BellDiagonalState(c), g)
-        want = wootters_concurrence(bell_diagonal_rho(c, np.exp(-g)))
-        assert abs(got - want) < 1e-10
+        for signed in (c, -c):
+            got = concurrence(BellDiagonalState(signed), g)
+            want = wootters_concurrence(bell_diagonal_rho(signed, np.exp(-g)))
+            assert abs(got - want) < 1e-10
 
 
 def test_concurrence_validation():
-    with pytest.raises(ValueError):
-        concurrence(BellDiagonalState(-0.3), 0.0)
     with pytest.raises(ValueError):
         concurrence(BellDiagonalState(0.5), -1.0)
 

@@ -54,6 +54,9 @@ def test_schedule_validation():
         PulseSchedule((0.0, 1.0), 5.0)
     with pytest.raises(ValueError):
         PulseSchedule((1.0, 6.0), 5.0)
+    for instants in ((float("nan"),), (1.0, float("nan"))):
+        with pytest.raises(ValueError, match="positive"):
+            PulseSchedule(instants, 25.0)
     with pytest.raises(ValueError):
         PulseSchedule((), 0.0)
     with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ from . import __version__
 from .correlations import BellDiagonalState, NoiseSide, decoherence_factor, trajectory
 from .phase import boundary_curve, phase_diagram
 from .pulses import (MAX_CELLS, PulsedDecoherence, controlled_gamma_oracle,
-                     default_time_grid, schedule_for)
+                     default_time_grid, periodic_schedule)
 from .spectral import ConvergenceError, OhmicSpectrum, QuadratureConfig
 
 _UNITS_COMMENT = "# units: times in 1/omega_c, frequencies in omega_c"
@@ -141,12 +141,31 @@ def _build_parser():
     return parser
 
 
+_LONG_INT = object()   # an integer literal with more digits than int() converts
+
+
+def _json_int(digits):
+    try:
+        return int(digits)
+    except ValueError:   # longer than sys.get_int_max_str_digits()
+        return _LONG_INT
+
+
+def _config_value(key, value, where=""):
+    """value, unless it holds an integer literal too long for int(): a ValueError naming key."""
+    if _LONG_INT in (value if isinstance(value, list) else [value]):
+        raise ValueError(f"{key}: {where}an integer of more than "
+                         f"{sys.get_int_max_str_digits():,} digits")
+    return value
+
+
 def _load_config_file(path):
     """Read key = value lines or a JSON sidecar into a dict."""
     text = Path(path).read_text()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_json_int, object_pairs_hook=lambda pairs: {
+            key: _config_value(key, value) for key, value in pairs})
         data.pop("package_version", None)
         return data
     data = {}
@@ -158,7 +177,8 @@ def _load_config_file(path):
             raise ValueError(f"config: line {lineno} is not key = value: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         try:
-            data[key] = json.loads(value)
+            data[key] = _config_value(key, json.loads(value, parse_int=_json_int),
+                                      f"line {lineno}: ")
         except json.JSONDecodeError:
             data[key] = value
     return data
@@ -294,7 +314,7 @@ class _Dataset:
 
 def _run_decoherence(cfg):
     spec = OhmicSpectrum(cfg.s)
-    sched = schedule_for(_single_dt(cfg), cfg.horizon)
+    sched = periodic_schedule(_single_dt(cfg), cfg.horizon)
     if cfg.tau is not None:
         taus = [cfg.tau]
     else:
@@ -310,7 +330,7 @@ def _run_decoherence(cfg):
 
 def _run_trajectory(cfg):
     spec = OhmicSpectrum(cfg.s)
-    sched = schedule_for(_single_dt(cfg), cfg.horizon)
+    sched = periodic_schedule(_single_dt(cfg), cfg.horizon)
     grid = default_time_grid(sched, cfg.time_step)
     result = trajectory(spec, sched, BellDiagonalState(cfg.c), _side(cfg), grid)
     conc = result.concurrence

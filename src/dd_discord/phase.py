@@ -13,14 +13,15 @@ Both are found in exponent space: the minimum factor is the maximum of
 the exponent g, and the factor crosses |c| where g first exceeds
 -log|c| / side. g is smooth between pulses, with kinks only at pulse
 instants. The scan samples every inter-pulse branch at equal phase
-steps, both sides of every instant and the window end included, so a
-periodic schedule repeats its phases exactly and its scan costs about
-one small table of phase sums. Each sample carries g, its rate, and
-bounds on |g''| and |g'''| from the closed forms. They bound g on every
-cell between samples, and a cell whose bound is not settled is
-bisected: nothing between the samples is assumed. A maximum inside a
-cell is a zero of the rate. It and every crossing are solved to a few
-ulp by safeguarded Newton steps shared by all brackets of a row.
+steps, both sides of every instant and the window end included. Every
+schedule is periodic, so its full periods repeat their phases exactly
+and its scan costs about one small table of phase sums. Each sample
+carries g, its rate, and bounds on |g''| and |g'''| from the closed
+forms. They bound g on every cell between samples, and a cell whose
+bound is not settled is bisected: nothing between the samples is
+assumed. A maximum inside a cell is a zero of the rate. It and every
+crossing are solved to a few ulp by safeguarded Newton steps shared by
+all brackets of a row.
 """
 
 import copy
@@ -32,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .correlations import BellDiagonalState, NoiseSide, correlation_bits, decoherence_factor
-from .pulses import MAX_POINTS, PulsedDecoherence, schedule_for
+from .pulses import MAX_POINTS, PulsedDecoherence, periodic_schedule
 from .spectral import OhmicSpectrum
 
 _SCAN_STEP = 0.05         # longest scan step, as in default_time_grid
@@ -288,8 +289,8 @@ def _scan(starts, ends, lengths):
     A branch of length L takes m = max(_SCAN_MIN_STEPS, ceil(L / _SCAN_STEP))
     equal steps, phases j (L / m) for j = 0 .. m, the last one exactly L
     at exactly the branch end. Branches of one length share one phase
-    set, so the full periods of a periodic schedule repeat theirs
-    exactly; groups = (distinct, which) lists every set once. More than
+    set, so the full periods of a schedule repeat theirs exactly;
+    groups = (distinct, which) lists every set once. More than
     MAX_POINTS steps in all is a ValueError, raised before any sample
     is allocated.
     """
@@ -445,7 +446,7 @@ def phase_diagram(s_grid, c_grid, pulse_interval, side, horizon=25.0, workers=No
         raise ValueError("s_grid values must be > 0")
     if any(not abs(c) < 1.0 for c in c_vals):
         raise ValueError("c_grid values must satisfy |c| < 1")
-    schedule = schedule_for(pulse_interval, horizon)
+    schedule = periodic_schedule(pulse_interval, horizon)
     labels, min_factors = [], []
     for s in s_vals:
         profile = _FactorProfile(OhmicSpectrum(s), schedule, side)

@@ -7,16 +7,17 @@ gamma0 evaluated at pulse instants, pairwise pulse gaps, and the
 intervals elapsed since each pulse. Equivalently, the pulses act in
 frequency space through a filter |y_n(omega t)|^2 on the bath spectrum.
 Both routes are implemented: the signed sum is the production path, the
-filter-function quadrature the independent oracle. For a periodic
-schedule the filter is a geometric series in closed form, so each
-quadrature node costs the same at any pulse count: an oracle value
-costs O(panels), and its panels grow with tau, not with the pulses.
+filter-function quadrature the independent oracle.
 
-For periodic schedules the signed sum collapses into alternating prefix
-sums over the pulse index. Its schedule-only part costs O(pulses) once,
-and times that sit at the same phase inside a period share one prefix
-sum, so a time grid costs O(grid + distinct phases x pulses)
-evaluations of gamma0 instead of O(grid x pulses).
+Every schedule is periodic: pulses at t_k = k t_1, k = 1 .. N, with
+N = 0 for free evolution. The filter is then a geometric series in
+closed form, so each quadrature node costs the same at any pulse count:
+an oracle value costs O(panels), and its panels grow with tau, not with
+the pulses. The signed sum collapses into alternating prefix sums over
+the pulse index. Its schedule-only part costs O(pulses) once, and times
+that sit at the same phase inside a period share one prefix sum, so a
+time grid costs O(grid + distinct phases x pulses) evaluations of
+gamma0 instead of O(grid x pulses).
 """
 
 import math
@@ -31,7 +32,11 @@ from .spectral import DEFAULT_QUADRATURE, ConvergenceError, _closed_forms, oscil
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Strictly increasing pulse instants inside (0, horizon]."""
+    """Pulses at exactly t_k = k * t_1, k = 1 .. N (N >= 0), inside (0, horizon].
+
+    periodic_schedule builds them; () is free evolution. Any other train
+    is a ValueError.
+    """
 
     instants: tuple
     horizon: float
@@ -43,10 +48,16 @@ class PulseSchedule:
         object.__setattr__(self, "instants", inst)
         if any(not t > 0.0 for t in inst):
             raise ValueError("pulse instants must be positive")
-        if any(not b > a for a, b in zip(inst, inst[1:])):
-            raise ValueError("pulse instants must be strictly increasing")
+        if inst != tuple(k * inst[0] for k in range(1, len(inst) + 1)):
+            raise ValueError("pulse instants must be exactly k * t_1, k = 1 .. N: "
+                             "build them with periodic_schedule")
         if inst and inst[-1] > self.horizon:
             raise ValueError("pulse instants must not exceed the horizon")
+
+    @property
+    def interval(self):
+        """The pulse interval t_1, or None without pulses."""
+        return self.instants[0] if self.instants else None
 
     def __len__(self):
         return len(self.instants)
@@ -78,9 +89,12 @@ def _check_size(horizon, step, what, step_name):
 def periodic_schedule(delta_tau, horizon):
     """Equally spaced pulses t_n = n * delta_tau, as many as fit the horizon.
 
-    delta_tau > horizon yields an empty schedule (free evolution over
-    the same window). More than MAX_POINTS pulses is a ValueError.
+    delta_tau None or above the horizon yields an empty schedule (free
+    evolution over the same window). More than MAX_POINTS pulses is a
+    ValueError.
     """
+    if delta_tau is None:
+        return PulseSchedule((), horizon)
     if not delta_tau > 0.0:
         raise ValueError(f"delta_tau must be > 0, got {delta_tau}")
     if not horizon > 0.0:
@@ -92,20 +106,6 @@ def periodic_schedule(delta_tau, horizon):
     while count > 0 and count * delta_tau > horizon:  # float overshoot
         count -= 1
     return PulseSchedule(tuple(n * delta_tau for n in range(1, count + 1)), horizon)
-
-
-def schedule_for(pulse_interval, horizon):
-    """Periodic schedule with the given interval; None means free evolution."""
-    if pulse_interval is None:
-        return PulseSchedule((), horizon)
-    return periodic_schedule(pulse_interval, horizon)
-
-
-def _is_periodic(instants):
-    """True when instants are exactly k * instants[0], k = 1 .. N (N >= 1)."""
-    count = instants.size
-    return bool(count) and np.array_equal(
-        instants, np.arange(1, count + 1) * instants[0])
 
 
 # table entries per block of the shared-phase sums: bounds their working set
@@ -123,15 +123,14 @@ class PulsedDecoherence:
     k = 0 .. n-1, where static[n] collects the single-instant and
     pairwise-gap terms and is accumulated once at construction.
 
-    For a periodic schedule (t_k exactly k * t_1, as periodic_schedule
-    builds it) every gap t_m - t_j is itself an instant, so static takes
-    two prefix sums over the N instants. The elapsed sum becomes
-    sum_k (-1)^k gamma0(r + t_k) with t_0 = 0 and the phase r = tau - t_n,
-    which is exact by Sterbenz's lemma. Grid points with exactly equal
-    phases share one alternating prefix sum, so a grid costs one gamma0
-    evaluation per point plus one per (distinct phase, pulse) pair.
-    Other schedules pay n evaluations per point and O(N^2) at
-    construction. A single time is the same sum with one phase.
+    The instants are exactly k * t_1 (see PulseSchedule), so every gap
+    t_m - t_j is itself an instant and static takes two prefix sums over
+    the N instants. The elapsed sum becomes sum_k (-1)^k gamma0(r + t_k)
+    with t_0 = 0 and the phase r = tau - t_n, which is exact by
+    Sterbenz's lemma. Grid points with exactly equal phases share one
+    alternating prefix sum, so a grid costs one gamma0 evaluation per
+    point plus one per (distinct phase, pulse) pair after a pulse. A
+    single time is the same sum with one phase.
     An exponent that overflows a double raises ConvergenceError.
     Instances are immutable after construction and safe to share across
     threads.
@@ -141,41 +140,21 @@ class PulsedDecoherence:
         self.spec = spec
         self.schedule = schedule
         t = np.asarray(schedule.instants, dtype=float)
-        count = t.size
         self._instants = t
-        self._signs = (-1.0) ** np.arange(count)   # (-1)^k, k = 0 .. N-1
-        self._periodic = _is_periodic(t)
+        self._signs = (-1.0) ** np.arange(t.size)   # (-1)^k, k = 0 .. N-1
         self._starts = np.concatenate(([0.0], t))   # t_0 = 0, t_1, ..., t_N
         # near the overflow edge (s ~ 172) these sums leave non-finite
         # entries; gamma and gamma_grid report any exponent they reach
         with np.errstate(over="ignore", invalid="ignore"):
             singles = _closed_forms(spec, t)[0] * self._signs   # (-1)^(n+1) G(t_n)
-            if self._periodic:
-                # the gap sum of pulse n is sum_k (-1)^(k+1) G(t_k), k < n
-                gaps = np.concatenate(([0.0], np.cumsum(singles)[:-1]))
-            else:
-                gaps = np.zeros(count)
-                for n in range(1, count):
-                    gaps[n] = np.dot(self._signs[n - 1::-1],
-                                     _closed_forms(spec, t[n] - t[:n])[0])
+            # the gap sum of pulse n is sum_k (-1)^(k+1) G(t_k), k < n
+            gaps = np.concatenate(([0.0], np.cumsum(singles)))[:-1]
             self._static = np.concatenate(([0.0], np.cumsum(2.0 * singles + 4.0 * gaps)))
 
     def _check(self, tau_min, tau_max):
         if not (0.0 <= tau_min and tau_max <= self.schedule.horizon):
             raise ValueError(
                 f"tau must lie in [0, {self.schedule.horizon}]")
-
-    def _prefix_sums(self, order, bounds, args):
-        """Prefix sums along the last axis of sign_k f(args[..., k]), one per closed form f.
-
-        The forms are gamma0 and its derivatives up to order, with sign_k
-        = (-1)^k, then with bounds the two derivative envelopes, with
-        sign_k = 1.
-        """
-        signs = self._signs[:args.shape[-1]]
-        values = _closed_forms(self.spec, args, range(order + 1), bounds)
-        return [np.cumsum(f * signs if k <= order else f, axis=-1)
-                for k, f in enumerate(values)]
 
     def _not_finite(self, tau, what="exponent"):
         s = self.spec.s
@@ -201,14 +180,13 @@ class PulsedDecoherence:
     def _branches(self, horizon):
         """Start, end and length of every branch of [0, horizon], branch n after n pulses.
 
-        A periodic schedule's branches that end at a pulse are all t_1
-        long, so equal steps give them exactly equal phases.
+        The branches that end at a pulse are all t_1 long, so equal steps
+        give them exactly equal phases.
         """
         starts = self._starts[:1 + np.searchsorted(self._instants, horizon)]
         ends = np.append(starts[1:], horizon)
         gaps = ends - starts
-        if self._periodic:
-            gaps[:np.searchsorted(self._instants, horizon, side="right")] = self._instants[0]
+        gaps[:np.searchsorted(self._instants, horizon, side="right")] = self._instants[:1]
         return starts, ends, gaps
 
     def _evaluate(self, taus, counts, phases, order=0, bounds=False, groups=None):
@@ -227,7 +205,7 @@ class PulsedDecoherence:
         """
         # an overflowing sum is reported just below, as a non-finite value
         with np.errstate(over="ignore", invalid="ignore"):
-            elapsed = self._elapsed(order, bounds, taus, counts, phases, groups)
+            elapsed = self._elapsed(order, bounds, counts, phases, groups)
             heads = _closed_forms(self.spec, taus, range(order + 1), bounds)
             signs = 1.0 - 2.0 * (counts & 1)   # (-1)^n
             out = [self._static[counts] + signs * heads[0] + 2.0 * elapsed[0]]
@@ -241,27 +219,27 @@ class PulsedDecoherence:
         out[0] = np.maximum(out[0], 0.0)
         return out
 
-    def _elapsed(self, order, bounds, taus, counts, phases, groups):
-        """Elapsed sums sum_k sign_k f(tau - t_(n-k)), k = 0 .. n-1, one row per closed form."""
-        out = np.zeros((order + 1 + 2 * bounds, taus.size))
-        if self._periodic:
+    def _elapsed(self, order, bounds, counts, phases, groups):
+        """Elapsed sums sum_k sign_k f(tau - t_(n-k)), k = 0 .. n-1, one row per closed form.
+
+        They are all zero when no point has a pulse behind it, as under
+        free evolution: then no phase is grouped.
+        """
+        out = np.zeros((order + 1 + 2 * bounds, counts.size))
+        if counts.any():
             distinct, which = np.unique(phases, return_inverse=True) if groups is None else groups
             self._phase_sums(order, bounds, distinct, which, counts, out)
-        else:
-            for n in np.unique(counts[counts > 0]):
-                pick = counts == n
-                args = taus[pick][:, None] - self._instants[n - 1::-1]
-                for row, sums in zip(out, self._prefix_sums(order, bounds, args)):
-                    row[pick] = sums[:, -1]
         return out
 
     def _phase_sums(self, order, bounds, distinct, which, counts, out):
         """Elapsed sums, into out, of the points with phases distinct[which] after counts pulses.
 
         Each distinct phase r gets one table row of prefix sums over
-        f(r + t_k), up to its largest count. Phases go longest first, in
-        blocks of at most _PHASE_BLOCK table entries, so every row of a
-        block fits the block's first width.
+        sign_k f(r + t_k), up to its largest count, per closed form f:
+        gamma0 and its derivatives up to order, with sign_k = (-1)^k, then
+        with bounds the two derivative envelopes, with sign_k = 1. Phases
+        go longest first, in blocks of at most _PHASE_BLOCK table entries,
+        so every row of a block fits the block's first width.
         """
         longest = np.zeros(distinct.size, dtype=int)
         np.maximum.at(longest, which, counts)
@@ -276,7 +254,9 @@ class PulsedDecoherence:
             pts = by_rank[ends[first]:ends[stop]]
             rows, cols = point_rank[pts] - first, counts[pts] - 1
             args = distinct[ranked[first:stop], None] + self._starts[:width]
-            for row, table in zip(out, self._prefix_sums(order, bounds, args)):
+            values = _closed_forms(self.spec, args, range(order + 1), bounds)
+            for k, (row, f) in enumerate(zip(out, values)):
+                table = np.cumsum(f * self._signs[:width] if k <= order else f, axis=-1)
                 row[pts] = np.where(cols >= 0, table[rows, cols], 0.0)
             first = stop
 
@@ -295,51 +275,44 @@ def controlled_gamma(spec, sched, tau):
     return _cached_evaluator(spec, sched).gamma(tau)
 
 
-def filter_function_sq(instants, tau, z):
-    """Squared filter amplitude |y_n(z)|^2 for the pulses before tau.
+def filter_function_sq(n, interval, tau, z):
+    """Squared filter amplitude |y_n(z)|^2 for n pulses at m * interval before tau.
 
-    y_n(z) = 1 + (-1)^(n+1) e^(iz) + 2 sum_m (-1)^m e^(iz t_m / tau);
-    with no pulses this reduces to 2 (1 - cos z), and y_n(0) = 0 for
-    every n. The pulse instants t_m must lie inside (0, tau).
-    z may be a scalar or an array of nonnegative phases.
+    y_n(z) = 1 + (-1)^(n+1) e^(iz) + 2 sum_m (-1)^m e^(iz t_m / tau),
+    t_m = m * interval, m = 1 .. n; with no pulses (interval unused, may
+    be None) this reduces to 2 (1 - cos z), and y_n(0) = 0 for every n.
+    The pulses must lie inside (0, tau). z may be a scalar or an array of
+    nonnegative phases.
 
-    For instants exactly m * t_1 (as periodic_schedule builds them) the
-    sum is geometric: with theta = z t_1 / tau and psi = (theta + pi) / 2,
+    The sum is geometric: with theta = z t_1 / tau and psi = (theta + pi) / 2,
     sum_m (-1)^m e^(i m theta) = e^(i (n+1) psi) sin(n psi) / sin(psi).
     It depends on psi only modulo pi, so it is evaluated at the reduced
     angle eps = psi - k pi, k = rint(psi / pi), as
     e^(i (n+1) eps) sin(n eps) / sin(eps), whose limit n at eps = 0
     removes the resonances sin(psi) = 0; the cost per z is then
-    independent of n. Other schedules add their pulses one by one.
+    independent of n.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0):
         raise ValueError("z must be nonnegative")
-    inst = np.asarray(instants, dtype=float)
-    if not np.all((0.0 < inst) & (inst < tau)):
-        raise ValueError(f"pulse instants must lie in (0, tau), tau = {tau}")
-    n = inst.size
+    if n < 0 or (n > 0 and not (interval > 0.0 and n * interval < tau)):
+        raise ValueError(f"{n} pulses at interval {interval} must lie in (0, tau), tau = {tau}")
     end = (-1.0) ** (n + 1)
     real, imag = 1.0 + end * np.cos(z), end * np.sin(z)
-    if _is_periodic(inst):
-        psi = 0.5 * (z * (inst[0] / tau) + np.pi)
+    if n:
+        psi = 0.5 * (z * (interval / tau) + np.pi)
         eps = psi - np.pi * np.rint(psi / np.pi)
         den = np.sin(eps)
         ratio = 2.0 * np.divide(np.sin(n * eps), den, out=np.full_like(den, n),
                                 where=den != 0.0)
         real += ratio * np.cos((n + 1) * eps)
         imag += ratio * np.sin((n + 1) * eps)
-    else:
-        for m, t_m in enumerate(inst, start=1):
-            phase, weight = (t_m / tau) * z, 2.0 * (-1.0) ** m
-            real += weight * np.cos(phase)
-            imag += weight * np.sin(phase)
     out = real * real + imag * imag
     return float(out) if out.ndim == 0 else out
 
 
-def _filter_integral(spec, instants, tau, cfg):
-    """Integral of x^(s-2) e^-x |y_n(tau x)|^2 / 2 over x > 0, in log space.
+def _filter_integral(spec, n, interval, tau, cfg):
+    """Integral of x^(s-2) e^-x |y_n(tau x)|^2 / 2 over x > 0 for n pulses, in log space.
 
     The integrand is nonnegative, so the first pass over [0, L], L =
     max(20, 2|s-2| + 2), less its error estimate bounds the whole from
@@ -353,14 +326,14 @@ def _filter_integral(spec, instants, tau, cfg):
 
     def cutoff(lower_bound):
         log_bound = math.log(max(cfg.abs_tol, _EPS * lower_bound)
-                             / (8.0 * (len(instants) + 1.0) ** 2))
+                             / (8.0 * (n + 1.0) ** 2))
         upper = lead_end
         while power * math.log(upper) - upper > log_bound:
             upper *= 1.25
         return upper
 
     def integrand(x):
-        return np.exp(power * np.log(x) - x) * filter_function_sq(instants, tau, tau * x) / 2.0
+        return np.exp(power * np.log(x) - x) * filter_function_sq(n, interval, tau, tau * x) / 2.0
 
     return oscillatory_quad(integrand, lead_end, cutoff, tau, cfg, s=spec.s, tau=tau)
 
@@ -370,7 +343,7 @@ def gamma0_quadrature(spec, tau, cfg=DEFAULT_QUADRATURE):
     tau = float(tau)
     if not tau >= 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    return _filter_integral(spec, (), tau, cfg)
+    return _filter_integral(spec, 0, None, tau, cfg)
 
 
 def controlled_gamma_oracle(spec, sched, tau, cfg=DEFAULT_QUADRATURE):
@@ -382,7 +355,7 @@ def controlled_gamma_oracle(spec, sched, tau, cfg=DEFAULT_QUADRATURE):
     tau = float(tau)
     if not 0.0 <= tau <= sched.horizon:
         raise ValueError(f"tau must lie in [0, {sched.horizon}], got {tau}")
-    return _filter_integral(spec, sched.instants[: sched.pulses_before(tau)], tau, cfg)
+    return _filter_integral(spec, sched.pulses_before(tau), sched.interval, tau, cfg)
 
 
 def default_time_grid(schedule, step=None):

@@ -37,18 +37,15 @@ class ConvergenceError(RuntimeError):
 class OhmicSpectrum:
     """Bath with spectral density x^s e^(-x) in cutoff units.
 
-    s < 1 is sub-Ohmic, s = 1 Ohmic, s > 1 super-Ohmic. omega_c fixes
-    the unit system only; no reduced-unit formula depends on it.
+    s < 1 is sub-Ohmic, s = 1 Ohmic, s > 1 super-Ohmic. The cutoff
+    omega_c is the unit of frequency, so it is no parameter.
     """
 
     s: float
-    omega_c: float = 1.0
 
     def __post_init__(self):
         if not self.s > 0.0:
             raise ValueError(f"s must be > 0, got {self.s}")
-        if not self.omega_c > 0.0:
-            raise ValueError(f"omega_c must be > 0, got {self.omega_c}")
 
 
 @dataclass(frozen=True)

@@ -271,6 +271,21 @@ def test_config_values_take_the_flag_types(line, field, tmp_path, monkeypatch, c
     assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
 
 
+@pytest.mark.parametrize("name, text, where", [
+    ("run.cfg", "s = 1\ntau = 0.5\nhorizon = 1" + "0" * 5000 + "\n", "horizon: line 3: "),
+    ("run.json", '{"s": 1, "tau": 0.5, "horizon": 1' + "0" * 5000 + "}", "horizon: "),
+], ids=["key = value", "JSON"])
+def test_config_integer_beyond_the_digit_limit(name, text, where, tmp_path, monkeypatch, capsys):
+    # Python's int() refuses more than 4,300 digits; the message names the key
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    assert main(["decoherence", "--config", name]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where}an integer of more than ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [tmp_path / name]
+
+
 def test_sidecar_records_package_version(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["decoherence", "--s", "1", "--free", "--tau", "0.5",

@@ -37,6 +37,11 @@ def test_periodic_schedule_counts():
 
     assert len(periodic_schedule(30.0, 25.0)) == 0
 
+    assert sched.interval == 3.0
+    # no pulses: free evolution, with no interval
+    assert periodic_schedule(30.0, 25.0).interval is None
+    assert periodic_schedule(None, 25.0) == PulseSchedule((), 25.0)
+
 
 def test_periodic_schedule_exact_multiple():
     # the last pulse may land exactly on the horizon
@@ -52,8 +57,12 @@ def test_schedule_validation():
         PulseSchedule((2.0, 1.0), 5.0)
     with pytest.raises(ValueError):
         PulseSchedule((0.0, 1.0), 5.0)
-    with pytest.raises(ValueError):
-        PulseSchedule((1.0, 6.0), 5.0)
+    with pytest.raises(ValueError, match="horizon"):
+        PulseSchedule((3.0, 6.0), 5.0)
+    # only exact k * t_1 trains: 3 * 0.3 is 0.8999999999999999, not 0.9
+    for instants in ((0.4, 0.9), (0.3, 0.6, 0.9)):
+        with pytest.raises(ValueError, match="periodic_schedule"):
+            PulseSchedule(instants, 5.0)
     for instants in ((float("nan"),), (1.0, float("nan"))):
         with pytest.raises(ValueError, match="positive"):
             PulseSchedule(instants, 25.0)
@@ -107,11 +116,10 @@ def test_continuity_at_pulse_instants(s):
 
 def test_matches_naive_double_sum():
     spec = OhmicSpectrum(2.2)
-    instants = (0.4, 0.9, 1.3, 2.2, 3.0)
-    sched = PulseSchedule(instants, 6.0)
+    sched = periodic_schedule(0.4, 6.0)
     g0 = lambda t: gamma0(spec, t)
     for tau in (0.2, 0.4, 0.65, 1.0, 1.9, 2.6, 3.7, 5.2, 6.0):
-        expected = naive_controlled_gamma(g0, instants, tau)
+        expected = naive_controlled_gamma(g0, sched.instants, tau)
         got = controlled_gamma(spec, sched, tau)
         assert abs(got - max(expected, 0.0)) < 1e-12
 
@@ -121,7 +129,6 @@ def test_grid_evaluation_matches_scalar():
     dense = periodic_schedule(0.05, 12.0)
     uniform = np.linspace(0.0, 12.0, 301)
     cases = ((periodic_schedule(0.3, 12.0), uniform), (dense, default_time_grid(dense)),
-             (PulseSchedule((0.7, 1.1, 3.0, 7.5), 12.0), uniform),
              (PulseSchedule((), 12.0), uniform))
     for s in (0.1, 4.0):
         for sched, taus in cases:
@@ -130,13 +137,9 @@ def test_grid_evaluation_matches_scalar():
             assert [engine.gamma(float(tau)) for tau in taus] == grid.tolist()
 
 
-@pytest.mark.parametrize("periodic", [True, False])
-def test_grid_evaluation_takes_any_order(periodic, monkeypatch):
-    if not periodic:
-        monkeypatch.setattr(pulses, "_is_periodic", lambda instants: False)
+def test_grid_evaluation_takes_any_order():
     sched = periodic_schedule(0.3, 25.0)
     engine = PulsedDecoherence(OhmicSpectrum(2.5), sched)
-    assert engine._periodic is periodic
     taus = default_time_grid(sched)
     shuffle = np.random.default_rng(5).permutation(taus.size)
     # the sorted result permuted back, bit for bit
@@ -183,13 +186,20 @@ def test_periodic_grid_matches_naive_double_sum(s, dt):
     spec = OhmicSpectrum(s)
     sched = periodic_schedule(dt, 25.0)
     grid = default_time_grid(sched)
-    got = PulsedDecoherence(spec, sched).gamma_grid(grid)
+    engine = PulsedDecoherence(spec, sched)
+    got = engine.gamma_grid(grid)
     g0 = lru_cache(maxsize=None)(lambda t: gamma0(spec, t))
+
+    def naive(tau):
+        return max(naive_controlled_gamma(g0, sched.instants, float(tau)), 0.0)
+
     # O(n^2) per point: sample the dense grid sparsely, the others densely
     picks = np.linspace(1, grid.size - 1, 7 if dt < 0.1 else 60).astype(int)
-    expected = [max(naive_controlled_gamma(g0, sched.instants, float(grid[i])), 0.0)
-                for i in picks]
-    assert_allclose(got[picks], expected, rtol=1e-12, atol=1e-9)
+    assert_allclose(got[picks], [naive(grid[i]) for i in picks], rtol=1e-12, atol=1e-9)
+    # the scalar route too, at every 997th grid point
+    taus = grid[::997]
+    assert_allclose([engine.gamma(tau) for tau in taus], [naive(tau) for tau in taus],
+                    rtol=1e-12, atol=1e-9)
 
 
 def test_nonrepeating_phases_still_take_the_phase_route():
@@ -198,26 +208,10 @@ def test_nonrepeating_phases_still_take_the_phase_route():
     sched = periodic_schedule(0.3, 25.0)
     grid = default_time_grid(sched)
     assert _phase_count(sched, grid) > 0.9 * grid.size
-    assert PulsedDecoherence(OhmicSpectrum(1.0), sched)._periodic
 
 
-@pytest.mark.parametrize("dt", [0.05, 0.3])
-@pytest.mark.parametrize("s", [0.1, 1.0, 4.0, 6.0])
-def test_periodic_route_matches_general_sum(s, dt, monkeypatch):
-    spec = OhmicSpectrum(s)
-    sched = periodic_schedule(dt, 25.0)
-    grid = default_time_grid(sched)
-    fast = PulsedDecoherence(spec, sched)
-    assert fast._periodic
-    monkeypatch.setattr(pulses, "_is_periodic", lambda instants: False)
-    general = PulsedDecoherence(spec, sched)
-    assert not general._periodic
-    assert_allclose(fast.gamma_grid(grid), general.gamma_grid(grid), rtol=0.0, atol=1e-9)
-    for tau in grid[::997]:
-        assert abs(fast.gamma(tau) - general.gamma(tau)) < 1e-9
-
-
-def test_periodic_work_is_linear(monkeypatch):
+def _count_closed_forms(monkeypatch):
+    """Record the size of every closed-form evaluation the pulses module makes."""
     evaluated = []
     closed_forms = pulses._closed_forms
 
@@ -226,6 +220,11 @@ def test_periodic_work_is_linear(monkeypatch):
         return closed_forms(spec, tau, *args, **kwargs)
 
     monkeypatch.setattr(pulses, "_closed_forms", counting_closed_forms)
+    return evaluated
+
+
+def test_periodic_work_is_linear(monkeypatch):
+    evaluated = _count_closed_forms(monkeypatch)
     sched = periodic_schedule(0.05, 25.0)
     grid = default_time_grid(sched)
     assert _phase_count(sched, grid) < 250
@@ -238,6 +237,19 @@ def test_periodic_work_is_linear(monkeypatch):
     evaluated.clear()
     engine.gamma(24.97)
     assert sum(evaluated) <= len(sched) + 1
+
+
+def test_free_grid_builds_no_phase_table(monkeypatch):
+    # no point has a pulse behind it: the exponent is gamma0 of the grid, one call
+    evaluated = _count_closed_forms(monkeypatch)
+    monkeypatch.setattr(PulsedDecoherence, "_phase_sums",
+                        lambda *args: pytest.fail("free evolution grouped its phases"))
+    sched = PulseSchedule((), 25.0)
+    grid = default_time_grid(sched)
+    engine = PulsedDecoherence(OhmicSpectrum(2.5), sched)
+    evaluated.clear()
+    engine.gamma_grid(grid)
+    assert evaluated == [grid.size]
 
 
 @pytest.mark.parametrize("s", [0.5, 4.0])
@@ -306,12 +318,19 @@ def test_domain_errors():
 
 def test_filter_function_reference_values():
     # no pulses: |1 - e^{iz}|^2, equal to 4 at z=pi
-    assert abs(filter_function_sq((), 1.0, np.pi) - 4.0) < 1e-14
-    assert filter_function_sq((), 1.0, 0.0) == 0.0
+    assert abs(filter_function_sq(0, None, 1.0, np.pi) - 4.0) < 1e-14
+    assert filter_function_sq(0, None, 1.0, 0.0) == 0.0
+    # 2(1 - cos z) at any tau, tau = 0 included, with no warning
+    z = np.linspace(0.0, 12.0, 25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau in (0.0, 1.0):
+            assert_allclose(filter_function_sq(0, None, tau, z), 2.0 * (1.0 - np.cos(z)),
+                            rtol=0.0, atol=1e-14)
 
     # one midpoint pulse: |1 - 2e^{iz/2} + e^{iz}|^2 = 4(1-cos(z/2))^2
     for z in np.linspace(0.0, 12.0, 25):
-        got = filter_function_sq((0.5,), 1.0, z)
+        got = filter_function_sq(1, 0.5, 1.0, z)
         expected = 4.0 * (1.0 - np.cos(0.5 * z)) ** 2
         assert abs(got - expected) < 1e-12
 
@@ -319,34 +338,33 @@ def test_filter_function_reference_values():
 def test_filter_function_vanishes_at_origin():
     sched = periodic_schedule(0.4, 3.0)
     for n in range(1, len(sched) + 1):
-        prefix = sched.instants[:n]
-        tau = prefix[-1] + 0.2
-        assert abs(filter_function_sq(prefix, tau, 0.0)) < 1e-12
+        tau = sched.instants[n - 1] + 0.2
+        assert abs(filter_function_sq(n, sched.interval, tau, 0.0)) < 1e-12
 
 
-@pytest.mark.parametrize("instants", [
-    *(periodic_schedule(2.0 ** -9, 1.0).instants[:n] for n in (0, 1, 2, 41, 499)),
-    (0.1, 0.25, 0.7),
-], ids=["n0", "n1", "n2", "n41", "n499", "aperiodic"])
-def test_filter_function_matches_pulse_by_pulse_sum(instants):
+@pytest.mark.parametrize("n", [0, 1, 2, 41, 499], ids=["n0", "n1", "n2", "n41", "n499"])
+def test_filter_function_matches_pulse_by_pulse_sum(n):
     # the periodic closed form, at its resonances z t_1 / tau = (2j+1) pi
     # (exactly at j = 0, where sin(psi) = 0), 1e-9 off them and at random z
     t_1, tau = 2.0 ** -9, 1.0
+    instants = periodic_schedule(t_1, tau).instants[:n]
     odd = (2 * np.arange(12) + 1) * np.pi
     theta = np.concatenate((odd, odd + 1e-9, odd - 1e-9))
     z = np.concatenate((theta * (tau / t_1), np.random.default_rng(8).uniform(0.0, 2000.0, 200)))
     want = np.array([naive_filter_sq(instants, tau, x) for x in z])
     envelope = (2 * len(instants) + 2) ** 2
-    assert np.max(np.abs(filter_function_sq(instants, tau, z) - want)) <= 1e-12 * envelope
+    assert np.max(np.abs(filter_function_sq(n, t_1, tau, z) - want)) <= 1e-12 * envelope
 
 
 def test_filter_function_validation():
     with pytest.raises(ValueError):
-        filter_function_sq((0.5, 1.5), 1.0, 1.0)  # pulse beyond tau
+        filter_function_sq(3, 0.5, 1.0, 1.0)  # pulse beyond tau
     with pytest.raises(ValueError):
-        filter_function_sq((0.0,), 1.0, 1.0)
+        filter_function_sq(1, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        filter_function_sq((0.5,), 1.0, -1.0)
+        filter_function_sq(-1, 0.5, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        filter_function_sq(1, 0.5, 1.0, -1.0)
 
 
 def test_default_time_grid_structure():

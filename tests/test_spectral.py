@@ -29,8 +29,6 @@ def test_spectrum_validation():
         OhmicSpectrum(0.0)
     with pytest.raises(ValueError):
         OhmicSpectrum(-1.5)
-    with pytest.raises(ValueError):
-        OhmicSpectrum(1.0, omega_c=0.0)
 
 
 def test_spectral_density_values():

@@ -117,6 +117,31 @@ def naive_controlled_gamma(gamma0_fn, instants, tau):
     return total
 
 
+def general_controlled_gamma(gamma0_fn, instants, taus):
+    """The expansion of naive_controlled_gamma at many times, for any instants.
+
+    Nothing assumes equal spacing: the pair terms take gamma0 of every
+    difference t_m - t_j, and a point after n pulses takes gamma0 of
+    tau - t_m for each of them, the points grouped by n. gamma0_fn must
+    accept arrays. Returns the exponents clamped at zero.
+    """
+    t = np.asarray(instants, dtype=float)
+    taus = np.asarray(taus, dtype=float)
+    counts = np.searchsorted(t, taus, side="left")   # pulses strictly before tau
+    # static[n]: the terms of the pulses m <= n that do not involve tau
+    static = np.zeros(t.size + 1)
+    for m in range(1, t.size + 1):
+        j = np.arange(1, m)
+        pairs = np.dot(4.0 * (-1.0) ** (m - 1 + j), gamma0_fn(t[m - 1] - t[:m - 1])) if m > 1 else 0.0
+        static[m] = static[m - 1] + 2.0 * (-1.0) ** (m + 1) * gamma0_fn(t[m - 1]) + pairs
+    total = (-1.0) ** counts * gamma0_fn(taus) + static[counts]
+    for n in np.unique(counts[counts > 0]):
+        pick = counts == n
+        m = np.arange(1, n + 1)
+        total[pick] += gamma0_fn(taus[pick][:, None] - t[:n]) @ (2.0 * (-1.0) ** (m + n))
+    return np.maximum(total, 0.0)
+
+
 def naive_filter_sq(instants, tau, z):
     """|y_n(z)|^2 for the pulses `instants` before tau, one complex exponential per pulse.
 

@@ -19,8 +19,8 @@ from dd_discord import (
     periodic_schedule,
 )
 from dd_discord.pulses import PulsedDecoherence
-from oracles import (mp_controlled_exponent, naive_controlled_gamma, naive_filter_sq,
-                     scipy_filter_integral)
+from oracles import (general_controlled_gamma, mp_controlled_exponent, naive_controlled_gamma,
+                     naive_filter_sq, scipy_filter_integral)
 
 FROZEN_ECHO_AT_TWO = 0.5815754049028404  # 2*ln2 - ln5/2, marginal spectrum
 
@@ -186,20 +186,28 @@ def test_periodic_grid_matches_naive_double_sum(s, dt):
     spec = OhmicSpectrum(s)
     sched = periodic_schedule(dt, 25.0)
     grid = default_time_grid(sched)
-    engine = PulsedDecoherence(spec, sched)
-    got = engine.gamma_grid(grid)
+    got = PulsedDecoherence(spec, sched).gamma_grid(grid)
     g0 = lru_cache(maxsize=None)(lambda t: gamma0(spec, t))
-
-    def naive(tau):
-        return max(naive_controlled_gamma(g0, sched.instants, float(tau)), 0.0)
-
     # O(n^2) per point: sample the dense grid sparsely, the others densely
     picks = np.linspace(1, grid.size - 1, 7 if dt < 0.1 else 60).astype(int)
-    assert_allclose(got[picks], [naive(grid[i]) for i in picks], rtol=1e-12, atol=1e-9)
-    # the scalar route too, at every 997th grid point
-    taus = grid[::997]
-    assert_allclose([engine.gamma(tau) for tau in taus], [naive(tau) for tau in taus],
-                    rtol=1e-12, atol=1e-9)
+    expected = [max(naive_controlled_gamma(g0, sched.instants, float(grid[i])), 0.0)
+                for i in picks]
+    assert_allclose(got[picks], expected, rtol=1e-12, atol=1e-9)
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.3])
+@pytest.mark.parametrize("s", [0.1, 1.0, 4.0, 6.0])
+def test_periodic_route_matches_general_sum(s, dt):
+    # shared phases and one pulse's gap sums against the expansion for
+    # arbitrary instants (every pair difference), at every grid point
+    spec = OhmicSpectrum(s)
+    sched = periodic_schedule(dt, 25.0)
+    grid = default_time_grid(sched)
+    engine = PulsedDecoherence(spec, sched)
+    general = general_controlled_gamma(lambda t: gamma0(spec, t), sched.instants, grid)
+    assert_allclose(engine.gamma_grid(grid), general, rtol=0.0, atol=1e-9)
+    for i in range(0, grid.size, 997):
+        assert abs(engine.gamma(grid[i]) - general[i]) < 1e-9
 
 
 def test_nonrepeating_phases_still_take_the_phase_route():

@@ -8,8 +8,6 @@ convergence failure.
 """
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -308,15 +306,22 @@ def _single_dt(cfg):
 
 @dataclass
 class _Dataset:
+    """CSV columns: their names, and per name a float array or a sequence of str, float or None."""
+
+    names: tuple
     columns: tuple
-    rows: list
+
+    @property
+    def rows(self):
+        """The row indices: len(rows) is the number of CSV rows."""
+        return range(len(self.columns[0]))
 
 
 def _run_decoherence(cfg):
     spec = OhmicSpectrum(cfg.s)
     sched = periodic_schedule(_single_dt(cfg), cfg.horizon)
     if cfg.tau is not None:
-        taus = [cfg.tau]
+        taus = np.array([cfg.tau])
     else:
         taus = default_time_grid(sched, cfg.time_step)
     if cfg.oracle:
@@ -324,8 +329,8 @@ def _run_decoherence(cfg):
         gammas = np.array([controlled_gamma_oracle(spec, sched, t, quad) for t in taus])
     else:
         gammas = PulsedDecoherence(spec, sched).gamma_grid(taus)
-    rows = list(zip(taus, gammas, decoherence_factor(gammas, _side(cfg))))
-    return _Dataset(("tau", "gamma", "factor"), rows)
+    return _Dataset(("tau", "gamma", "factor"),
+                    (taus, gammas, decoherence_factor(gammas, _side(cfg))))
 
 
 def _run_trajectory(cfg):
@@ -336,23 +341,21 @@ def _run_trajectory(cfg):
     conc = result.concurrence
     if conc is None:
         conc = [None] * result.times.size
-    rows = list(zip(result.times, result.gamma, result.factor, result.mutual_info,
-                    result.classical, result.discord, conc))
     return _Dataset(
-        ("tau", "gamma", "factor", "mutual_info", "classical", "discord",
-         "concurrence"), rows)
+        ("tau", "gamma", "factor", "mutual_info", "classical", "discord", "concurrence"),
+        (result.times, result.gamma, result.factor, result.mutual_info, result.classical,
+         result.discord, conc))
 
 
 def _run_phase_diagram(cfg):
     diagram = phase_diagram(_grid_values(cfg.s_grid), _grid_values(cfg.c_grid),
                             _single_dt(cfg), _side(cfg), cfg.horizon)
-    rows = []
-    for i, s in enumerate(diagram.s_grid):
-        for j, c in enumerate(diagram.c_grid):
-            label = diagram.labels[i][j]
-            rows.append((s, c, label.regime.value, diagram.min_factors[i],
-                         label.transition_time))
-    return _Dataset(("s", "c", "regime", "min_factor", "transition_time"), rows)
+    labels = [label for row in diagram.labels for label in row]
+    per_row = len(diagram.c_grid)
+    return _Dataset(("s", "c", "regime", "min_factor", "transition_time"), (
+        np.repeat(diagram.s_grid, per_row), np.tile(diagram.c_grid, len(diagram.s_grid)),
+        [label.regime.value for label in labels], np.repeat(diagram.min_factors, per_row),
+        [label.transition_time for label in labels]))
 
 
 def _run_boundary(cfg):
@@ -361,7 +364,8 @@ def _run_boundary(cfg):
     for dt in intervals:
         curve = boundary_curve(_grid_values(cfg.s_grid), dt, _side(cfg), cfg.horizon)
         rows.extend((s, mf, dt) for s, mf in curve)
-    return _Dataset(("s", "min_factor", "dt"), rows)
+    s, mf, dt = zip(*rows)
+    return _Dataset(("s", "min_factor", "dt"), (np.array(s), np.array(mf), dt))
 
 
 def _run_transition(cfg):
@@ -371,7 +375,8 @@ def _run_transition(cfg):
     label = diagram.labels[0][0]
     row = (cfg.s, cfg.c, _single_dt(cfg), label.regime.value,
            diagram.min_factors[0], label.transition_time)
-    return _Dataset(("s", "c", "dt", "regime", "min_factor", "transition_time"), [row])
+    return _Dataset(("s", "c", "dt", "regime", "min_factor", "transition_time"),
+                    tuple([value] for value in row))
 
 
 _RUNNERS = {
@@ -383,22 +388,22 @@ _RUNNERS = {
 }
 
 
-def _cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".12g")
-
-
 def _render_csv(dataset):
-    buf = io.StringIO()
-    buf.write(_UNITS_COMMENT + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(dataset.columns)
-    for row in dataset.rows:
-        writer.writerow([_cell(v) for v in row])
-    return buf.getvalue()
+    """CSV text, a float to 12 significant digits and None as an empty field.
+
+    A float array is formatted a row at a time; any other column is turned
+    into strings once. No name or string holds a comma, quote or newline.
+    """
+    formats, columns = [], []
+    for column in dataset.columns:
+        floats = isinstance(column, np.ndarray) and column.dtype.kind == "f"
+        formats.append("%.12g" if floats else "%s")
+        columns.append(column.tolist() if floats else [
+            "" if v is None else v if isinstance(v, str) else format(float(v), ".12g")
+            for v in column])
+    line = ",".join(formats) + "\n"
+    header = f"{_UNITS_COMMENT}\n{','.join(dataset.names)}\n"
+    return "".join([header] + [line % row for row in zip(*columns)])
 
 
 def _write(path, text, stream=False):

@@ -6,35 +6,35 @@ decoherence factor over the evolution window. States with |c| at or below
 that minimum keep their discord pinned at correlation_bits(c) for the
 whole window; every other state hits a sudden transition at the first
 time the factor crosses |c| from above. Discord depends on |c| only, so
-c and -c always share a label. A map classifies its rows one after
-another in one process, each from its own scan.
+c and -c always share a label. A map takes its rows in blocks, one set
+of arrays each: one scan, one set of kernel calls and one Newton solve
+serve a block, and each row still gets the doubles it gets alone.
 
 Both are found in exponent space: the minimum factor is the maximum of
 the exponent g, and the factor crosses |c| where g first exceeds
 -log|c| / side. g is smooth between pulses, with kinks only at pulse
 instants. The scan samples every inter-pulse branch at equal phase
-steps, both sides of every instant and the window end included. Every
-schedule is periodic, so its full periods repeat their phases exactly
-and its scan costs about one small table of phase sums. Each sample
-carries g, its rate, and bounds on |g''| and |g'''| from the closed
-forms. They bound g on every cell between samples, and a cell whose
-bound is not settled is bisected: nothing between the samples is
-assumed. A maximum inside a cell is a zero of the rate. It and every
-crossing are solved to a few ulp by safeguarded Newton steps shared by
-all brackets of a row.
+steps, both sides of every instant and the window end included; a map
+finds it once. Every schedule is periodic, so its full periods repeat
+their phases exactly and its scan costs about one small table of phase
+sums. Each sample carries g, its rate, and bounds on |g''| and |g'''|
+from the closed forms. They bound g on every cell between samples, and
+a cell whose bound is not settled is bisected: nothing between the
+samples is assumed. A maximum inside a cell is a zero of the rate. It
+and every crossing are solved to a few ulp by safeguarded Newton steps
+shared by all brackets of a block.
 """
 
 import copy
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .correlations import BellDiagonalState, NoiseSide, correlation_bits, decoherence_factor
+from .correlations import NoiseSide, correlation_bits, decoherence_factor
 from .pulses import MAX_POINTS, PulsedDecoherence, periodic_schedule
-from .spectral import OhmicSpectrum
+from .spectral import OhmicSpectrum, _times
 
 _SCAN_STEP = 0.05         # longest scan step, as in default_time_grid
 _SCAN_MIN_STEPS = 20      # fewest scan steps per branch
@@ -42,6 +42,7 @@ _NEWTON_STEPS = 60        # most safeguarded Newton steps of one solve
 _ULPS = 4                 # a solve stops within this many ulp of its time
 _MIN_WIDTH = 2.0 ** -40   # cells narrower than this (times max(1, t)) count as samples
 _TINY = float(np.finfo(float).tiny)   # factor floor: exp() may underflow to 0
+_BLOCK_POINTS = 8_000     # most scan points in a block of rows (a longer row is a block alone)
 
 
 class Regime(Enum):
@@ -77,12 +78,13 @@ class PhaseDiagram:
 
 
 class _FactorProfile:
-    """The exponent of one row (bath, schedule, side) on a certified scan of [0, horizon].
+    """The exponent of a block of rows (one s each; one schedule and side) on a certified scan.
 
-    Points are (branch n, phase r) pairs, time t_n + r; cells join
-    neighbouring points of one branch. Every point carries the exponent
-    g, its rate g', and bounds M2, M3 on |g''|, |g'''| over the rest of
-    its branch, so on a cell [a, b] of width h
+    Points are (branch n, phase r) pairs, time t_n + r; row i holds the
+    branches i B .. i B + B - 1, and cells join neighbouring points of one
+    branch. Every point carries the exponent g, its rate g', and bounds
+    M2, M3 on |g''|, |g'''| over the rest of its branch, so on a cell
+    [a, b] of width h
 
         g <= min(max(g_a, g_b) + M2 h^2 / 8,  max of the lower of the two
                  Taylor bounds g_a + g'_a x + M2 x^2 / 2 and
@@ -94,39 +96,38 @@ class _FactorProfile:
     bound is not settled are bisected.
     """
 
-    def __init__(self, spec, schedule, side, horizon=None):
-        if horizon is None:
-            horizon = schedule.horizon
-        if not 0.0 < horizon <= schedule.horizon:
-            raise ValueError(
-                f"horizon must lie in (0, {schedule.horizon}], got {horizon}")
-        self.evaluator = PulsedDecoherence(spec, schedule)
+    def __init__(self, s_values, schedule, side, scan):
+        starts, branch, phases, groups, times = scan
+        rows = np.arange(len(s_values))
+        self.evaluator = PulsedDecoherence(tuple(OhmicSpectrum(s) for s in s_values), schedule)
         self.side = side
-        starts, ends, lengths = self.evaluator._branches(horizon)
-        taus, branch, phases, groups = _scan(starts, ends, lengths)
+        self._branches = starts.size
         # every point: branch n and phase r (time t_n + r), exponent f, rate
         # d, and bounds m2, m3 on the second and third derivatives to the
         # end of its branch
-        self._starts, self._n, self._r = starts, branch, phases
-        self._f, self._d, self._m2, self._m3 = self._sample(taus, branch, phases, groups)
+        self._starts, self._r = np.tile(starts, rows.size), np.tile(phases, rows.size)
+        self._n = (rows[:, None] * starts.size + branch).reshape(-1)
+        self._f, self._d, self._m2, self._m3 = self.evaluator._evaluate(
+            times, branch, phases, 1, True, groups, rows[:, None]).reshape(4, -1)
         # per cell, by its left point: the solved peak, where it is, its -g''
         # less the slack of the last Newton step, and whether it is certified
-        self._peak, self._peak_at, self._bend = (np.full(taus.size, np.nan) for _ in range(3))
-        self._peak_sure = np.zeros(taus.size, bool)
+        self._peak, self._peak_at, self._bend = (np.full(self._n.size, np.nan) for _ in range(3))
+        self._peak_sure = np.zeros(self._n.size, bool)
         self._bounds = None
-        self._settle(np.empty(0))
+        self._settle(np.empty(0), np.empty(0, int))
 
-    def _sample(self, taus, counts, phases, groups=None):
-        return self.evaluator._evaluate(taus, counts, phases, 1, True, groups)
+    def _evaluate(self, taus, n, phases, order, bounds=False):   # at times taus on branches n
+        rows, counts = np.divmod(n, self._branches)
+        return self.evaluator._evaluate(_times(taus), counts, phases, order, bounds, rows=rows)
 
     def _cells(self):
         """Per pair of neighbouring points (j, j + 1), by j: whether it is a cell, an upper
         bound on the exponent over it, the largest exponent known on it, and whether its
         bound is settled.
 
-        A pair across a pulse is no cell: both points sit at the pulse, and
-        its bound is the larger of their values; so is that of a cell too
-        narrow to split or lying where a certified peak keeps g'' < 0.
+        A pair across a pulse or across two rows is no cell: its bound is
+        the larger of its values, and it is settled; so is that of a cell
+        too narrow to split or lying where a certified peak keeps g'' < 0.
         """
         if self._bounds is None:
             n, r, f, d, m3 = self._n, self._r, self._f, self._d, self._m3
@@ -145,23 +146,29 @@ class _FactorProfile:
             self._bounds = cell, upper, np.fmax(ends, self._peak[:-1]), settled
         return self._bounds
 
-    def _settle(self, thresholds, private=False):
-        """Refine until no cell can exceed the maximum unseen; then place every threshold.
+    def _settle(self, thresholds, rows, private=False):
+        """Refine until no cell can exceed its row's maximum unseen; then place every threshold.
 
-        Returns, per threshold, the first pair that may exceed it, -1 where
-        no pair does, and -2 where that pair holds no known value above
-        it. Cells are split for such thresholds only when private: the
-        splits one threshold asks for then cannot move the times of the
-        others.
+        Returns, per threshold of its row, the first pair of the row that
+        may exceed it, -1 where no pair does, and -2 where that pair holds
+        no known value above it. Cells are split for such thresholds only
+        when private: the splits one asks for cannot move the others' times.
         """
         while True:
             cell, upper, known, settled = self._cells()
-            self._max = max(float(self._f.max()), float(np.nanmax(self._peak, initial=0.0)))
+            row_branches = np.arange(self.evaluator._s.size + 1) * self._branches
+            self._first = first = np.searchsorted(self._n, row_branches)   # each row's first point
+            self._max = np.fmax(np.maximum.reduceat(self._f, first[:-1]),
+                                np.fmax.reduceat(self._peak, first[:-1]))
             peak = cell & (self._d[:-1] > 0.0) & (self._d[1:] < 0.0) & np.isnan(self._peak[:-1])
-            split = (upper > self._max) & ~settled
-            first = np.searchsorted(np.maximum.accumulate(upper), thresholds, side="right")
-            found = first < upper.size
-            pair = np.minimum(first, upper.size - 1)
+            split = (upper > self._max[self._n[:-1] // self._branches]) & ~settled
+            # row k owns the pairs first[k] .. first[k + 1] - 2
+            pair, found = np.empty(thresholds.size, int), np.empty(thresholds.size, bool)
+            for k in dict.fromkeys(rows.tolist()):   # np.unique would import numpy.ma
+                mine, lo, end = rows == k, first[k], first[k + 1] - 1
+                at = lo + np.searchsorted(np.maximum.accumulate(upper[lo:end]), thresholds[mine],
+                                          side="right")
+                pair[mine], found[mine] = np.minimum(at, end - 1), at < end
             blocked = found & (known[pair] <= thresholds)
             unseen = pair[blocked]
             solve = peak & split
@@ -181,7 +188,7 @@ class _FactorProfile:
         starts, n = self._starts[self._n[i]], self._n[i]
 
         def minus_rate(x, k):
-            g, rate, curvature = self.evaluator._evaluate(starts[k] + x, n[k], x, 2)
+            g, rate, curvature = self._evaluate(starts[k] + x, n[k], x, 2)
             return -rate, -curvature, g
 
         lo, hi, m3 = self._r[i], self._r[i + 1], self._m3[i]
@@ -197,7 +204,7 @@ class _FactorProfile:
         """Bisect the cells at left points i."""
         n = self._n[i]
         r = 0.5 * (self._r[i] + self._r[i + 1])
-        new = self._sample(self._starts[n] + r, n, r)
+        new = self._evaluate(self._starts[n] + r, n, r, 1, True)
         self._peak[i], self._peak_at[i], self._bend[i] = np.nan, np.nan, np.nan
         self._peak_sure[i] = False
         at = i + 1
@@ -210,46 +217,43 @@ class _FactorProfile:
         self._peak_sure = np.insert(self._peak_sure, at, False)
         self._bounds = None
 
-    @cached_property
-    def min_factor(self):
-        return max(decoherence_factor(self._max, self.side), _TINY)
-
-    def _argmax_time(self):
-        best = int(np.argmax(self._f))
+    def _argmax_time(self, row):
+        lo, end = self._first[row:row + 2]
+        best = lo + int(np.argmax(self._f[lo:end]))
         time, value = self._starts[self._n[best]] + self._r[best], self._f[best]
-        if np.nanmax(self._peak, initial=0.0) > value:
-            k = int(np.nanargmax(self._peak))
+        if np.nanmax(self._peak[lo:end], initial=0.0) > value:
+            k = lo + int(np.nanargmax(self._peak[lo:end]))
             time = self._starts[self._n[k]] + self._peak_at[k]
         return float(time)
 
-    def first_crossings(self, cs):
-        """Earliest times with factor < |c|, for |c| above min_factor.
+    def first_crossings(self, cs, rows):
+        """Earliest times with factor < |c| in the given rows, for |c| above their minimum factors.
 
         In exponent space: the first root of g = -log|c| / side, by one
-        safeguarded Newton solve over all c values of the row, certified
+        safeguarded Newton solve over all c values of the block, certified
         free of an earlier root by the Taylor bound of its cell. A c
         whose certificate needs finer cells gets them on a copy of the
         profile, so a time never depends on the other c values.
         """
         targets = -np.log(np.abs(np.asarray(cs, dtype=float))) / self.side.value
-        times = self._crossings(targets)
+        times = self._crossings(targets, rows)
         for k in np.nonzero(np.isnan(times))[0]:
             private = copy.copy(self)
             for name in ("_peak", "_peak_at", "_bend", "_peak_sure"):
                 setattr(private, name, getattr(self, name).copy())
             while np.isnan(times[k]):
-                times[k] = private._crossings(targets[k:k + 1], private=True)[0]
+                times[k] = private._crossings(targets[k:k + 1], rows[k:k + 1], private=True)[0]
         return times
 
-    def _crossings(self, targets, private=False):
-        """First roots of g = targets on the cells as they are; NaN where a root is not certified.
+    def _crossings(self, targets, rows, private=False):
+        """First roots of g = targets in their rows on the cells as they are; NaN if uncertified.
 
         Cells left unsure are split when private.
         """
         times = np.full(targets.size, np.nan)
-        j = self._settle(targets, private)
+        j = self._settle(targets, rows, private)
         # a |c| at the rounding edge of min_factor: the maximum is the crossing
-        times[j == -1] = self._argmax_time()
+        times[j == -1] = [self._argmax_time(row) for row in rows[j == -1]]
         # a pair across a pulse: the level lies between the two branches' values there
         kink = j >= 0
         kink[kink] = self._n[j[kink]] != self._n[j[kink] + 1]
@@ -265,7 +269,7 @@ class _FactorProfile:
         f_hi = np.where(ahead, self._f[i + 1], self._peak[i])
 
         def excess(x, k):
-            g, rate = self.evaluator._evaluate(starts[k] + x, n[k], x, 1)
+            g, rate = self._evaluate(starts[k] + x, n[k], x, 1)
             return g - level[k], rate
 
         m2 = self._m2[i]
@@ -283,17 +287,35 @@ class _FactorProfile:
         return times
 
 
-def _scan(starts, ends, lengths):
-    """Scan of the branches with these starts, ends and lengths: times, branches, phases, groups.
-
-    A branch of length L takes m = max(_SCAN_MIN_STEPS, ceil(L / _SCAN_STEP))
-    equal steps, phases j (L / m) for j = 0 .. m, the last one exactly L
-    at exactly the branch end. Branches of one length share one phase
-    set, so the full periods of a schedule repeat theirs exactly;
-    groups = (distinct, which) lists every set once. More than
-    MAX_POINTS steps in all is a ValueError, raised before any sample
-    is allocated.
+def _blocks(s_values, c_values, schedule, side, horizon=None):
+    """_labels of the rows s_values over [0, horizon] by blocks: as many rows as fit
+    _BLOCK_POINTS scan points, at least one, and one block alive at a time. They share a scan.
     """
+    if horizon is None:
+        horizon = schedule.horizon
+    if not 0.0 < horizon <= schedule.horizon:
+        raise ValueError(
+            f"horizon must lie in (0, {schedule.horizon}], got {horizon}")
+    scan = _scan(schedule, horizon)
+    size = max(1, _BLOCK_POINTS // scan[1].size)
+    for first in range(0, len(s_values), size):
+        yield _labels(_FactorProfile(s_values[first:first + size], schedule, side, scan), c_values)
+
+
+def _scan(schedule, horizon):
+    """Scan of [0, horizon]: branch starts, then per sample its branch and phase, groups, _times.
+
+    Branch n runs from t_n (t_0 = 0) to the next pulse (all t_1 long) or
+    the window end, in m = max(_SCAN_MIN_STEPS, ceil(L / _SCAN_STEP)) equal
+    steps of its length L: phases j (L / m), j = 0 .. m, the last exactly L
+    at exactly the branch end. groups = (distinct, which) lists each phase
+    set once. More than MAX_POINTS steps is a ValueError, raised first.
+    """
+    t = np.asarray(schedule.instants, dtype=float)
+    starts = np.concatenate(([0.0], t[:np.searchsorted(t, horizon)]))
+    ends = np.append(starts[1:], horizon)
+    lengths = ends - starts
+    lengths[:np.searchsorted(t, horizon, side="right")] = t[:1]
     sets, set_of, uses = np.unique(lengths, return_inverse=True, return_counts=True)
     steps = np.maximum(_SCAN_MIN_STEPS, np.ceil(sets / _SCAN_STEP))
     total = float(np.dot(steps, uses))
@@ -312,7 +334,7 @@ def _scan(starts, ends, lengths):
     which = set_first[set_of][branch] + step
     taus = starts[branch] + distinct[which]
     taus[np.cumsum(sizes) - 1] = ends
-    return taus, branch, distinct[which], (distinct, which)
+    return starts, branch, distinct[which], (distinct, which), _times(taus)
 
 
 def _upper_bound(fa, fb, da, db, curv, h):
@@ -395,7 +417,7 @@ def min_decoherence_factor(spec, sched, side, horizon=None):
     against every cell between the scan samples. Floored at the smallest
     normal double, since exp() may underflow.
     """
-    return _FactorProfile(spec, sched, side, horizon).min_factor
+    return next(_blocks((spec.s,), (), sched, side, horizon))[0][0]
 
 
 def classify(state, min_factor):
@@ -420,25 +442,30 @@ def transition_time(spec, sched, state, side, horizon=None):
     Consistent with classify: returns None exactly for time-invariant
     states.
     """
-    return _labels(_FactorProfile(spec, sched, side, horizon), (state.c,))[0].transition_time
+    return next(_blocks((spec.s,), (state.c,), sched, side, horizon))[1][0][0].transition_time
 
 
 def _labels(profile, c_values):
-    """Regime labels of the state parameters c_values under one factor profile."""
-    regimes = [classify(BellDiagonalState(c), profile.min_factor) for c in c_values]
-    sudden = [abs(c) for c, r in zip(c_values, regimes) if r is Regime.SUDDEN_TRANSITION]
-    times = iter(profile.first_crossings(sudden).tolist())
-    return tuple(RegimeLabel(r, next(times) if r is Regime.SUDDEN_TRANSITION else None)
-                 for r in regimes)
+    """Minimum factors of the rows of a block, and their labels of c_values by classify's rule."""
+    factors = [max(decoherence_factor(g, profile.side), _TINY) for g in profile._max.tolist()]
+    c = np.asarray(c_values, dtype=float)
+    rows, cols = np.nonzero(np.abs(c) > np.array(factors)[:, None])   # the sudden cells
+    labels = [[RegimeLabel(Regime.TIME_INVARIANT)] * c.size for _ in factors]
+    times = profile.first_crossings(c[cols], rows).tolist()
+    for row, col, time in zip(rows.tolist(), cols.tolist(), times):
+        labels[row][col] = RegimeLabel(Regime.SUDDEN_TRANSITION, time)
+    return factors, [tuple(row) for row in labels]
 
 
 def phase_diagram(s_grid, c_grid, pulse_interval, side, horizon=25.0, workers=None):
     """Classify every (s, c) grid cell for one schedule and noise side.
 
-    Rows (fixed s) are computed one after another in grid order, each
-    from its own factor profile, so the diagram is deterministic.
-    pulse_interval None means free evolution over the same window.
-    workers is accepted for older callers and ignored.
+    Rows (fixed s) are computed in grid order, in blocks of consecutive
+    rows that fit a fixed budget of scan points, which bounds the memory
+    of every evaluation. Each row keeps its own decisions, so its labels,
+    minimum and transition times are the doubles it gets alone, whatever
+    the grid around it. pulse_interval None means free evolution over the
+    same window. workers is accepted for older callers and ignored.
     """
     s_vals = tuple(float(s) for s in s_grid)
     c_vals = tuple(float(c) for c in c_grid)
@@ -446,17 +473,12 @@ def phase_diagram(s_grid, c_grid, pulse_interval, side, horizon=25.0, workers=No
         raise ValueError("s_grid values must be > 0")
     if any(not abs(c) < 1.0 for c in c_vals):
         raise ValueError("c_grid values must satisfy |c| < 1")
-    schedule = periodic_schedule(pulse_interval, horizon)
-    labels, min_factors = [], []
-    for s in s_vals:
-        profile = _FactorProfile(OhmicSpectrum(s), schedule, side)
-        min_factors.append(profile.min_factor)
-        labels.append(_labels(profile, c_vals))
+    blocks = list(_blocks(s_vals, c_vals, periodic_schedule(pulse_interval, horizon), side))
     return PhaseDiagram(
         s_grid=s_vals,
         c_grid=c_vals,
-        labels=tuple(labels),
-        min_factors=tuple(min_factors),
+        labels=tuple(row for _, labels in blocks for row in labels),
+        min_factors=tuple(factor for factors, _ in blocks for factor in factors),
         side=side,
         pulse_interval=pulse_interval,
         horizon=horizon,

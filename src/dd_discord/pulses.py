@@ -27,7 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import DEFAULT_QUADRATURE, ConvergenceError, _closed_forms, oscillatory_quad
+from .spectral import (DEFAULT_QUADRATURE, ConvergenceError, _closed_forms, _times,
+                       oscillatory_quad)
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,10 @@ class PulsedDecoherence:
     alternating prefix sum, so a grid costs one gamma0 evaluation per
     point plus one per (distinct phase, pulse) pair after a pulse. A
     single time is the same sum with one phase.
+
+    spec may also be a tuple of spectra, the rows of a regime-map block:
+    static has a row per spectrum, and _evaluate takes each point's row
+    (gamma and gamma_grid the first), the same double in any block.
     An exponent that overflows a double raises ConvergenceError.
     Instances are immutable after construction and safe to share across
     threads.
@@ -139,6 +144,7 @@ class PulsedDecoherence:
     def __init__(self, spec, schedule):
         self.spec = spec
         self.schedule = schedule
+        self._s = np.array([row.s for row in (spec if isinstance(spec, tuple) else (spec,))])
         t = np.asarray(schedule.instants, dtype=float)
         self._instants = t
         self._signs = (-1.0) ** np.arange(t.size)   # (-1)^k, k = 0 .. N-1
@@ -146,20 +152,12 @@ class PulsedDecoherence:
         # near the overflow edge (s ~ 172) these sums leave non-finite
         # entries; gamma and gamma_grid report any exponent they reach
         with np.errstate(over="ignore", invalid="ignore"):
-            singles = _closed_forms(spec, t)[0] * self._signs   # (-1)^(n+1) G(t_n)
+            # (-1)^(n+1) G(t_n), a row per spectrum
+            singles = _closed_forms(self._s, _times(t), rows=np.arange(self._s.size)[:, None])[0]
+            singles = np.atleast_2d(singles) * self._signs
             # the gap sum of pulse n is sum_k (-1)^(k+1) G(t_k), k < n
-            gaps = np.concatenate(([0.0], np.cumsum(singles)))[:-1]
-            self._static = np.concatenate(([0.0], np.cumsum(2.0 * singles + 4.0 * gaps)))
-
-    def _check(self, tau_min, tau_max):
-        if not (0.0 <= tau_min and tau_max <= self.schedule.horizon):
-            raise ValueError(
-                f"tau must lie in [0, {self.schedule.horizon}]")
-
-    def _not_finite(self, tau, what="exponent"):
-        s = self.spec.s
-        return ConvergenceError(
-            f"{what} is not a finite double at s={s}, tau={tau}", s=s, tau=tau)
+            gaps = np.cumsum(np.pad(singles, ((0, 0), (1, 0))), axis=-1)[:, :-1]
+            self._static = np.cumsum(np.pad(2.0 * singles + 4.0 * gaps, ((0, 0), (1, 0))), axis=-1)
 
     def gamma(self, tau):
         """Exponent at a single time (pulse instants use the earlier branch).
@@ -173,91 +171,90 @@ class PulsedDecoherence:
         taus = np.asarray(taus, dtype=float)
         if taus.size == 0:
             return np.empty(0)
-        self._check(float(taus.min()), float(taus.max()))
+        if not (0.0 <= taus.min() and taus.max() <= self.schedule.horizon):
+            raise ValueError(f"tau must lie in [0, {self.schedule.horizon}]")
         counts = np.searchsorted(self._instants, taus, side="left")
-        return self._evaluate(taus, counts, taus - self._starts[counts])[0]
+        return self._evaluate(_times(taus), counts, taus - self._starts[counts])[0]
 
-    def _branches(self, horizon):
-        """Start, end and length of every branch of [0, horizon], branch n after n pulses.
-
-        The branches that end at a pulse are all t_1 long, so equal steps
-        give them exactly equal phases.
-        """
-        starts = self._starts[:1 + np.searchsorted(self._instants, horizon)]
-        ends = np.append(starts[1:], horizon)
-        gaps = ends - starts
-        gaps[:np.searchsorted(self._instants, horizon, side="right")] = self._instants[:1]
-        return starts, ends, gaps
-
-    def _evaluate(self, taus, counts, phases, order=0, bounds=False, groups=None):
+    def _evaluate(self, times, counts, phases, order=0, bounds=False, groups=None, rows=0):
         """The exponent and its time derivatives up to order, at taus after counts pulses.
 
-        The one kernel of gamma_grid and of the regime refinement. phases
-        are taus - t_counts; groups = (distinct, which) with phases =
+        The one kernel of gamma_grid and of the regime refinement. times =
+        _times(taus), phases are taus - t_counts and rows (broadcast) the
+        rows of the points; groups = (distinct, which) with phases =
         distinct[which] spares finding the distinct phases. A derivative
         is the same signed sum over the derivative of gamma0 (static is
         constant inside a branch). With bounds, two more arrays bound the
         second and third derivatives from taus to their branch ends: each
         term becomes its envelope, which decreases in its argument, and
-        every argument grows with tau inside a branch. Returns a list of
-        arrays; the exponent is clamped at zero, and a value that is not a
+        every argument grows with tau inside a branch. Returns the arrays
+        stacked; the exponent is clamped at zero, and a value that is not a
         finite double raises ConvergenceError.
         """
         # an overflowing sum is reported just below, as a non-finite value
         with np.errstate(over="ignore", invalid="ignore"):
-            elapsed = self._elapsed(order, bounds, counts, phases, groups)
-            heads = _closed_forms(self.spec, taus, range(order + 1), bounds)
+            out = self._elapsed(order, bounds, counts, phases, groups, rows)
+            out *= 2.0
+            heads = _closed_forms(self._s, times, range(order + 1), bounds, rows)
             signs = 1.0 - 2.0 * (counts & 1)   # (-1)^n
-            out = [self._static[counts] + signs * heads[0] + 2.0 * elapsed[0]]
-            out += [(signs * head if k <= order else head) + 2.0 * sums
-                    for k, (head, sums) in enumerate(zip(heads[1:], elapsed[1:]), 1)]
+            out[0] += self._static[rows, counts] + signs * heads[0]
+            for k, head in enumerate(heads[1:], 1):
+                out[k] += signs * head if k <= order else head
         names = ("exponent", "rate", "curvature")[:order + 1] + ("derivative bound",) * 2 * bounds
         for name, values in zip(names, out):
             bad = ~np.isfinite(values)
             if bad.any():
-                raise self._not_finite(float(taus[bad][0]), name)
-        out[0] = np.maximum(out[0], 0.0)
+                tau, s = (float(np.broadcast_to(x, bad.shape)[bad][0])
+                          for x in (times[0], self._s[rows]))
+                raise ConvergenceError(
+                    f"{name} is not a finite double at s={s}, tau={tau}", s=s, tau=tau)
+        np.maximum(out[0], 0.0, out=out[0])
         return out
 
-    def _elapsed(self, order, bounds, counts, phases, groups):
+    def _elapsed(self, order, bounds, counts, phases, groups, rows):
         """Elapsed sums sum_k sign_k f(tau - t_(n-k)), k = 0 .. n-1, one row per closed form.
 
         They are all zero when no point has a pulse behind it, as under
         free evolution: then no phase is grouped.
         """
-        out = np.zeros((order + 1 + 2 * bounds, counts.size))
+        shape = np.broadcast_shapes(np.shape(counts), np.shape(rows))
+        out = np.zeros((order + 1 + 2 * bounds,) + shape)
         if counts.any():
             distinct, which = np.unique(phases, return_inverse=True) if groups is None else groups
-            self._phase_sums(order, bounds, distinct, which, counts, out)
+            keys, counts = np.broadcast_arrays(rows * distinct.size + which, counts)
+            self._phase_sums(order, bounds, distinct, keys.reshape(-1), counts.reshape(-1),
+                             out.reshape(len(out), -1))
         return out
 
-    def _phase_sums(self, order, bounds, distinct, which, counts, out):
-        """Elapsed sums, into out, of the points with phases distinct[which] after counts pulses.
+    def _phase_sums(self, order, bounds, distinct, keys, counts, out):
+        """Elapsed sums, into out, of the points of keys after counts pulses.
 
-        Each distinct phase r gets one table row of prefix sums over
-        sign_k f(r + t_k), up to its largest count, per closed form f:
-        gamma0 and its derivatives up to order, with sign_k = (-1)^k, then
-        with bounds the two derivative envelopes, with sign_k = 1. Phases
-        go longest first, in blocks of at most _PHASE_BLOCK table entries,
-        so every row of a block fits the block's first width.
+        Key i D + j, D = distinct.size, is phase r = distinct[j] in row i;
+        it gets a table row of prefix sums over sign_k f(r + t_k), up to its
+        largest count, per closed form f: gamma0 and its derivatives up to
+        order, with sign_k = (-1)^k, then with bounds the two derivative
+        envelopes, with sign_k = 1. Keys go longest first, in blocks of at
+        most _PHASE_BLOCK table entries, each fitting the first's width.
         """
-        longest = np.zeros(distinct.size, dtype=int)
-        np.maximum.at(longest, which, counts)
+        longest = np.zeros(self._s.size * distinct.size, dtype=int)
+        np.maximum.at(longest, keys, counts)
         ranked = np.argsort(-longest, kind="stable")
-        point_rank = np.argsort(ranked)[which]   # table row of each point's phase
-        by_rank = np.argsort(point_rank, kind="stable")
+        point_rank = np.argsort(ranked)[keys]   # table row of each point's key
+        by_rank = np.argsort(point_rank)   # any order inside a key: each point is written once
         ends = np.concatenate(([0], np.cumsum(np.bincount(point_rank, minlength=ranked.size))))
         first = 0
         while first < ranked.size and longest[ranked[first]]:
             width = int(longest[ranked[first]])
             stop = min(ranked.size, first + max(1, _PHASE_BLOCK // (width + 1)))
             pts = by_rank[ends[first]:ends[stop]]
-            rows, cols = point_rank[pts] - first, counts[pts] - 1
-            args = distinct[ranked[first:stop], None] + self._starts[:width]
-            values = _closed_forms(self.spec, args, range(order + 1), bounds)
+            cols = counts[pts] - 1   # -1 before the first pulse: a zero sum
+            entry = (point_rank[pts] - first) * width + cols
+            block, phase = np.divmod(ranked[first:stop, None], distinct.size)
+            values = _closed_forms(self._s, _times(distinct[phase] + self._starts[:width]),
+                                   range(order + 1), bounds, block)
             for k, (row, f) in enumerate(zip(out, values)):
                 table = np.cumsum(f * self._signs[:width] if k <= order else f, axis=-1)
-                row[pts] = np.where(cols >= 0, table[rows, cols], 0.0)
+                row[pts] = np.where(cols >= 0, np.take(table, entry), 0.0)
             first = stop
 
 

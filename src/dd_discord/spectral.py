@@ -93,13 +93,6 @@ def _euler_gamma(x, s, t):
             f"Gamma({x}) overflows a double at s={s}", s=s, tau=tau) from None
 
 
-def _as_times(tau):
-    arr = np.asarray(tau, dtype=float)
-    if not np.all(arr >= 0.0):   # also refuses NaN
-        raise ValueError("tau must be nonnegative")
-    return arr
-
-
 def spectral_density(spec, omega):
     """Spectral density at reduced frequency omega, i.e. omega^s e^(-omega)."""
     x = np.asarray(omega, dtype=float)
@@ -109,7 +102,16 @@ def spectral_density(spec, omega):
     return float(out) if out.ndim == 0 else out
 
 
-def _closed_forms(spec, tau, orders=(0,), envelopes=False):
+def _times(tau):
+    """tau, arctan tau and 1 + tau^2: the part of every closed form that does not depend on s."""
+    t = np.asarray(tau, dtype=float)
+    if not np.all(t >= 0.0):   # also refuses NaN
+        raise ValueError("tau must be nonnegative")
+    with np.errstate(over="ignore"):   # past tau ~ 1.34e154; _closed_forms takes logs there
+        return t, np.arctan(t), 1.0 + t * t
+
+
+def _closed_forms(s, times, orders=(0,), envelopes=False, rows=0):
     """gamma0 and its time derivatives of the given orders (0, 1, 2), then two envelopes.
 
     Order k is Gamma(a) trig(a arctan tau) / (1 + tau^2)^(a/2) with
@@ -120,26 +122,49 @@ def _closed_forms(spec, tau, orders=(0,), envelopes=False):
     (1 + tau^2)^((s+1)/2) and (s+1) times that over sqrt(1 + tau^2)
     follow: the moduli of orders 2 and 3 without their cosine and sine,
     so each decreases in tau and bounds its derivative at every later
-    time as well. A scalar tau takes the same ufuncs as an array (np.power,
-    not ** on a numpy scalar, which calls another pow): the same double.
+    time as well.
+
+    s holds an Ohmicity per row, times = _times(tau) and rows (broadcast
+    against tau) the row of each time. Every value is the double of its
+    row alone, with the row's exponents as scalars. Where 1 + tau^2
+    overflows, the powers are exp of 2 log tau + log1p(tau^-2).
     """
-    t = _as_times(tau)
-    s = spec.s
-    angle, q = np.arctan(t), 1.0 + t * t
+    t, angle, q = times
+    s = np.ravel(s).tolist()
+    huge = np.isinf(q)
+
+    def per_row(values):   # one value per row, at the row of every time
+        return values[0] if len(values) == 1 else np.array(values)[rows]
+
+    def log_q():
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return np.where(huge, 2.0 * np.log(t) + np.log1p(1.0 / t ** 2), np.log1p(t * t))
+
+    def power(a):   # (1 + tau^2)^(-a/2); a scalar exponent -1 makes np.power divide
+        p = [-0.5 * x for x in a]
+        out = np.power(q, per_row(p))
+        if -1.0 in p:
+            out = np.where(per_row(p) == -1.0, 1.0 / q, out)
+        if huge.any():
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = np.where(huge, np.exp(per_row(p) * log_q()), out)
+        return out
+
     out = []
     for k in orders:
-        a = s + (k - 1.0)
-        if k == 0 and abs(a) < _OHMIC_WINDOW:
-            out.append(0.5 * np.log1p(t * t))
-        elif k == 0:   # the exact value is >= 0; clamp sub-epsilon rounding at tiny tau
-            bracket = 1.0 - np.cos(a * angle) * np.power(q, -0.5 * a)
-            out.append(np.maximum(_euler_gamma(a, s, tau) * bracket, 0.0))
-        else:
-            trig = np.sin if k == 1 else np.cos
-            out.append(_euler_gamma(a, s, tau) * trig(a * angle) * np.power(q, -0.5 * a))
+        a = [x + (k - 1.0) for x in s]
+        ohmic = [k == 0 and abs(x) < _OHMIC_WINDOW for x in a]
+        prefactor = per_row([0.0 if log else _euler_gamma(x, row_s, t)
+                             for x, row_s, log in zip(a, s, ohmic)])
+        wave = (np.sin if k == 1 else np.cos)(per_row(a) * angle)
+        if k:
+            out.append(prefactor * wave * power(a))
+        else:   # the exact value is >= 0; clamp sub-epsilon rounding at tiny tau
+            value = np.maximum(prefactor * (1.0 - wave * power(a)), 0.0)
+            out.append(np.where(per_row(ohmic), 0.5 * log_q(), value) if any(ohmic) else value)
     if envelopes:
-        second = _euler_gamma(s + 1.0, s, tau) * np.power(q, -0.5 * (s + 1.0))
-        out += [second, (s + 1.0) * second / np.sqrt(q)]
+        second = per_row([_euler_gamma(x + 1.0, x, t) for x in s]) * power([x + 1.0 for x in s])
+        out += [second, per_row([x + 1.0 for x in s]) * second / np.sqrt(q)]
     return out
 
 
@@ -149,7 +174,7 @@ def gamma0(spec, tau):
     The closed form of order 0 in _closed_forms. Accepts scalars or
     arrays; always nonnegative.
     """
-    out = _closed_forms(spec, tau)[0]
+    out = _closed_forms(spec.s, _times(tau))[0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -159,7 +184,7 @@ def gamma0_rate(spec, tau):
     Closed form Gamma(s) sin(s arctan tau) / (1 + tau^2)^(s/2); regular
     for every s > 0 and temporarily negative only when s > 2.
     """
-    out = _closed_forms(spec, tau, (1,))[0]
+    out = _closed_forms(spec.s, _times(tau), (1,))[0]
     return float(out) if out.ndim == 0 else out
 
 

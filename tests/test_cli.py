@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import threading
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dd_discord import cli
 from dd_discord.cli import main
 
 UNITS_LINE = "# units: times in 1/omega_c, frequencies in omega_c"
@@ -31,6 +33,46 @@ def test_decoherence_single_point_to_stdout(capsys):
     assert rows[0]["tau"] == "1"
     assert rows[0]["gamma"] == "2.5"
     assert rows[0]["factor"] == "0.00673794699909"  # 12 significant digits
+
+
+def test_free_exponent_past_the_overflow_of_tau_squared(capsys):
+    # gamma = ln tau at s = 1, although 1 + tau^2 overflows a double
+    rc = main(["decoherence", "--s", "1", "--free", "--horizon", "1e160", "--tau", "1e160",
+               "--output", "-"])
+    assert rc == 0
+    assert read_rows(capsys.readouterr().out)[0]["gamma"] == "368.413614879"
+
+
+def _csv_writer_text(dataset):
+    """The CSV of the row-by-row renderer the columnar one replaced: csv.writer, one cell at a time."""
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, str):
+            return value
+        return format(float(value), ".12g")
+
+    buf = io.StringIO()
+    buf.write(UNITS_LINE + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(dataset.names)
+    for row in zip(*dataset.columns):
+        writer.writerow([cell(v) for v in row])
+    return buf.getvalue()
+
+
+def test_columnar_csv_matches_the_row_renderer():
+    values = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                       0.1, 1.0 / 3.0, -2.5e-7, 123456789012345.0, 1e16])
+    optional = [None, 0.3, None, -0.0, float("nan"), 5e-324, 1.7976931348623157e308, 2,
+                np.float64(0.1), None, float("-inf"), 7.25]
+    words = ["time-invariant", "sudden-transition"] * (values.size // 2)
+    dataset = cli._Dataset(("tau", "regime", "transition_time", "factor"),
+                           (values, words, optional, values[::-1].copy()))
+    assert cli._render_csv(dataset) == _csv_writer_text(dataset)
+    assert len(dataset.rows) == values.size
+    empty = cli._Dataset(("s", "c"), (np.empty(0), []))
+    assert cli._render_csv(empty) == _csv_writer_text(empty)
 
 
 def test_decoherence_oracle_flag_matches_closed_form(capsys):

@@ -316,17 +316,18 @@ def test_min_factor_and_crossings_match_mpmath(s, dt, side):
 
 
 def test_row_refinement_work(monkeypatch):
-    # per row: one scan call, then vectorised Newton steps shared by the row's
-    # c values (and its peaks); no scalar exponent at all. Measured on these
-    # maps: at most 4 kernel calls per pulsed row and 9 per free row.
+    # per block of rows: one scan call, then vectorised Newton steps shared by
+    # the block's c values (and its peaks); no scalar exponent at all.
+    # Measured on these maps: at most 4 kernel calls per pulsed block and 9
+    # per free block.
     def counting(method, calls):
         def wrapper(self, *args, **kwargs):
-            calls[self.spec] = calls.get(self.spec, 0) + 1   # one evaluator per row
+            calls[self.spec] = calls.get(self.spec, 0) + 1   # one evaluator per block
             return method(self, *args, **kwargs)
         return wrapper
 
     evaluator = pulses.PulsedDecoherence
-    for dt, most in ((0.3, 6), (None, 12)):
+    for dt, most, blocks in ((0.3, 6, 3), (None, 12, 1)):
         scalar, kernel = {}, {}
         monkeypatch.setattr(evaluator, "gamma", counting(evaluator.gamma, scalar))
         monkeypatch.setattr(evaluator, "_evaluate", counting(evaluator._evaluate, kernel))
@@ -337,8 +338,54 @@ def test_row_refinement_work(monkeypatch):
                      for row in diagram.labels for label in row)
         assert sudden > 200
         assert not scalar
-        assert len(kernel) == 12
+        assert len(kernel) == blocks
         assert max(kernel.values()) <= most
+        assert sum(kernel.values()) <= most * blocks
+
+
+@pytest.mark.parametrize("budget", [None, 3600], ids=["budget", "small-budget"])
+@pytest.mark.parametrize("dt", [None, 0.3, 0.05])
+@pytest.mark.parametrize("side", list(NoiseSide))
+def test_block_rows_equal_rows_alone(side, dt, budget, monkeypatch):
+    # a row of a block gets the very doubles it gets alone: labels, minimum
+    # and transition times; a budget of 3600 scan points splits the free
+    # rows into blocks of 7 and 1, and the dt 0.3 rows into blocks of 2
+    if budget is not None:
+        monkeypatch.setattr(phase, "_BLOCK_POINTS", budget)
+    s_grid, c_grid = np.linspace(0.1, 6.0, 8), np.linspace(0.0, 0.99, 23)
+    blocks = []
+    profile = phase._FactorProfile
+    monkeypatch.setattr(phase, "_FactorProfile", lambda s, *args: blocks.append(len(s)) or
+                        profile(s, *args))
+    diagram = phase_diagram(s_grid, c_grid, dt, side)
+    assert max(blocks) > 1 or dt == 0.05
+    assert len(blocks) > 1 or dt is None and budget is None
+    for s, labels, min_factor in zip(s_grid, diagram.labels, diagram.min_factors):
+        alone = phase_diagram((s,), c_grid, dt, side)
+        assert alone.min_factors == (min_factor,)
+        assert alone.labels == (labels,)
+    assert any(label.regime is Regime.SUDDEN_TRANSITION for row in diagram.labels for label in row)
+
+
+def test_block_memory_and_work(monkeypatch):
+    # on the benchmark's maps no evaluation is larger than one dt 0.05 row
+    # of the scan, and the free map takes a few calls per block, not per row
+    sizes = []
+    closed_forms = pulses._closed_forms
+
+    def counting(s, times, orders=(0,), envelopes=False, rows=0):
+        sizes.append(np.broadcast(times[0], rows).size)
+        return closed_forms(s, times, orders, envelopes, rows)
+
+    monkeypatch.setattr(pulses, "_closed_forms", counting)
+    c_grid = np.linspace(0.0, 0.999, 50)
+    for dt, side, rows in ((0.3, NoiseSide.ONE_SIDED, 60), (None, NoiseSide.ONE_SIDED, 60),
+                           (0.05, NoiseSide.TWO_SIDED, 20)):
+        sizes.clear()
+        phase_diagram(np.linspace(0.1, 6.0, rows), c_grid, dt, side)
+        assert max(sizes) <= 10_500
+        if dt is None:
+            assert len(sizes) <= 60
 
 
 @pytest.mark.parametrize("dt", [None, 0.3, 0.05, 1.7])

@@ -210,12 +210,21 @@ def test_periodic_route_matches_general_sum(s, dt):
         assert abs(engine.gamma(grid[i]) - general[i]) < 1e-9
 
 
-def test_nonrepeating_phases_still_take_the_phase_route():
-    # at dt = 0.3 almost every grid point has a phase of its own, so the
-    # shared-phase table has almost one row per point
+def test_nonrepeating_phases_still_take_the_phase_route(monkeypatch):
+    # at dt = 0.3 almost every grid point has a phase of its own: the
+    # evaluation still groups them, into a table of almost one row per point
+    tables = []
+    phase_sums = PulsedDecoherence._phase_sums
+
+    def counting_phase_sums(self, order, bounds, distinct, *args):
+        tables.append(distinct.size)
+        return phase_sums(self, order, bounds, distinct, *args)
+
+    monkeypatch.setattr(PulsedDecoherence, "_phase_sums", counting_phase_sums)
     sched = periodic_schedule(0.3, 25.0)
     grid = default_time_grid(sched)
-    assert _phase_count(sched, grid) > 0.9 * grid.size
+    PulsedDecoherence(OhmicSpectrum(2.5), sched).gamma_grid(grid)
+    assert len(tables) == 1 and tables[0] > 0.9 * grid.size
 
 
 def _count_closed_forms(monkeypatch):
@@ -223,9 +232,9 @@ def _count_closed_forms(monkeypatch):
     evaluated = []
     closed_forms = pulses._closed_forms
 
-    def counting_closed_forms(spec, tau, *args, **kwargs):
-        evaluated.append(np.size(tau))
-        return closed_forms(spec, tau, *args, **kwargs)
+    def counting_closed_forms(s, times, orders=(0,), envelopes=False, rows=0):
+        evaluated.append(np.broadcast(times[0], rows).size)
+        return closed_forms(s, times, orders, envelopes, rows)
 
     monkeypatch.setattr(pulses, "_closed_forms", counting_closed_forms)
     return evaluated

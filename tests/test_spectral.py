@@ -20,8 +20,8 @@ from dd_discord import (
     spectral_density,
 )
 from dd_discord import spectral
-from dd_discord.spectral import _closed_forms, _euler_gamma
-from oracles import bisect_sign_change, central_difference
+from dd_discord.spectral import _closed_forms, _euler_gamma, _times
+from oracles import bisect_sign_change, central_difference, mp_controlled_exponent
 
 
 def test_spectrum_validation():
@@ -143,11 +143,11 @@ def test_gamma0_negative_tau_rejected():
 
 
 def _curvature(spec, tau):
-    return _closed_forms(spec, tau, (2,))[0]
+    return _closed_forms(spec.s, _times(tau), (2,))[0]
 
 
 def _envelopes(spec, tau):
-    return _closed_forms(spec, tau, (), envelopes=True)
+    return _closed_forms(spec.s, _times(tau), (), envelopes=True)
 
 
 @pytest.mark.parametrize("fn", [gamma0, gamma0_rate, _curvature, _envelopes],
@@ -225,6 +225,15 @@ def test_gamma_prefactor_against_mpmath():
                 err = abs(_euler_gamma(x, s, 1.0) - ref) / math.ulp(float(ref))
                 worst = max(worst, float(err))
     assert worst <= 8.0
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 3.0])
+def test_gamma0_past_the_overflow_of_tau_squared(s):
+    # 1 + tau^2 overflows a double past tau ~ 1.34e154; its logarithm does not
+    want = float(mp_controlled_exponent(s, None, 1e160, dps=40)[0])
+    got = gamma0(OhmicSpectrum(s), 1e160)
+    assert abs(got / want - 1.0) <= 1e-13
+    assert np.array_equal(gamma0(OhmicSpectrum(s), np.array([1.0, 1e160])), [gamma0(OhmicSpectrum(s), 1.0), got])
 
 
 def test_gamma_overflow_is_a_convergence_error():

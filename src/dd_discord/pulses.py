@@ -17,7 +17,8 @@ the pulses. The signed sum collapses into alternating prefix sums over
 the pulse index. Its schedule-only part costs O(pulses) once, and times
 that sit at the same phase inside a period share one prefix sum, so a
 time grid costs O(grid + distinct phases x pulses) evaluations of
-gamma0 instead of O(grid x pulses).
+gamma0 instead of O(grid x pulses). A regime map's block of rows is one
+evaluator with a spectrum, so an s, per row.
 """
 
 import math

@@ -8,6 +8,8 @@ convergence failure.
 """
 
 import argparse
+import ctypes
+import gc
 import json
 import math
 import os
@@ -28,6 +30,10 @@ from .pulses import (MAX_CELLS, PulsedDecoherence, controlled_gamma_oracle,
 from .spectral import ConvergenceError, OhmicSpectrum, QuadratureConfig
 
 _UNITS_COMMENT = "# units: times in 1/omega_c, frequencies in omega_c"
+# glibc's mallopt parameters, and the 32 MiB both are raised to: the largest
+# mmap threshold glibc accepts on a 64-bit machine
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_KEEP = 32 << 20
 
 
 @dataclass
@@ -497,5 +503,37 @@ def main(argv=None):
         return 2
 
 
+def _keep_heap():
+    """Serve blocks up to 32 MiB from the heap and keep up to 32 MiB free at its top.
+
+    By default glibc maps a large array on its own and trims the free top
+    of the heap after each release, so the next array of a regime map
+    faults its pages in again: thousands of minor faults per map. Where
+    the C library exports no mallopt, nothing changes.
+    """
+    libc = ctypes.CDLL(None) if os.name == "posix" else None   # the symbols of the process
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD):
+        mallopt(param, _HEAP_KEEP)
+
+
+def entry():
+    """The dd-discord process: main() on the command line; returns its exit status.
+
+    Before main it tunes the heap (_keep_heap); after main it freezes the
+    collector, so the collections at interpreter exit skip the objects
+    numpy's import made. Every output file is closed by then, and stdio
+    is flushed at exit either way. Both act on the whole process, so
+    main() and the library do neither.
+    """
+    _keep_heap()
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .correlations import NoiseSide, correlation_bits, decoherence_factor
-from .pulses import MAX_POINTS, PulsedDecoherence, periodic_schedule
+from .pulses import MAX_POINTS, PulsedDecoherence, _sorted_distinct, periodic_schedule
 from .spectral import OhmicSpectrum, _times
 
 _SCAN_STEP = 0.05         # longest scan step, as in default_time_grid
@@ -283,7 +283,7 @@ class _FactorProfile:
         sure |= width <= _MIN_WIDTH * np.maximum(1.0, starts + x)
         times[todo[sure]] = starts[sure] + x[sure]
         if private and not sure.all():
-            self._split(np.unique(i[~sure]))
+            self._split(_sorted_distinct(i[~sure]))
         return times
 
 

@@ -88,6 +88,14 @@ def _check_size(horizon, step, what, step_name):
             f"{what}, more than the limit of {MAX_POINTS:,}")
 
 
+def _sorted_distinct(values):
+    """np.unique(values), without the numpy.ma import a bare np.unique makes in numpy 2.4."""
+    out = np.sort(values)
+    keep = np.ones(out.size, bool)
+    keep[1:] = out[1:] != out[:-1]
+    return out[keep]
+
+
 def periodic_schedule(delta_tau, horizon):
     """Equally spaced pulses t_n = n * delta_tau, as many as fit the horizon.
 
@@ -379,5 +387,5 @@ def default_time_grid(schedule, step=None):
     base = np.linspace(0.0, horizon, count + 1)
     if inst.size:
         base = np.concatenate([base, inst, np.nextafter(inst, np.inf)])
-    grid = np.unique(base)
+    grid = _sorted_distinct(base)
     return grid[(grid >= 0.0) & (grid <= horizon)]

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -393,19 +394,24 @@ def test_output_files_follow_the_umask(tmp_path):
         assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
 
 
-def test_worker_pool_size_is_invisible_in_output(tmp_path, run_cli):
+def test_worker_pool_size_is_invisible_in_output(tmp_path, run_cli, monkeypatch):
+    # the command-line process, which tunes the heap and freezes the collector
+    # around main(), writes the bytes of an in-process main(), which does neither
     args = ["phase-diagram", "--dt", "0.6", "--side", "two", "--workers", "4",
             "--s-grid", "0.5:3:4", "--c-grid", "0:0.8:4", "--output", "map.csv"]
-    dir_one = tmp_path / "one"
-    dir_many = tmp_path / "many"
-    dir_one.mkdir()
-    dir_many.mkdir()
-    res = run_cli(args, dir_one, {"DD_DISCORD_THREADS": "1"})
+    process, in_process = tmp_path / "process", tmp_path / "in-process"
+    process.mkdir()
+    in_process.mkdir()
+    res = run_cli(args, process)
     assert res.returncode == 0, res.stderr
-    res = run_cli(args, dir_many, {"DD_DISCORD_THREADS": "4"})
-    assert res.returncode == 0, res.stderr
-    for name in ("map.csv", "map-free.csv"):
-        assert (dir_one / name).read_bytes() == (dir_many / name).read_bytes()
+    monkeypatch.chdir(in_process)
+    assert main(args) == 0
+    assert gc.get_freeze_count() == 0
+    for name in ("map.csv", "map-free.csv", "map.json", "map-free.json"):
+        assert (process / name).read_bytes() == (in_process / name).read_bytes()
+    res = run_cli(["transition", "--s", "1", "--free", "--output", "-"], tmp_path)
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr.startswith("config error: c:")
 
 
 @pytest.mark.parametrize("args", [
@@ -543,3 +549,39 @@ def test_import_and_serial_runs_load_no_scipy_or_pool(tmp_path, run_python):
         assert seen == {"import": [], "transition": [0, []], "phase-diagram": [0, []],
                         "oracle": [0, []]}
         assert float(read_rows(tmp_path / "or.csv")[0]["gamma"]) > 0.0
+
+
+_NO_MASKED_ARRAY_PROBE = """
+import sys
+import dd_discord.cli as cli
+status = [cli.main(argv.split() + ["--output", "out.csv"]) for argv in (
+    "decoherence --s 1.5 --dt 0.05", "trajectory --s 1.5 --dt 0.05 --c 0.5",
+    "transition --s 2.5 --dt 0.3 --c 0.4")]
+print(status, "numpy.ma" in sys.modules)
+"""
+
+
+def test_time_grids_and_crossings_import_no_numpy_ma(tmp_path, run_python):
+    # a bare np.unique imports numpy.ma (11-14 ms) in numpy 2.4
+    res = run_python(_NO_MASKED_ARRAY_PROBE, tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[0, 0, 0] False"
+
+
+_ENTRY_PROBE = """
+import gc, sys
+import dd_discord.cli as cli
+sys.argv = ["dd-discord", "transition", "--s", "1", "--free", "--c", "0.5", "--output", "-"]
+frozen = gc.get_freeze_count()
+status = cli.entry()
+print(status, frozen, gc.get_freeze_count() > 0)
+"""
+
+
+def test_process_entry_runs_main_then_freezes_the_collector(tmp_path, run_python):
+    res = run_python(_ENTRY_PROBE, tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 0 True"
+    assert ",sudden-transition," in res.stdout
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert 'dd-discord = "dd_discord.cli:entry"' in pyproject

@@ -30,10 +30,6 @@ from .pulses import (MAX_CELLS, PulsedDecoherence, controlled_gamma_oracle,
 from .spectral import ConvergenceError, OhmicSpectrum, QuadratureConfig
 
 _UNITS_COMMENT = "# units: times in 1/omega_c, frequencies in omega_c"
-# glibc's mallopt parameters, and the 32 MiB both are raised to: the largest
-# mmap threshold glibc accepts on a 64-bit machine
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_HEAP_KEEP = 32 << 20
 
 
 @dataclass
@@ -501,6 +497,12 @@ def main(argv=None):
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 2
+
+
+# glibc's mallopt parameters, and the 32 MiB both are raised to: the ceiling
+# of glibc's own dynamic mmap threshold on a 64-bit machine
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_KEEP = 32 << 20
 
 
 def _keep_heap():

@@ -13,16 +13,16 @@ serve a block, and each row still gets the doubles it gets alone.
 Both are found in exponent space: the minimum factor is the maximum of
 the exponent g, and the factor crosses |c| where g first exceeds
 -log|c| / side. g is smooth between pulses, with kinks only at pulse
-instants. The scan samples every inter-pulse branch at equal phase
-steps, both sides of every instant and the window end included; a map
-finds it once. Every schedule is periodic, so its full periods repeat
-their phases exactly and its scan costs about one small table of phase
-sums. Each sample carries g, its rate, and bounds on |g''| and |g'''|
-from the closed forms. They bound g on every cell between samples, and
-a cell whose bound is not settled is bisected: nothing between the
-samples is assumed. A maximum inside a cell is a zero of the rate. It
-and every crossing are solved to a few ulp by safeguarded Newton steps
-shared by all brackets of a block.
+instants. The scan samples every inter-pulse branch at the phase steps
+of one period, both sides of every instant and the window end included;
+a map finds it once. The schedule is periodic, so the scan has one phase
+set and one small table of terms per row, each sample's own gamma0 among
+them (a full period ends at t_n + t_1). Each sample carries g, its rate,
+and bounds on |g''| and |g'''| from the closed forms. They bound g on
+every cell between samples, and a cell whose bound is not settled is
+bisected: nothing between the samples is assumed. A maximum inside a
+cell is a zero of the rate. It and every crossing are solved to a few
+ulp by safeguarded Newton steps shared by all brackets of a block.
 """
 
 import copy
@@ -34,7 +34,7 @@ import numpy as np
 
 from .correlations import NoiseSide, correlation_bits, decoherence_factor
 from .pulses import MAX_POINTS, PulsedDecoherence, _sorted_distinct, periodic_schedule
-from .spectral import OhmicSpectrum, _times
+from .spectral import OhmicSpectrum
 
 _SCAN_STEP = 0.05         # longest scan step, as in default_time_grid
 _SCAN_MIN_STEPS = 20      # fewest scan steps per branch
@@ -97,7 +97,7 @@ class _FactorProfile:
     """
 
     def __init__(self, s_values, schedule, side, scan):
-        starts, branch, phases, groups, times = scan
+        starts, branch, phases, groups = scan
         rows = np.arange(len(s_values))
         self.evaluator = PulsedDecoherence(tuple(OhmicSpectrum(s) for s in s_values), schedule)
         self.side = side
@@ -108,7 +108,7 @@ class _FactorProfile:
         self._starts, self._r = np.tile(starts, rows.size), np.tile(phases, rows.size)
         self._n = (rows[:, None] * starts.size + branch).reshape(-1)
         self._f, self._d, self._m2, self._m3 = self.evaluator._evaluate(
-            times, branch, phases, 1, True, groups, rows[:, None]).reshape(4, -1)
+            branch, phases, 1, True, groups, rows[:, None]).reshape(4, -1)
         # per cell, by its left point: the solved peak, where it is, its -g''
         # less the slack of the last Newton step, and whether it is certified
         self._peak, self._peak_at, self._bend = (np.full(self._n.size, np.nan) for _ in range(3))
@@ -116,9 +116,9 @@ class _FactorProfile:
         self._bounds = None
         self._settle(np.empty(0), np.empty(0, int))
 
-    def _evaluate(self, taus, n, phases, order, bounds=False):   # at times taus on branches n
+    def _evaluate(self, n, phases, order, bounds=False):   # at phases of branches n
         rows, counts = np.divmod(n, self._branches)
-        return self.evaluator._evaluate(_times(taus), counts, phases, order, bounds, rows=rows)
+        return self.evaluator._evaluate(counts, phases, order, bounds, rows=rows)
 
     def _cells(self):
         """Per pair of neighbouring points (j, j + 1), by j: whether it is a cell, an upper
@@ -188,7 +188,7 @@ class _FactorProfile:
         starts, n = self._starts[self._n[i]], self._n[i]
 
         def minus_rate(x, k):
-            g, rate, curvature = self._evaluate(starts[k] + x, n[k], x, 2)
+            g, rate, curvature = self._evaluate(n[k], x, 2)
             return -rate, -curvature, g
 
         lo, hi, m3 = self._r[i], self._r[i + 1], self._m3[i]
@@ -204,7 +204,7 @@ class _FactorProfile:
         """Bisect the cells at left points i."""
         n = self._n[i]
         r = 0.5 * (self._r[i] + self._r[i + 1])
-        new = self._evaluate(self._starts[n] + r, n, r, 1, True)
+        new = self._evaluate(n, r, 1, True)
         self._peak[i], self._peak_at[i], self._bend[i] = np.nan, np.nan, np.nan
         self._peak_sure[i] = False
         at = i + 1
@@ -269,7 +269,7 @@ class _FactorProfile:
         f_hi = np.where(ahead, self._f[i + 1], self._peak[i])
 
         def excess(x, k):
-            g, rate = self._evaluate(starts[k] + x, n[k], x, 1)
+            g, rate = self._evaluate(n[k], x, 1)
             return g - level[k], rate
 
         m2 = self._m2[i]
@@ -303,38 +303,33 @@ def _blocks(s_values, c_values, schedule, side, horizon=None):
 
 
 def _scan(schedule, horizon):
-    """Scan of [0, horizon]: branch starts, then per sample its branch and phase, groups, _times.
+    """Scan of [0, horizon]: branch starts, then per sample its branch and phase, and groups.
 
-    Branch n runs from t_n (t_0 = 0) to the next pulse (all t_1 long) or
-    the window end, in m = max(_SCAN_MIN_STEPS, ceil(L / _SCAN_STEP)) equal
-    steps of its length L: phases j (L / m), j = 0 .. m, the last exactly L
-    at exactly the branch end. groups = (distinct, which) lists each phase
-    set once. More than MAX_POINTS steps is a ValueError, raised first.
+    Branch n starts at t_n (t_0 = 0) and samples the phases j (P / m), j =
+    0 .. m, of one period P (t_1, or the window without a pulse in it), the
+    last exactly P, so it ends at t_n + P; m = max(_SCAN_MIN_STEPS, ceil(P /
+    _SCAN_STEP)). The last branch takes those below its length L, then L,
+    the window end. groups = (distinct, which). More than MAX_POINTS
+    steps is a ValueError, raised first.
     """
     t = np.asarray(schedule.instants, dtype=float)
     starts = np.concatenate(([0.0], t[:np.searchsorted(t, horizon)]))
-    ends = np.append(starts[1:], horizon)
-    lengths = ends - starts
-    lengths[:np.searchsorted(t, horizon, side="right")] = t[:1]
-    sets, set_of, uses = np.unique(lengths, return_inverse=True, return_counts=True)
-    steps = np.maximum(_SCAN_MIN_STEPS, np.ceil(sets / _SCAN_STEP))
-    total = float(np.dot(steps, uses))
+    period = np.min(t[:1], initial=horizon)
+    steps = max(_SCAN_MIN_STEPS, np.ceil(period / _SCAN_STEP))   # a float: the window may be inf
+    total = steps * starts.size
     if not total <= MAX_POINTS:
         raise ValueError(
-            f"the regime scan of [0, {ends[-1]}] asks for about {total:.3g} steps "
+            f"the regime scan of [0, {horizon}] asks for about {total:.3g} steps "
             f"(at least {_SCAN_MIN_STEPS} per pulse interval), more than the limit "
             f"of {MAX_POINTS:,}")
-    steps = steps.astype(int)
-    distinct = np.concatenate([np.append(np.arange(m) * (size / m), size)
-                               for size, m in zip(sets, steps)])
-    set_first = np.cumsum(steps + 1) - (steps + 1)
-    sizes = steps[set_of] + 1
-    branch = np.repeat(np.arange(lengths.size), sizes)
-    step = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    which = set_first[set_of][branch] + step
-    taus = starts[branch] + distinct[which]
-    taus[np.cumsum(sizes) - 1] = ends
-    return starts, branch, distinct[which], (distinct, which), _times(taus)
+    m = int(steps)
+    end = horizon - starts[-1]
+    distinct = np.append(np.arange(m) * (period / m), (period, end))
+    # the last branch ends at P itself when it is a full period
+    which = np.concatenate((np.tile(np.arange(m + 1), starts.size - 1),
+                            np.arange(np.searchsorted(distinct[:-1], end)), [m + (end != period)]))
+    branch = np.cumsum(which == 0) - 1   # every branch starts at phase 0
+    return starts, branch, distinct[which], (distinct, which)
 
 
 def _upper_bound(fa, fb, da, db, curv, h):

@@ -15,10 +15,10 @@ closed form, so each quadrature node costs the same at any pulse count:
 an oracle value costs O(panels), and its panels grow with tau, not with
 the pulses. The signed sum collapses into alternating prefix sums over
 the pulse index. Its schedule-only part costs O(pulses) once, and times
-that sit at the same phase inside a period share one prefix sum, so a
-time grid costs O(grid + distinct phases x pulses) evaluations of
-gamma0 instead of O(grid x pulses). A regime map's block of rows is one
-evaluator with a spectrum, so an s, per row.
+that sit at the same phase inside a period share one table of terms,
+head terms included: a grid costs O(distinct phases x (pulses + 1))
+gamma0 evaluations, not O(grid x pulses). A regime map's block of rows
+is one evaluator with a spectrum, so an s, per row.
 """
 
 import math
@@ -136,11 +136,11 @@ class PulsedDecoherence:
     The instants are exactly k * t_1 (see PulseSchedule), so every gap
     t_m - t_j is itself an instant and static takes two prefix sums over
     the N instants. The elapsed sum becomes sum_k (-1)^k gamma0(r + t_k)
-    with t_0 = 0 and the phase r = tau - t_n, which is exact by
-    Sterbenz's lemma. Grid points with exactly equal phases share one
-    alternating prefix sum, so a grid costs one gamma0 evaluation per
-    point plus one per (distinct phase, pulse) pair after a pulse. A
-    single time is the same sum with one phase.
+    with t_0 = 0 and the phase r = tau - t_n, which is exact by Sterbenz's
+    lemma; its next term, k = n, is the head term at r + t_n = tau. Points
+    with exactly equal phases share one table of terms, so a grid costs
+    one gamma0 evaluation per (distinct phase, k) pair, k = 0 .. n, and a
+    single time is one phase.
 
     spec may also be a tuple of spectra, the rows of a regime-map block:
     static has a row per spectrum, and _evaluate takes each point's row
@@ -156,14 +156,14 @@ class PulsedDecoherence:
         self._s = np.array([row.s for row in (spec if isinstance(spec, tuple) else (spec,))])
         t = np.asarray(schedule.instants, dtype=float)
         self._instants = t
-        self._signs = (-1.0) ** np.arange(t.size)   # (-1)^k, k = 0 .. N-1
+        self._signs = (-1.0) ** np.arange(t.size + 1)   # (-1)^k, k = 0 .. N
         self._starts = np.concatenate(([0.0], t))   # t_0 = 0, t_1, ..., t_N
         # near the overflow edge (s ~ 172) these sums leave non-finite
         # entries; gamma and gamma_grid report any exponent they reach
         with np.errstate(over="ignore", invalid="ignore"):
             # (-1)^(n+1) G(t_n), a row per spectrum
             singles = _closed_forms(self._s, _times(t), rows=np.arange(self._s.size)[:, None])[0]
-            singles = np.atleast_2d(singles) * self._signs
+            singles = np.atleast_2d(singles) * self._signs[:-1]
             # the gap sum of pulse n is sum_k (-1)^(k+1) G(t_k), k < n
             gaps = np.cumsum(np.pad(singles, ((0, 0), (1, 0))), axis=-1)[:, :-1]
             self._static = np.cumsum(np.pad(2.0 * singles + 4.0 * gaps, ((0, 0), (1, 0))), axis=-1)
@@ -183,87 +183,90 @@ class PulsedDecoherence:
         if not (0.0 <= taus.min() and taus.max() <= self.schedule.horizon):
             raise ValueError(f"tau must lie in [0, {self.schedule.horizon}]")
         counts = np.searchsorted(self._instants, taus, side="left")
-        return self._evaluate(_times(taus), counts, taus - self._starts[counts])[0]
+        return self._evaluate(counts, taus - self._starts[counts])[0]
 
-    def _evaluate(self, times, counts, phases, order=0, bounds=False, groups=None, rows=0):
-        """The exponent and its time derivatives up to order, at taus after counts pulses.
+    def _evaluate(self, counts, phases, order=0, bounds=False, groups=None, rows=0):
+        """The exponent and its time derivatives up to order at t_n + r, n = counts, r = phases.
 
-        The one kernel of gamma_grid and of the regime refinement. times =
-        _times(taus), phases are taus - t_counts and rows (broadcast) the
-        rows of the points; groups = (distinct, which) with phases =
-        distinct[which] spares finding the distinct phases. A derivative
-        is the same signed sum over the derivative of gamma0 (static is
-        constant inside a branch). With bounds, two more arrays bound the
-        second and third derivatives from taus to their branch ends: each
-        term becomes its envelope, which decreases in its argument, and
-        every argument grows with tau inside a branch. Returns the arrays
-        stacked; the exponent is clamped at zero, and a value that is not a
-        finite double raises ConvergenceError.
+        The one kernel of gamma_grid and of the regime refinement. rows
+        (broadcast) are the rows of the points; groups = (distinct, which) with
+        phases = distinct[which] spares finding the distinct phases. The head
+        term is the elapsed sum's next term, at r + t_n: t_n + r for the
+        refinement, and tau for gamma_grid, as tau - t_n is exact (t_n = 0 or
+        tau <= 2 t_n, so on every periodic_schedule window). A derivative is
+        the same signed sum over the derivative of gamma0 (static is constant
+        inside a branch). With bounds, two more arrays bound the second and
+        third derivatives from the points to their branch ends: each term
+        becomes its envelope, which decreases in its argument, and every
+        argument grows with tau inside a branch. Returns the arrays stacked;
+        the exponent is clamped at zero, and a value that is not a finite
+        double raises ConvergenceError.
         """
         # an overflowing sum is reported just below, as a non-finite value
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self._elapsed(order, bounds, counts, phases, groups, rows)
-            out *= 2.0
-            heads = _closed_forms(self._s, times, range(order + 1), bounds, rows)
-            signs = 1.0 - 2.0 * (counts & 1)   # (-1)^n
-            out[0] += self._static[rows, counts] + signs * heads[0]
-            for k, head in enumerate(heads[1:], 1):
-                out[k] += signs * head if k <= order else head
+            out, term = self._elapsed(order, bounds, counts, phases, groups, rows)
+            term[0] += self._static[rows, counts]
+            out += term
         names = ("exponent", "rate", "curvature")[:order + 1] + ("derivative bound",) * 2 * bounds
         for name, values in zip(names, out):
             bad = ~np.isfinite(values)
             if bad.any():
                 tau, s = (float(np.broadcast_to(x, bad.shape)[bad][0])
-                          for x in (times[0], self._s[rows]))
+                          for x in (self._starts[counts] + phases, self._s[rows]))
                 raise ConvergenceError(
                     f"{name} is not a finite double at s={s}, tau={tau}", s=s, tau=tau)
         np.maximum(out[0], 0.0, out=out[0])
         return out
 
     def _elapsed(self, order, bounds, counts, phases, groups, rows):
-        """Elapsed sums sum_k sign_k f(tau - t_(n-k)), k = 0 .. n-1, one row per closed form.
+        """Per closed form f, 2 sum_k sign_k f(r + t_k), k < n, and the terms k = n.
 
-        They are all zero when no point has a pulse behind it, as under
-        free evolution: then no phase is grouped.
+        With no pulse behind any point, as under free evolution, the sums
+        are zero and the terms are the closed forms at the phases.
         """
         shape = np.broadcast_shapes(np.shape(counts), np.shape(rows))
-        out = np.zeros((order + 1 + 2 * bounds,) + shape)
-        if counts.any():
-            distinct, which = np.unique(phases, return_inverse=True) if groups is None else groups
-            keys, counts = np.broadcast_arrays(rows * distinct.size + which, counts)
-            self._phase_sums(order, bounds, distinct, keys.reshape(-1), counts.reshape(-1),
-                             out.reshape(len(out), -1))
-        return out
+        if not counts.any():
+            terms = _closed_forms(self._s, _times(phases), range(order + 1), bounds, rows)
+            terms = np.array([np.broadcast_to(f, shape) for f in terms])
+            return np.zeros_like(terms), terms
+        sums = np.zeros((2, order + 1 + 2 * bounds) + shape)
+        distinct, which = np.unique(phases, return_inverse=True) if groups is None else groups
+        keys, counts = np.broadcast_arrays(rows * distinct.size + which, counts)
+        self._phase_sums(order, bounds, distinct, keys.reshape(-1), counts.reshape(-1),
+                         sums.reshape(2, len(sums[0]), -1))
+        return sums
 
     def _phase_sums(self, order, bounds, distinct, keys, counts, out):
-        """Elapsed sums, into out, of the points of keys after counts pulses.
+        """Into out, twice the prefix sums (k < n) and the terms k = n of the points of keys.
 
-        Key i D + j, D = distinct.size, is phase r = distinct[j] in row i;
-        it gets a table row of prefix sums over sign_k f(r + t_k), up to its
-        largest count, per closed form f: gamma0 and its derivatives up to
-        order, with sign_k = (-1)^k, then with bounds the two derivative
-        envelopes, with sign_k = 1. Keys go longest first, in blocks of at
-        most _PHASE_BLOCK table entries, each fitting the first's width.
+        Key i D + j, D = distinct.size, is phase r = distinct[j] in row i; it
+        gets a table row of sign_k f(r + t_k), k = 0 .. its largest count, per
+        closed form f: gamma0 and its derivatives up to order, with sign_k =
+        (-1)^k, then with bounds the two derivative envelopes, with sign_k = 1.
+        Keys that points use go longest first, in blocks of at most
+        _PHASE_BLOCK table entries, each fitting the first's width.
         """
-        longest = np.zeros(self._s.size * distinct.size, dtype=int)
+        longest = np.full(self._s.size * distinct.size, -1)
         np.maximum.at(longest, keys, counts)
         ranked = np.argsort(-longest, kind="stable")
+        used = np.count_nonzero(longest >= 0)
         point_rank = np.argsort(ranked)[keys]   # table row of each point's key
         by_rank = np.argsort(point_rank)   # any order inside a key: each point is written once
-        ends = np.concatenate(([0], np.cumsum(np.bincount(point_rank, minlength=ranked.size))))
+        ends = np.concatenate(([0], np.cumsum(np.bincount(point_rank, minlength=used))))
         first = 0
-        while first < ranked.size and longest[ranked[first]]:
-            width = int(longest[ranked[first]])
-            stop = min(ranked.size, first + max(1, _PHASE_BLOCK // (width + 1)))
+        while first < used:
+            width = int(longest[ranked[first]]) + 1
+            stop = min(used, first + max(1, _PHASE_BLOCK // width))
             pts = by_rank[ends[first]:ends[stop]]
-            cols = counts[pts] - 1   # -1 before the first pulse: a zero sum
-            entry = (point_rank[pts] - first) * width + cols
+            n = counts[pts]
+            entry = (point_rank[pts] - first) * width + n
             block, phase = np.divmod(ranked[first:stop, None], distinct.size)
             values = _closed_forms(self._s, _times(distinct[phase] + self._starts[:width]),
                                    range(order + 1), bounds, block)
-            for k, (row, f) in enumerate(zip(out, values)):
-                table = np.cumsum(f * self._signs[:width] if k <= order else f, axis=-1)
-                row[pts] = np.where(cols >= 0, np.take(table, entry), 0.0)
+            for k, (sums, term, f) in enumerate(zip(out[0], out[1], values)):
+                f = f * self._signs[:width] if k <= order else f
+                sums[pts] = np.where(n > 0, 2.0 * np.take(np.cumsum(f, axis=-1), entry - 1), 0.0)
+                term[pts] = np.take(f, entry)
             first = stop
 
 
@@ -299,9 +302,9 @@ def filter_function_sq(n, interval, tau, z):
     independent of n.
     """
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0):
+    if not np.all(z >= 0.0):   # also refuses NaN
         raise ValueError("z must be nonnegative")
-    if n < 0 or (n > 0 and not (interval > 0.0 and n * interval < tau)):
+    if n < 0 or (n > 0 and not (interval is not None and 0.0 < n * interval < tau)):
         raise ValueError(f"{n} pulses at interval {interval} must lie in (0, tau), tau = {tau}")
     end = (-1.0) ** (n + 1)
     real, imag = 1.0 + end * np.cos(z), end * np.sin(z)
@@ -347,8 +350,8 @@ def _filter_integral(spec, n, interval, tau, cfg):
 def gamma0_quadrature(spec, tau, cfg=DEFAULT_QUADRATURE):
     """Free exponent by quadrature: controlled_gamma_oracle without pulses."""
     tau = float(tau)
-    if not tau >= 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     return _filter_integral(spec, 0, None, tau, cfg)
 
 
@@ -359,8 +362,8 @@ def controlled_gamma_oracle(spec, sched, tau, cfg=DEFAULT_QUADRATURE):
     before tau: an independent cross-check of the signed sum.
     """
     tau = float(tau)
-    if not 0.0 <= tau <= sched.horizon:
-        raise ValueError(f"tau must lie in [0, {sched.horizon}], got {tau}")
+    if not (0.0 <= tau <= sched.horizon and tau < math.inf):
+        raise ValueError(f"tau must be finite and lie in [0, {sched.horizon}], got {tau}")
     return _filter_integral(spec, sched.pulses_before(tau), sched.interval, tau, cfg)
 
 

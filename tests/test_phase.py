@@ -388,6 +388,34 @@ def test_block_memory_and_work(monkeypatch):
             assert len(sizes) <= 60
 
 
+def test_scan_evaluates_each_closed_form_once(monkeypatch):
+    # a block's scan evaluates each closed form once per (row, phase, pulse
+    # count): m + 1 phases of the period and the window end, after 0 .. N
+    # pulses; the head term of every sample is one of them
+    sched = periodic_schedule(0.3, 25.0)
+    m, pulses_n = phase._SCAN_MIN_STEPS, len(sched)   # 0.3 / _SCAN_STEP is fewer steps
+    evaluated, scans = [], {}
+    closed_forms, evaluate = pulses._closed_forms, pulses.PulsedDecoherence._evaluate
+
+    def counting(s, times, orders=(0,), envelopes=False, rows=0):
+        evaluated.append(np.broadcast(times[0], rows).size)
+        return closed_forms(s, times, orders, envelopes, rows)
+
+    def first_evaluation(self, *args, **kwargs):   # a block's first is its scan
+        evaluated.clear()
+        out = evaluate(self, *args, **kwargs)
+        scans.setdefault(self.spec, sum(evaluated))
+        return out
+
+    monkeypatch.setattr(pulses, "_closed_forms", counting)
+    monkeypatch.setattr(pulses.PulsedDecoherence, "_evaluate", first_evaluation)
+    phase_diagram(np.linspace(0.1, 6.0, 12), np.linspace(0.0, 0.99, 50), 0.3,
+                  NoiseSide.ONE_SIDED)
+    assert len(scans) == 3
+    for spec, points in scans.items():
+        assert points <= len(spec) * (m + 2) * (pulses_n + 1)
+
+
 @pytest.mark.parametrize("dt", [None, 0.3, 0.05, 1.7])
 def test_one_step_scan_is_certified(dt, monkeypatch):
     # one scan step per branch leaves the certificate all the work: it must
@@ -486,6 +514,10 @@ def test_phase_diagram_validation():
         phase_diagram([0.0, 1.0], [0.0], None, NoiseSide.ONE_SIDED)
     with pytest.raises(ValueError):
         phase_diagram([1.0], [0.5, 1.0], None, NoiseSide.ONE_SIDED)
+    # an endless window is refused by the size checks, before any integer conversion
+    for dt in (None, 0.3):
+        with pytest.raises(ValueError, match="more than the limit"):
+            phase_diagram([1.0], [0.5], dt, NoiseSide.ONE_SIDED, horizon=math.inf)
 
 
 def test_phase_diagram_worker_count_is_invisible():

@@ -269,6 +269,21 @@ def test_free_grid_builds_no_phase_table(monkeypatch):
     assert evaluated == [grid.size]
 
 
+def test_phase_table_holds_only_the_keys_points_use(monkeypatch):
+    # 15 rows, every point in row 0: the table evaluates row 0's keys alone,
+    # at most (largest pulse count + 1) terms each, the head terms included
+    spectra = tuple(OhmicSpectrum(s) for s in np.linspace(0.5, 4.0, 15))
+    sched = periodic_schedule(0.3, 25.0)
+    engine = PulsedDecoherence(spectra, sched)
+    taus = np.linspace(5.05, 24.95, 10)
+    counts = np.searchsorted(sched.instants, taus)
+    evaluated = _count_closed_forms(monkeypatch)
+    got = engine._evaluate(counts, taus - engine._starts[counts])[0]
+    assert sum(evaluated) <= taus.size * (counts.max() + 1)
+    monkeypatch.undo()
+    assert_allclose(got, PulsedDecoherence(spectra[0], sched).gamma_grid(taus), rtol=0.0, atol=0.0)
+
+
 @pytest.mark.parametrize("s", [0.5, 4.0])
 def test_closed_sum_agrees_with_filter_integral(s):
     spec = OhmicSpectrum(s)
@@ -331,6 +346,11 @@ def test_domain_errors():
         controlled_gamma(spec, sched, -0.1)
     with pytest.raises(ValueError):
         controlled_gamma(spec, sched, 10.5)
+    # an infinite time would make the quadrature panels zero wide
+    with pytest.raises(ValueError, match="tau must be finite"):
+        gamma0_quadrature(spec, np.inf)
+    with pytest.raises(ValueError, match="tau must be finite"):
+        controlled_gamma_oracle(spec, PulseSchedule((), np.inf), np.inf)
 
 
 def test_filter_function_reference_values():
@@ -382,6 +402,10 @@ def test_filter_function_validation():
         filter_function_sq(-1, 0.5, 1.0, 1.0)
     with pytest.raises(ValueError):
         filter_function_sq(1, 0.5, 1.0, -1.0)
+    with pytest.raises(ValueError, match="interval None"):
+        filter_function_sq(2, None, 1.0, 0.5)   # pulses need an interval
+    with pytest.raises(ValueError, match="z must"):
+        filter_function_sq(1, 0.3, 1.0, np.nan)
 
 
 def test_default_time_grid_structure():

@@ -36,8 +36,8 @@ from .correlations import NoiseSide, correlation_bits, decoherence_factor
 from .pulses import MAX_POINTS, PulsedDecoherence, _sorted_distinct, periodic_schedule
 from .spectral import OhmicSpectrum
 
-_SCAN_STEP = 0.05         # longest scan step, as in default_time_grid
-_SCAN_MIN_STEPS = 20      # fewest scan steps per branch
+_SCAN_STEP = 0.125        # longest scan step; the certificate splits cells that need more
+_SCAN_MIN_STEPS = 4       # fewest scan steps per branch
 _NEWTON_STEPS = 60        # most safeguarded Newton steps of one solve
 _ULPS = 4                 # a solve stops within this many ulp of its time
 _MIN_WIDTH = 2.0 ** -40   # cells narrower than this (times max(1, t)) count as samples
@@ -309,8 +309,10 @@ def _scan(schedule, horizon):
     0 .. m, of one period P (t_1, or the window without a pulse in it), the
     last exactly P, so it ends at t_n + P; m = max(_SCAN_MIN_STEPS, ceil(P /
     _SCAN_STEP)). The last branch takes those below its length L, then L,
-    the window end. groups = (distinct, which). More than MAX_POINTS
-    steps is a ValueError, raised first.
+    the window end. groups = (distinct, which). The scan is coarse: the
+    certificate bisects every cell its bounds leave unsettled, so the
+    density sets the work, not the results. More than MAX_POINTS steps is
+    a ValueError, raised first.
     """
     t = np.asarray(schedule.instants, dtype=float)
     starts = np.concatenate(([0.0], t[:np.searchsorted(t, horizon)]))
@@ -320,8 +322,8 @@ def _scan(schedule, horizon):
     if not total <= MAX_POINTS:
         raise ValueError(
             f"the regime scan of [0, {horizon}] asks for about {total:.3g} steps "
-            f"(at least {_SCAN_MIN_STEPS} per pulse interval), more than the limit "
-            f"of {MAX_POINTS:,}")
+            f"(at least {_SCAN_MIN_STEPS} per pulse interval and one per {_SCAN_STEP} of "
+            f"time), more than the limit of {MAX_POINTS:,}")
     m = int(steps)
     end = horizon - starts[-1]
     distinct = np.append(np.arange(m) * (period / m), (period, end))

@@ -463,12 +463,12 @@ def test_oversized_map_exits_one(args, capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["phase-diagram", "--dt", "2e-4"],
-    ["transition", "--s", "1", "--c", "0.5", "--dt", "2e-4"],
+    ["phase-diagram", "--dt", "5e-5"],
+    ["transition", "--s", "1", "--c", "0.5", "--dt", "5e-5"],
     ["boundary", "--free", "--horizon", "1e300"],
 ])
 def test_oversized_regime_scan_exits_one(args, capsys):
-    # 2.5 million scan steps would take hundreds of MB; the refusal comes
+    # 2 million scan steps would take hundreds of MB; the refusal comes
     # before the scan is allocated
     import tracemalloc
     tracemalloc.start()

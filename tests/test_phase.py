@@ -37,6 +37,11 @@ def _schedule(dt):
     return FREE_25 if dt is None else periodic_schedule(dt, 25.0)
 
 
+def _rows_per_block(monkeypatch, dt, rows):
+    """Set the block budget to the scan points of that many rows of dt's map."""
+    monkeypatch.setattr(phase, "_BLOCK_POINTS", rows * phase._scan(_schedule(dt), 25.0)[1].size)
+
+
 def _scalar_factor(spec, sched, side):
     return lambda tau: decoherence_factor(controlled_gamma(spec, sched, float(tau)), side)
 
@@ -315,10 +320,31 @@ def test_min_factor_and_crossings_match_mpmath(s, dt, side):
             assert abs(t - t_mp) <= 1e-9
 
 
+@pytest.mark.parametrize("s,c,dt,side", [
+    (5.952123146757807, 0.8120388751920551, 0.05, NoiseSide.TWO_SIDED),
+    (4.485141619103272, 0.8115270842663066, 0.3, NoiseSide.ONE_SIDED),
+])
+def test_transition_before_the_first_pulse_matches_mpmath(s, c, dt, side):
+    # crossings of gamma0 alone whose 12-digit prints sit at a rounding edge
+    # (roots 0.01779631241464958 and 0.09152674507494995)
+    t = phase_diagram([s], [c], dt, side).labels[0][0].transition_time
+    assert 0.0 < t < dt
+    with mpmath.workdps(60):
+        level = -mpmath.log(mpmath.mpf(c)) / side.value
+
+        def excess(x):
+            g, rate, _ = mp_controlled_exponent(s, None, x, dps=60)
+            return g - level, rate
+
+        root = mp_newton(excess, 0.0, dt, dps=60)
+        assert abs(t / root - 1) <= 2e-12
+
+
 def test_row_refinement_work(monkeypatch):
     # per block of rows: one scan call, then vectorised Newton steps shared by
-    # the block's c values (and its peaks); no scalar exponent at all.
-    # Measured on these maps: at most 4 kernel calls per pulsed block and 9
+    # the block's c values (and its peaks); no scalar exponent at all. The
+    # budget splits each map into blocks of 4 rows.
+    # Measured on these maps: at most 6 kernel calls per pulsed block and 11
     # per free block.
     def counting(method, calls):
         def wrapper(self, *args, **kwargs):
@@ -327,8 +353,9 @@ def test_row_refinement_work(monkeypatch):
         return wrapper
 
     evaluator = pulses.PulsedDecoherence
-    for dt, most, blocks in ((0.3, 6, 3), (None, 12, 1)):
+    for dt, most, blocks in ((0.3, 6, 3), (None, 12, 3)):
         scalar, kernel = {}, {}
+        _rows_per_block(monkeypatch, dt, 4)
         monkeypatch.setattr(evaluator, "gamma", counting(evaluator.gamma, scalar))
         monkeypatch.setattr(evaluator, "_evaluate", counting(evaluator._evaluate, kernel))
         diagram = phase_diagram(np.linspace(0.1, 6.0, 12), np.linspace(0.0, 0.99, 50), dt,
@@ -343,23 +370,22 @@ def test_row_refinement_work(monkeypatch):
         assert sum(kernel.values()) <= most * blocks
 
 
-@pytest.mark.parametrize("budget", [None, 3600], ids=["budget", "small-budget"])
+@pytest.mark.parametrize("rows", [3, 7], ids=["blocks-of-3", "blocks-of-7"])
 @pytest.mark.parametrize("dt", [None, 0.3, 0.05])
 @pytest.mark.parametrize("side", list(NoiseSide))
-def test_block_rows_equal_rows_alone(side, dt, budget, monkeypatch):
+def test_block_rows_equal_rows_alone(side, dt, rows, monkeypatch):
     # a row of a block gets the very doubles it gets alone: labels, minimum
-    # and transition times; a budget of 3600 scan points splits the free
-    # rows into blocks of 7 and 1, and the dt 0.3 rows into blocks of 2
-    if budget is not None:
-        monkeypatch.setattr(phase, "_BLOCK_POINTS", budget)
+    # and transition times; the budget splits the 8 rows into blocks of 3, 3
+    # and 2, or of 7 and 1
+    _rows_per_block(monkeypatch, dt, rows)
     s_grid, c_grid = np.linspace(0.1, 6.0, 8), np.linspace(0.0, 0.99, 23)
     blocks = []
     profile = phase._FactorProfile
     monkeypatch.setattr(phase, "_FactorProfile", lambda s, *args: blocks.append(len(s)) or
                         profile(s, *args))
     diagram = phase_diagram(s_grid, c_grid, dt, side)
-    assert max(blocks) > 1 or dt == 0.05
-    assert len(blocks) > 1 or dt is None and budget is None
+    assert max(blocks) > 1
+    assert len(blocks) > 1
     for s, labels, min_factor in zip(s_grid, diagram.labels, diagram.min_factors):
         alone = phase_diagram((s,), c_grid, dt, side)
         assert alone.min_factors == (min_factor,)
@@ -368,8 +394,9 @@ def test_block_rows_equal_rows_alone(side, dt, budget, monkeypatch):
 
 
 def test_block_memory_and_work(monkeypatch):
-    # on the benchmark's maps no evaluation is larger than one dt 0.05 row
-    # of the scan, and the free map takes a few calls per block, not per row
+    # on the benchmark's maps no evaluation is larger than 10,500 points
+    # (measured: at most 7,839, within a block's 8,000 scan points), and the
+    # free map takes a few calls per block, not per row
     sizes = []
     closed_forms = pulses._closed_forms
 
@@ -409,11 +436,39 @@ def test_scan_evaluates_each_closed_form_once(monkeypatch):
 
     monkeypatch.setattr(pulses, "_closed_forms", counting)
     monkeypatch.setattr(pulses.PulsedDecoherence, "_evaluate", first_evaluation)
+    _rows_per_block(monkeypatch, 0.3, 4)
     phase_diagram(np.linspace(0.1, 6.0, 12), np.linspace(0.0, 0.99, 50), 0.3,
                   NoiseSide.ONE_SIDED)
     assert len(scans) == 3
     for spec, points in scans.items():
         assert points <= len(spec) * (m + 2) * (pulses_n + 1)
+
+
+def test_scan_refinement_work_is_bounded(monkeypatch):
+    # the scan is dense enough that the certificate seldom splits a cell: a
+    # sparser one stays correct but refines cell by cell, one private pass
+    # per c value at a time. Measured on these maps: at most 2 splits and no
+    # private pass per map (one step of 1.0 per branch: up to 560 and 104)
+    work = {}
+    profile = phase._FactorProfile
+    split, crossings = profile._split, profile._crossings
+
+    def counting_split(self, i):
+        work["splits"] += 1
+        return split(self, i)
+
+    def counting_crossings(self, targets, rows, private=False):
+        work["private"] += private
+        return crossings(self, targets, rows, private)
+
+    monkeypatch.setattr(profile, "_split", counting_split)
+    monkeypatch.setattr(profile, "_crossings", counting_crossings)
+    for dt in (0.05, 0.3, 1.0, None):
+        for side in NoiseSide:
+            work.update(splits=0, private=0)
+            phase_diagram(np.linspace(0.1, 6.0, 12), np.linspace(0.0, 0.99, 25), dt, side)
+            assert work["splits"] <= 4, (dt, side)
+            assert work["private"] <= 2, (dt, side)
 
 
 @pytest.mark.parametrize("dt", [None, 0.3, 0.05, 1.7])

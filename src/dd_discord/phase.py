@@ -311,8 +311,8 @@ def _scan(schedule, horizon):
     _SCAN_STEP)). The last branch takes those below its length L, then L,
     the window end. groups = (distinct, which). The scan is coarse: the
     certificate bisects every cell its bounds leave unsettled, so the
-    density sets the work, not the results. More than MAX_POINTS steps is
-    a ValueError, raised first.
+    density sets the work, while every result holds to the same few ulp.
+    More than MAX_POINTS steps is a ValueError, raised first.
     """
     t = np.asarray(schedule.instants, dtype=float)
     starts = np.concatenate(([0.0], t[:np.searchsorted(t, horizon)]))

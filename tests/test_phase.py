@@ -370,13 +370,13 @@ def test_row_refinement_work(monkeypatch):
         assert sum(kernel.values()) <= most * blocks
 
 
-@pytest.mark.parametrize("rows", [3, 7], ids=["blocks-of-3", "blocks-of-7"])
+@pytest.mark.parametrize("rows", [7, 3], ids=["budget", "small-budget"])
 @pytest.mark.parametrize("dt", [None, 0.3, 0.05])
 @pytest.mark.parametrize("side", list(NoiseSide))
 def test_block_rows_equal_rows_alone(side, dt, rows, monkeypatch):
     # a row of a block gets the very doubles it gets alone: labels, minimum
-    # and transition times; the budget splits the 8 rows into blocks of 3, 3
-    # and 2, or of 7 and 1
+    # and transition times; a budget of 7 rows' scan points splits the 8
+    # rows into blocks of 7 and 1, a small budget of 3 rows into 3, 3 and 2
     _rows_per_block(monkeypatch, dt, rows)
     s_grid, c_grid = np.linspace(0.1, 6.0, 8), np.linspace(0.0, 0.99, 23)
     blocks = []

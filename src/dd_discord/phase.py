@@ -314,9 +314,8 @@ def _scan(schedule, horizon):
     density sets the work, while every result holds to the same few ulp.
     More than MAX_POINTS steps is a ValueError, raised first.
     """
-    t = np.asarray(schedule.instants, dtype=float)
-    starts = np.concatenate(([0.0], t[:np.searchsorted(t, horizon)]))
-    period = np.min(t[:1], initial=horizon)
+    starts = np.concatenate(([0.0], schedule.instants[:schedule.pulses_before(horizon)]))
+    period = min(schedule.interval or horizon, horizon)
     steps = max(_SCAN_MIN_STEPS, np.ceil(period / _SCAN_STEP))   # a float: the window may be inf
     total = steps * starts.size
     if not total <= MAX_POINTS:

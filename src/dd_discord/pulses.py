@@ -22,8 +22,7 @@ is one evaluator with a spectrum, so an s, per row.
 """
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -34,35 +33,45 @@ from .spectral import (DEFAULT_QUADRATURE, ConvergenceError, _closed_forms, _tim
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Pulses at exactly t_k = k * t_1, k = 1 .. N (N >= 0), inside (0, horizon].
+    """Pulses at t_k = k * interval, k = 1 .. count, as many as fit (0, horizon].
 
-    periodic_schedule builds them; () is free evolution. Any other train
-    is a ValueError.
+    interval None, or above the horizon, is free evolution: count 0 and
+    interval None. () is the free form of earlier versions, and no other
+    tuple is accepted. More than MAX_POINTS pulses is a ValueError.
     """
 
-    instants: tuple
+    interval: float
     horizon: float
+    count: int = field(init=False)
 
     def __post_init__(self):
+        interval = self.interval
+        if isinstance(interval, tuple) and not interval:
+            interval = None
+        if interval is not None and not interval > 0.0:
+            raise ValueError(f"delta_tau must be > 0, got {interval}")
         if not self.horizon > 0.0:
             raise ValueError(f"horizon must be > 0, got {self.horizon}")
-        inst = tuple(float(t) for t in self.instants)
-        object.__setattr__(self, "instants", inst)
-        if any(not t > 0.0 for t in inst):
-            raise ValueError("pulse instants must be positive")
-        if inst != tuple(k * inst[0] for k in range(1, len(inst) + 1)):
-            raise ValueError("pulse instants must be exactly k * t_1, k = 1 .. N: "
-                             "build them with periodic_schedule")
-        if inst and inst[-1] > self.horizon:
-            raise ValueError("pulse instants must not exceed the horizon")
+        count = 0
+        if interval is not None:
+            _check_size(self.horizon, interval, "pulses", "dt")
+            count = int(math.floor(self.horizon / interval))
+            if (count + 1) * interval <= self.horizon:  # floor landed one short
+                count += 1
+            while count > 0 and count * interval > self.horizon:  # float overshoot
+                count -= 1
+        object.__setattr__(self, "interval", float(interval) if count else None)
+        object.__setattr__(self, "count", count)
 
     @property
-    def interval(self):
-        """The pulse interval t_1, or None without pulses."""
-        return self.instants[0] if self.instants else None
+    def instants(self):
+        """The pulse instants n * interval, n = 1 .. count, as a new read-only array."""
+        out = np.arange(1, self.count + 1) * (self.interval or 0.0)
+        out.flags.writeable = False
+        return out
 
     def __len__(self):
-        return len(self.instants)
+        return self.count
 
     def pulses_before(self, tau):
         """Number of pulses strictly earlier than tau.
@@ -71,7 +80,7 @@ class PulseSchedule:
         preceding branch; continuity makes the choice observationally
         irrelevant.
         """
-        return bisect_left(self.instants, tau)
+        return int(np.searchsorted(self.instants, tau))
 
 
 # most pulses in a periodic schedule, and most points in a sampling grid
@@ -97,25 +106,8 @@ def _sorted_distinct(values):
 
 
 def periodic_schedule(delta_tau, horizon):
-    """Equally spaced pulses t_n = n * delta_tau, as many as fit the horizon.
-
-    delta_tau None or above the horizon yields an empty schedule (free
-    evolution over the same window). More than MAX_POINTS pulses is a
-    ValueError.
-    """
-    if delta_tau is None:
-        return PulseSchedule((), horizon)
-    if not delta_tau > 0.0:
-        raise ValueError(f"delta_tau must be > 0, got {delta_tau}")
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
-    _check_size(horizon, delta_tau, "pulses", "dt")
-    count = int(math.floor(horizon / delta_tau))
-    if (count + 1) * delta_tau <= horizon:  # floor landed one short
-        count += 1
-    while count > 0 and count * delta_tau > horizon:  # float overshoot
-        count -= 1
-    return PulseSchedule(tuple(n * delta_tau for n in range(1, count + 1)), horizon)
+    """Equally spaced pulses t_n = n * delta_tau, as many as fit the horizon: a PulseSchedule."""
+    return PulseSchedule(delta_tau, horizon)
 
 
 # table entries per block of the shared-phase sums: bounds their working set
@@ -154,8 +146,7 @@ class PulsedDecoherence:
         self.spec = spec
         self.schedule = schedule
         self._s = np.array([row.s for row in (spec if isinstance(spec, tuple) else (spec,))])
-        t = np.asarray(schedule.instants, dtype=float)
-        self._instants = t
+        t = schedule.instants
         self._signs = (-1.0) ** np.arange(t.size + 1)   # (-1)^k, k = 0 .. N
         self._starts = np.concatenate(([0.0], t))   # t_0 = 0, t_1, ..., t_N
         # near the overflow edge (s ~ 172) these sums leave non-finite
@@ -182,7 +173,7 @@ class PulsedDecoherence:
             return np.empty(0)
         if not (0.0 <= taus.min() and taus.max() <= self.schedule.horizon):
             raise ValueError(f"tau must lie in [0, {self.schedule.horizon}]")
-        counts = np.searchsorted(self._instants, taus, side="left")
+        counts = np.searchsorted(self._starts[1:], taus, side="left")
         return self._evaluate(counts, taus - self._starts[counts])[0]
 
     def _evaluate(self, counts, phases, order=0, bounds=False, groups=None, rows=0):
@@ -193,7 +184,7 @@ class PulsedDecoherence:
         phases = distinct[which] spares finding the distinct phases. The head
         term is the elapsed sum's next term, at r + t_n: t_n + r for the
         refinement, and tau for gamma_grid, as tau - t_n is exact (t_n = 0 or
-        tau <= 2 t_n, so on every periodic_schedule window). A derivative is
+        tau <= 2 t_n, true on every schedule). A derivative is
         the same signed sum over the derivative of gamma0 (static is constant
         inside a branch). With bounds, two more arrays bound the second and
         third derivatives from the points to their branch ends: each term
@@ -370,19 +361,18 @@ def controlled_gamma_oracle(spec, sched, tau, cfg=DEFAULT_QUADRATURE):
 def default_time_grid(schedule, step=None):
     """Sampling grid: uniform step plus both sides of every pulse instant.
 
-    The default step is min(gap/20, 0.05) with gap the smallest pulse
-    spacing, so the kinks at pulse instants are always bracketed; each
-    instant appears once exactly and once nudged just past it, which
-    makes branch continuity visible in sampled output. More than
-    MAX_POINTS uniform points is a ValueError.
+    The default step is min(gap, 1) / 20 with gap the smallest spacing
+    of the double instants (t_0 = 0), so the kinks at pulse instants are
+    always bracketed. That gap can sit an ulp below the interval (at dt
+    0.32 or 0.064 over 25), and a step from the interval would then move
+    every grid point; the step keeps the gap, as the grid fixes the rows
+    of every sampled output. Each instant appears once exactly and once
+    nudged just past it, which makes branch continuity visible in sampled
+    output. More than MAX_POINTS uniform points is a ValueError.
     """
-    horizon = schedule.horizon
-    inst = np.asarray(schedule.instants, dtype=float)
+    horizon, inst = schedule.horizon, schedule.instants
     if step is None:
-        step = 0.05
-        if inst.size:
-            gaps = np.diff(np.concatenate(([0.0], inst)))
-            step = min(step, float(gaps.min()) / 20.0)
+        step = float(np.min(np.diff(inst, prepend=0.0), initial=1.0)) / 20.0
     if not step > 0.0:
         raise ValueError(f"step must be > 0, got {step}")
     _check_size(horizon, step, "grid points", "time_step")

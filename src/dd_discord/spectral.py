@@ -44,8 +44,8 @@ class OhmicSpectrum:
     s: float
 
     def __post_init__(self):
-        if not self.s > 0.0:
-            raise ValueError(f"s must be > 0, got {self.s}")
+        if not 0.0 < self.s < math.inf:
+            raise ValueError(f"s must be finite and > 0, got {self.s}")
 
 
 @dataclass(frozen=True)
@@ -81,16 +81,17 @@ _OHMIC_WINDOW = 1e-6
 def _euler_gamma(x, s, t):
     """Euler Gamma(x), the prefactor of a closed form at times t.
 
-    Gamma overflows a double for x above about 171.6; that is reported
-    as a numerical failure at Ohmicity s (and tau, when t is a single
-    time), not as a silent inf.
+    Gamma overflows a double for x above about 171.6, and has a pole
+    where s - 1 rounds to -1 (s at or below 2^-54); either is reported as a
+    numerical failure at Ohmicity s (and tau, when t is a single time),
+    not as a silent inf or a domain error.
     """
     try:
         return math.gamma(x)
-    except OverflowError:
+    except (OverflowError, ValueError):
         tau = float(t) if np.ndim(t) == 0 else None
-        raise ConvergenceError(
-            f"Gamma({x}) overflows a double at s={s}", s=s, tau=tau) from None
+        what = "overflows a double" if x > 0.0 else "hits a pole"
+        raise ConvergenceError(f"Gamma({x}) {what} at s={s}", s=s, tau=tau) from None
 
 
 def spectral_density(spec, omega):

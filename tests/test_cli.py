@@ -419,12 +419,14 @@ def test_worker_pool_size_is_invisible_in_output(tmp_path, run_cli, monkeypatch)
     ["transition", "--s", "200", "--free", "--c", "0.5"],
     ["transition", "--s", "172", "--dt", "0.3", "--c", "0.5"],
     ["decoherence", "--s", "200", "--free", "--tau", "1", "--oracle"],
+    ["decoherence", "--s", "1e-17", "--free", "--tau", "1"],
 ])
 def test_overflowing_exponent_exits_two(args, tmp_path, run_cli):
     # Gamma(s-1) overflows a double past s ~ 172.6; just below it the
     # pulsed sum of finite terms overflows instead, and the quadrature
-    # oracle overflows in its tail bound. A child process shows what a
-    # user sees: the one message, with no numpy warning before it.
+    # oracle overflows in its tail bound. At s = 1e-17, s - 1 rounds to
+    # -1, a pole of Gamma. A child process shows what a user sees: the
+    # one message, with no numpy warning before it.
     res = run_cli(args + ["--output", "-"], tmp_path)
     assert res.returncode == 2
     assert res.stdout == ""

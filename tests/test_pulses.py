@@ -1,4 +1,5 @@
 import warnings
+from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -23,6 +24,8 @@ from oracles import (general_controlled_gamma, mp_controlled_exponent, naive_con
                      naive_filter_sq, scipy_filter_integral)
 
 FROZEN_ECHO_AT_TWO = 0.5815754049028404  # 2*ln2 - ln5/2, marginal spectrum
+# a dense, a coarse, two whose smallest double gap sits an ulp below dt, and 10^6 pulses
+SCHEDULE_DTS = (0.05, 0.3, 0.32, 0.7, 25.0 / 999_999)
 
 
 def test_periodic_schedule_counts():
@@ -38,9 +41,22 @@ def test_periodic_schedule_counts():
     assert len(periodic_schedule(30.0, 25.0)) == 0
 
     assert sched.interval == 3.0
-    # no pulses: free evolution, with no interval
-    assert periodic_schedule(30.0, 25.0).interval is None
-    assert periodic_schedule(None, 25.0) == PulseSchedule((), 25.0)
+    # no pulses: free evolution, with no interval, in every form alike
+    free = (periodic_schedule(30.0, 25.0), periodic_schedule(None, 25.0),
+            PulseSchedule((), 25.0), PulseSchedule(None, 25.0), PulseSchedule(30.0, 25))
+    for form in free:
+        assert form == free[0] and hash(form) == hash(free[0])
+        assert form.interval is None and len(form) == 0 and form.instants.size == 0
+
+    # the instants are the doubles n * dt, as many as fit the horizon
+    for dt in SCHEDULE_DTS:
+        sched = periodic_schedule(dt, 25.0)
+        want = [n * dt for n in range(1, len(sched) + 1)]
+        assert want[-1] <= 25.0 < (len(sched) + 1) * dt
+        assert sched.instants.tolist() == want
+        with pytest.raises(ValueError):
+            sched.instants[0] = 1.0   # read-only
+    assert len(sched) == 999_999
 
 
 def test_periodic_schedule_exact_multiple():
@@ -51,25 +67,20 @@ def test_periodic_schedule_exact_multiple():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        PulseSchedule((1.0, 1.0), 5.0)
-    with pytest.raises(ValueError):
-        PulseSchedule((2.0, 1.0), 5.0)
-    with pytest.raises(ValueError):
-        PulseSchedule((0.0, 1.0), 5.0)
-    with pytest.raises(ValueError, match="horizon"):
-        PulseSchedule((3.0, 6.0), 5.0)
-    # only exact k * t_1 trains: 3 * 0.3 is 0.8999999999999999, not 0.9
-    for instants in ((0.4, 0.9), (0.3, 0.6, 0.9)):
-        with pytest.raises(ValueError, match="periodic_schedule"):
+    # a schedule is (interval, horizon): tuples of instants are refused, () aside
+    for instants in ((1.0, 1.0), (2.0, 1.0), (0.0, 1.0), (3.0, 6.0), (0.4, 0.9),
+                     (0.3, 0.6, 0.9), (1.0,), (float("nan"),), (1.0, float("nan"))):
+        with pytest.raises(TypeError):
             PulseSchedule(instants, 5.0)
-    for instants in ((float("nan"),), (1.0, float("nan"))):
-        with pytest.raises(ValueError, match="positive"):
-            PulseSchedule(instants, 25.0)
-    with pytest.raises(ValueError):
+    for dt in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="delta_tau"):
+            periodic_schedule(dt, 25.0)
+    for dt in (None, 0.3):
+        for horizon in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="horizon"):
+                periodic_schedule(dt, horizon)
+    with pytest.raises(ValueError, match="horizon"):
         PulseSchedule((), 0.0)
-    with pytest.raises(ValueError):
-        periodic_schedule(-0.5, 25.0)
     # refused before a pulse is built: 3e300 of them would never finish
     for horizon in (1e300, 0.3 * (pulses.MAX_POINTS + 2)):
         with pytest.raises(ValueError, match="horizon"):
@@ -77,12 +88,22 @@ def test_schedule_validation():
 
 
 def test_pulses_before_uses_open_interval():
-    sched = PulseSchedule((1.0, 2.0, 3.0), 10.0)
+    sched = periodic_schedule(1.0, 10.0)
     assert sched.pulses_before(0.5) == 0
     # a query sitting exactly on a pulse does not count that pulse
     assert sched.pulses_before(2.0) == 1
     assert sched.pulses_before(2.5) == 2
-    assert sched.pulses_before(10.0) == 3
+    assert sched.pulses_before(10.0) == 9
+    # bisect_left over the list of n * dt: at the instants, both their
+    # neighbouring doubles, 0 and the horizon (every 9,973rd pulse of 10^6)
+    for dt in SCHEDULE_DTS:
+        sched = periodic_schedule(dt, 25.0)
+        want = [n * dt for n in range(1, len(sched) + 1)]
+        picks = want[::9973] + want[-1:] if len(want) > 10_000 else want
+        taus = [0.0, 25.0] + [x for t in picks
+                              for x in (np.nextafter(t, 0.0), t, np.nextafter(t, np.inf))]
+        for tau in taus:
+            assert sched.pulses_before(tau) == bisect_left(want, tau)
 
 
 def test_free_schedule_reduces_to_free_exponent():
@@ -93,14 +114,20 @@ def test_free_schedule_reduces_to_free_exponent():
 
 
 def test_single_pulse_echo_identity():
-    """One pulse at t1 gives 2*G(t1) + 2*G(tau-t1) - G(tau) past the pulse."""
+    """One pulse at t1 gives 2*G(t1) + 2*G(tau-t1) - G(tau) past the pulse.
+
+    Up to the second pulse, which sits at the horizon 2 t1 and counts only
+    past it.
+    """
     spec = OhmicSpectrum(1.0)
-    sched = PulseSchedule((1.0,), 10.0)
-    for tau in (1.3, 2.0, 5.0, 10.0):
-        expected = (2.0 * gamma0(spec, 1.0)
-                    + 2.0 * gamma0(spec, tau - 1.0)
-                    - gamma0(spec, tau))
-        assert abs(controlled_gamma(spec, sched, tau) - expected) < 1e-12
+    for t1, taus in ((1.0, (1.3, 2.0)), (5.0, (5.3, 7.0, 10.0))):
+        sched = periodic_schedule(t1, 2.0 * t1)
+        for tau in taus:
+            expected = (2.0 * gamma0(spec, t1)
+                        + 2.0 * gamma0(spec, tau - t1)
+                        - gamma0(spec, tau))
+            assert abs(controlled_gamma(spec, sched, tau) - expected) < 1e-12
+    sched = periodic_schedule(1.0, 2.0)
     assert abs(controlled_gamma(spec, sched, 2.0) - FROZEN_ECHO_AT_TWO) < 1e-12
 
 
@@ -419,6 +446,17 @@ def test_default_time_grid_structure():
         assert np.nextafter(t, np.inf) in grid
     # sampling resolves the shortest inter-pulse gap
     assert np.max(np.diff(grid)) <= 0.05 + 1e-12
+
+
+def test_default_time_grid_keeps_the_smallest_double_gap():
+    # at dt 0.32 and 0.064 the smallest gap of the double instants sits an
+    # ulp below dt and sets the step; a step of dt / 20 would give 1,719
+    # points at dt 0.32 and move every one
+    for dt, points, first in ((0.32, 1720, 25.0 / 1563), (0.064, 8594, 25.0 / 7813)):
+        sched = periodic_schedule(dt, 25.0)
+        assert np.diff(sched.instants, prepend=0.0).min() < dt
+        grid = default_time_grid(sched)
+        assert grid.size == points and grid[1] == first
 
 
 def test_default_time_grid_custom_step():

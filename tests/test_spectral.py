@@ -9,13 +9,13 @@ from scipy import special
 from dd_discord import (
     ConvergenceError,
     OhmicSpectrum,
-    PulseSchedule,
     QuadratureConfig,
     controlled_gamma,
     controlled_gamma_oracle,
     gamma0,
     gamma0_quadrature,
     gamma0_rate,
+    periodic_schedule,
     recoherence_onset,
     spectral_density,
 )
@@ -29,6 +29,9 @@ def test_spectrum_validation():
         OhmicSpectrum(0.0)
     with pytest.raises(ValueError):
         OhmicSpectrum(-1.5)
+    for s in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            OhmicSpectrum(s)
 
 
 def test_spectral_density_values():
@@ -248,9 +251,16 @@ def test_gamma_overflow_is_a_convergence_error():
     with pytest.raises(ConvergenceError) as err:
         gamma0_rate(OhmicSpectrum(180.0), np.array([1.0, 2.0]))
     assert (err.value.s, err.value.tau) == (180.0, None)
+    # s at or below 2^-54: s - 1 rounds to -1, a pole of Gamma(s-1)
+    for s in (1e-17, 2.0 ** -54, 5e-324):
+        for tau, named in ((1.0, 1.0), (np.array([1.0, 2.0]), None)):
+            with pytest.raises(ConvergenceError) as err:
+                gamma0(OhmicSpectrum(s), tau)
+            assert (err.value.s, err.value.tau) == (s, named)
+            assert f"pole at s={s}" in str(err.value)
     # the quadrature oracles integrate in log space: they follow the closed
     # form up to its own overflow, and a non-finite integral is a failure
-    one_pulse = PulseSchedule((0.5,), 2.0)
+    one_pulse = periodic_schedule(0.5, 1.0)   # tau = 1 is past the first pulse only
     for s in (120.0, np.float64(120.0)):
         spec = OhmicSpectrum(s)
         assert abs(gamma0_quadrature(spec, 1.0) / gamma0(spec, 1.0) - 1.0) < 1e-9

@@ -56,6 +56,8 @@ def correlation_bits(x):
     equal form log1p(-x^2) + 2x artanh(x), which keeps relative accuracy.
     """
     x = np.asarray(x, dtype=float)
+    if not np.all(np.abs(x) <= 1.0):   # also refuses NaN
+        raise ValueError(f"x must lie in [-1, 1], got {x}")
     out = np.asarray(_xlogx(1.0 + x) + _xlogx(1.0 - x))
     small = np.abs(x) < 0.5
     xs = x[small]
@@ -81,7 +83,7 @@ def decoherence_factor(gamma_value, side):
     Takes a scalar or an array of exponents; a scalar gives a float.
     """
     g = np.asarray(gamma_value, dtype=float)
-    if np.any(g < 0.0):
+    if not np.all(g >= 0.0):   # also refuses NaN
         raise ValueError(f"gamma_value must be nonnegative, got {gamma_value}")
     # the product overflows only where exp() underflows to 0 anyway
     with np.errstate(over="ignore"):

@@ -97,7 +97,7 @@ class _FactorProfile:
     """
 
     def __init__(self, s_values, schedule, side, scan):
-        starts, branch, phases, groups = scan
+        starts, branch, phases = scan
         rows = np.arange(len(s_values))
         self.evaluator = PulsedDecoherence(tuple(OhmicSpectrum(s) for s in s_values), schedule)
         self.side = side
@@ -108,7 +108,7 @@ class _FactorProfile:
         self._starts, self._r = np.tile(starts, rows.size), np.tile(phases, rows.size)
         self._n = (rows[:, None] * starts.size + branch).reshape(-1)
         self._f, self._d, self._m2, self._m3 = self.evaluator._evaluate(
-            branch, phases, 1, True, groups, rows[:, None]).reshape(4, -1)
+            branch, phases, 1, True, rows[:, None]).reshape(4, -1)
         # per cell, by its left point: the solved peak, where it is, its -g''
         # less the slack of the last Newton step, and whether it is certified
         self._peak, self._peak_at, self._bend = (np.full(self._n.size, np.nan) for _ in range(3))
@@ -303,13 +303,14 @@ def _blocks(s_values, c_values, schedule, side, horizon=None):
 
 
 def _scan(schedule, horizon):
-    """Scan of [0, horizon]: branch starts, then per sample its branch and phase, and groups.
+    """Scan of [0, horizon]: branch starts, then per sample its branch and phase.
 
     Branch n starts at t_n (t_0 = 0) and samples the phases j (P / m), j =
     0 .. m, of one period P (t_1, or the window without a pulse in it), the
     last exactly P, so it ends at t_n + P; m = max(_SCAN_MIN_STEPS, ceil(P /
     _SCAN_STEP)). The last branch takes those below its length L, then L,
-    the window end. groups = (distinct, which). The scan is coarse: the
+    the window end: at most m + 2 distinct phases, so the kernel's table
+    has that many rows per row of a map. The scan is coarse: the
     certificate bisects every cell its bounds leave unsettled, so the
     density sets the work, while every result holds to the same few ulp.
     More than MAX_POINTS steps is a ValueError, raised first.
@@ -330,7 +331,7 @@ def _scan(schedule, horizon):
     which = np.concatenate((np.tile(np.arange(m + 1), starts.size - 1),
                             np.arange(np.searchsorted(distinct[:-1], end)), [m + (end != period)]))
     branch = np.cumsum(which == 0) - 1   # every branch starts at phase 0
-    return starts, branch, distinct[which], (distinct, which)
+    return starts, branch, distinct[which]
 
 
 def _upper_bound(fa, fb, da, db, curv, h):

@@ -14,11 +14,12 @@ N = 0 for free evolution. The filter is then a geometric series in
 closed form, so each quadrature node costs the same at any pulse count:
 an oracle value costs O(panels), and its panels grow with tau, not with
 the pulses. The signed sum collapses into alternating prefix sums over
-the pulse index. Its schedule-only part costs O(pulses) once, and times
-that sit at the same phase inside a period share one table of terms,
-head terms included: a grid costs O(distinct phases x (pulses + 1))
-gamma0 evaluations, not O(grid x pulses). A regime map's block of rows
-is one evaluator with a spectrum, so an s, per row.
+the pulse index. Its schedule-only part costs O(pulses) once. One
+kernel takes points as (pulse count, phase, row) and finds the distinct
+phases itself: points at one phase share one table of terms, head terms
+included, so a grid costs O(distinct phases x (pulses + 1)) gamma0
+evaluations, not O(grid x pulses). A regime map's block of rows is one
+evaluator with a spectrum, so an s, per row.
 """
 
 import math
@@ -27,8 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import (DEFAULT_QUADRATURE, ConvergenceError, _closed_forms, _times,
-                       oscillatory_quad)
+from .spectral import DEFAULT_QUADRATURE, ConvergenceError, _closed_forms, oscillatory_quad
 
 
 @dataclass(frozen=True)
@@ -89,11 +89,13 @@ MAX_POINTS = 1_000_000
 MAX_CELLS = 1_000_000
 
 
-def _check_size(horizon, step, what, step_name):
-    """Refuse, before allocating, a horizon / step ratio above MAX_POINTS."""
-    if not horizon / step <= MAX_POINTS:
+def _check_size(horizon, step, what, step_name, pulses=0):
+    """Refuse, before allocating, more than MAX_POINTS: horizon / step, and two per pulse."""
+    size = horizon / step + 2 * pulses
+    if not size <= MAX_POINTS:
+        also = f" and two at each of {pulses:,} pulses" if pulses else ""
         raise ValueError(
-            f"horizon {horizon} / {step_name} {step} asks for about {horizon / step:.3g} "
+            f"horizon {horizon} / {step_name} {step}{also} asks for about {size:.3g} "
             f"{what}, more than the limit of {MAX_POINTS:,}")
 
 
@@ -153,7 +155,7 @@ class PulsedDecoherence:
         # entries; gamma and gamma_grid report any exponent they reach
         with np.errstate(over="ignore", invalid="ignore"):
             # (-1)^(n+1) G(t_n), a row per spectrum
-            singles = _closed_forms(self._s, _times(t), rows=np.arange(self._s.size)[:, None])[0]
+            singles = _closed_forms(self._s, t, rows=np.arange(self._s.size)[:, None])[0]
             singles = np.atleast_2d(singles) * self._signs[:-1]
             # the gap sum of pulse n is sum_k (-1)^(k+1) G(t_k), k < n
             gaps = np.cumsum(np.pad(singles, ((0, 0), (1, 0))), axis=-1)[:, :-1]
@@ -169,23 +171,22 @@ class PulsedDecoherence:
     def gamma_grid(self, taus):
         """Vectorized exponent at an array of times, in any order (kept in the output)."""
         taus = np.asarray(taus, dtype=float)
-        if taus.size == 0:
-            return np.empty(0)
-        if not (0.0 <= taus.min() and taus.max() <= self.schedule.horizon):
+        if not np.all((0.0 <= taus) & (taus <= self.schedule.horizon)):   # also refuses NaN
             raise ValueError(f"tau must lie in [0, {self.schedule.horizon}]")
         counts = np.searchsorted(self._starts[1:], taus, side="left")
         return self._evaluate(counts, taus - self._starts[counts])[0]
 
-    def _evaluate(self, counts, phases, order=0, bounds=False, groups=None, rows=0):
+    def _evaluate(self, counts, phases, order=0, bounds=False, rows=0):
         """The exponent and its time derivatives up to order at t_n + r, n = counts, r = phases.
 
         The one kernel of gamma_grid and of the regime refinement. rows
-        (broadcast) are the rows of the points; groups = (distinct, which) with
-        phases = distinct[which] spares finding the distinct phases. The head
+        (broadcast) are the rows of the points. Points with equal phases
+        share a table of terms (_phase_sums), unless no pulse is behind any
+        point: then the terms are the closed forms at the phases. The head
         term is the elapsed sum's next term, at r + t_n: t_n + r for the
-        refinement, and tau for gamma_grid, as tau - t_n is exact (t_n = 0 or
-        tau <= 2 t_n, true on every schedule). A derivative is
-        the same signed sum over the derivative of gamma0 (static is constant
+        refinement, and tau for gamma_grid, as tau - t_n is exact (t_n = 0
+        or tau <= 2 t_n, true on every schedule). A derivative is the
+        same signed sum over the derivative of gamma0 (static is constant
         inside a branch). With bounds, two more arrays bound the second and
         third derivatives from the points to their branch ends: each term
         becomes its envelope, which decreases in its argument, and every
@@ -193,9 +194,20 @@ class PulsedDecoherence:
         the exponent is clamped at zero, and a value that is not a finite
         double raises ConvergenceError.
         """
+        shape = np.broadcast_shapes(np.shape(counts), np.shape(rows))
+        # per closed form, twice the prefix sums and the terms k = n
+        sums = np.zeros((2, order + 1 + 2 * bounds) + shape)
         # an overflowing sum is reported just below, as a non-finite value
         with np.errstate(over="ignore", invalid="ignore"):
-            out, term = self._elapsed(order, bounds, counts, phases, groups, rows)
+            if counts.any():
+                distinct, which = np.unique(phases, return_inverse=True)
+                keys, n = np.broadcast_arrays(rows * distinct.size + which, counts)
+                self._phase_sums(order, bounds, distinct, keys.reshape(-1), n.reshape(-1),
+                                 sums.reshape(2, len(sums[0]), -1))
+            else:   # no table: the sums stay zero, the terms are the closed forms
+                sums[1] = [np.broadcast_to(f, shape) for f in
+                           _closed_forms(self._s, phases, range(order + 1), bounds, rows)]
+            out, term = sums
             term[0] += self._static[rows, counts]
             out += term
         names = ("exponent", "rate", "curvature")[:order + 1] + ("derivative bound",) * 2 * bounds
@@ -208,24 +220,6 @@ class PulsedDecoherence:
                     f"{name} is not a finite double at s={s}, tau={tau}", s=s, tau=tau)
         np.maximum(out[0], 0.0, out=out[0])
         return out
-
-    def _elapsed(self, order, bounds, counts, phases, groups, rows):
-        """Per closed form f, 2 sum_k sign_k f(r + t_k), k < n, and the terms k = n.
-
-        With no pulse behind any point, as under free evolution, the sums
-        are zero and the terms are the closed forms at the phases.
-        """
-        shape = np.broadcast_shapes(np.shape(counts), np.shape(rows))
-        if not counts.any():
-            terms = _closed_forms(self._s, _times(phases), range(order + 1), bounds, rows)
-            terms = np.array([np.broadcast_to(f, shape) for f in terms])
-            return np.zeros_like(terms), terms
-        sums = np.zeros((2, order + 1 + 2 * bounds) + shape)
-        distinct, which = np.unique(phases, return_inverse=True) if groups is None else groups
-        keys, counts = np.broadcast_arrays(rows * distinct.size + which, counts)
-        self._phase_sums(order, bounds, distinct, keys.reshape(-1), counts.reshape(-1),
-                         sums.reshape(2, len(sums[0]), -1))
-        return sums
 
     def _phase_sums(self, order, bounds, distinct, keys, counts, out):
         """Into out, twice the prefix sums (k < n) and the terms k = n of the points of keys.
@@ -252,7 +246,7 @@ class PulsedDecoherence:
             n = counts[pts]
             entry = (point_rank[pts] - first) * width + n
             block, phase = np.divmod(ranked[first:stop, None], distinct.size)
-            values = _closed_forms(self._s, _times(distinct[phase] + self._starts[:width]),
+            values = _closed_forms(self._s, distinct[phase] + self._starts[:width],
                                    range(order + 1), bounds, block)
             for k, (sums, term, f) in enumerate(zip(out[0], out[1], values)):
                 f = f * self._signs[:width] if k <= order else f
@@ -293,8 +287,8 @@ def filter_function_sq(n, interval, tau, z):
     independent of n.
     """
     z = np.asarray(z, dtype=float)
-    if not np.all(z >= 0.0):   # also refuses NaN
-        raise ValueError("z must be nonnegative")
+    if not np.all((0.0 <= z) & (z < math.inf)):   # also refuses NaN
+        raise ValueError("z must be finite and nonnegative")
     if n < 0 or (n > 0 and not (interval is not None and 0.0 < n * interval < tau)):
         raise ValueError(f"{n} pulses at interval {interval} must lie in (0, tau), tau = {tau}")
     end = (-1.0) ** (n + 1)
@@ -368,15 +362,16 @@ def default_time_grid(schedule, step=None):
     every grid point; the step keeps the gap, as the grid fixes the rows
     of every sampled output. Each instant appears once exactly and once
     nudged just past it, which makes branch continuity visible in sampled
-    output. More than MAX_POINTS uniform points is a ValueError.
+    output. More than MAX_POINTS points, the uniform ones and two per
+    pulse, is a ValueError, raised before the grid is allocated.
     """
-    horizon, inst = schedule.horizon, schedule.instants
+    horizon = schedule.horizon
     if step is None:
-        step = float(np.min(np.diff(inst, prepend=0.0), initial=1.0)) / 20.0
+        step = float(np.min(np.diff(schedule.instants, prepend=0.0), initial=1.0)) / 20.0
     if not step > 0.0:
         raise ValueError(f"step must be > 0, got {step}")
-    _check_size(horizon, step, "grid points", "time_step")
-    count = max(1, int(round(horizon / step)))
+    _check_size(horizon, step, "grid points", "time_step", schedule.count)
+    inst, count = schedule.instants, max(1, int(round(horizon / step)))
     base = np.linspace(0.0, horizon, count + 1)
     if inst.size:
         base = np.concatenate([base, inst, np.nextafter(inst, np.inf)])

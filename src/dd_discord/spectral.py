@@ -97,22 +97,13 @@ def _euler_gamma(x, s, t):
 def spectral_density(spec, omega):
     """Spectral density at reduced frequency omega, i.e. omega^s e^(-omega)."""
     x = np.asarray(omega, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("omega must be nonnegative")
+    if not np.all((0.0 <= x) & (x < math.inf)):   # also refuses NaN
+        raise ValueError("omega must be finite and nonnegative")
     out = x ** spec.s * np.exp(-x)
     return float(out) if out.ndim == 0 else out
 
 
-def _times(tau):
-    """tau, arctan tau and 1 + tau^2: the part of every closed form that does not depend on s."""
-    t = np.asarray(tau, dtype=float)
-    if not np.all(t >= 0.0):   # also refuses NaN
-        raise ValueError("tau must be nonnegative")
-    with np.errstate(over="ignore"):   # past tau ~ 1.34e154; _closed_forms takes logs there
-        return t, np.arctan(t), 1.0 + t * t
-
-
-def _closed_forms(s, times, orders=(0,), envelopes=False, rows=0):
+def _closed_forms(s, tau, orders=(0,), envelopes=False, rows=0):
     """gamma0 and its time derivatives of the given orders (0, 1, 2), then two envelopes.
 
     Order k is Gamma(a) trig(a arctan tau) / (1 + tau^2)^(a/2) with
@@ -125,12 +116,16 @@ def _closed_forms(s, times, orders=(0,), envelopes=False, rows=0):
     so each decreases in tau and bounds its derivative at every later
     time as well.
 
-    s holds an Ohmicity per row, times = _times(tau) and rows (broadcast
-    against tau) the row of each time. Every value is the double of its
+    s holds an Ohmicity per row and rows (broadcast against tau, which must
+    be nonnegative) the row of each time. Every value is the double of its
     row alone, with the row's exponents as scalars. Where 1 + tau^2
     overflows, the powers are exp of 2 log tau + log1p(tau^-2).
     """
-    t, angle, q = times
+    t = np.asarray(tau, dtype=float)
+    if not np.all(t >= 0.0):   # also refuses NaN
+        raise ValueError("tau must be nonnegative")
+    with np.errstate(over="ignore"):   # past tau ~ 1.34e154, where the powers take logs
+        angle, q = np.arctan(t), 1.0 + t * t
     s = np.ravel(s).tolist()
     huge = np.isinf(q)
 
@@ -175,7 +170,7 @@ def gamma0(spec, tau):
     The closed form of order 0 in _closed_forms. Accepts scalars or
     arrays; always nonnegative.
     """
-    out = _closed_forms(spec.s, _times(tau))[0]
+    out = _closed_forms(spec.s, tau)[0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -185,7 +180,7 @@ def gamma0_rate(spec, tau):
     Closed form Gamma(s) sin(s arctan tau) / (1 + tau^2)^(s/2); regular
     for every s > 0 and temporarily negative only when s > 2.
     """
-    out = _closed_forms(spec.s, _times(tau), (1,))[0]
+    out = _closed_forms(spec.s, tau, (1,))[0]
     return float(out) if out.ndim == 0 else out
 
 

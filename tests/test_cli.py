@@ -438,6 +438,8 @@ def test_overflowing_exponent_exits_two(args, tmp_path, run_cli):
 @pytest.mark.parametrize("args", [
     ["--dt", "0.3", "--horizon", "1e300"],
     ["--free", "--horizon", "1e9"],
+    # 25 uniform points, and two at each of 1,000,000 pulses
+    ["--dt", "2.5e-5", "--time-step", "1"],
 ])
 def test_oversized_grid_exits_one(args, capsys):
     # refused before anything is allocated, so this returns at once

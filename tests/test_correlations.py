@@ -59,6 +59,9 @@ def test_decoherence_factor():
         decoherence_factor(-0.5, NoiseSide.ONE_SIDED)
     with pytest.raises(ValueError):
         decoherence_factor(np.array([0.5, -0.5]), NoiseSide.ONE_SIDED)
+    with pytest.raises(ValueError, match="gamma_value"):
+        decoherence_factor(np.nan, NoiseSide.ONE_SIDED)
+    assert decoherence_factor(np.inf, NoiseSide.ONE_SIDED) == 0.0
 
 
 def test_correlation_bits_reference_values():
@@ -68,6 +71,9 @@ def test_correlation_bits_reference_values():
     assert abs(correlation_bits(0.7) - BITS_07) < 1e-14
     assert correlation_bits(1.0) == 1.0
     assert correlation_bits(-0.3) == correlation_bits(0.3)
+    for x in (2.0, np.nan):
+        with pytest.raises(ValueError, match="x must"):
+            correlation_bits(x)
 
 
 def test_correlation_bits_against_mpmath():
@@ -242,6 +248,8 @@ def test_concurrence_against_wootters_oracle():
 def test_concurrence_validation():
     with pytest.raises(ValueError):
         concurrence(BellDiagonalState(0.5), -1.0)
+    with pytest.raises(ValueError, match="gamma_value"):
+        concurrence(BellDiagonalState(0.5), np.nan)
 
 
 def test_trajectory_uncorrelated_state_stays_classical():
@@ -293,3 +301,5 @@ def test_trajectory_custom_grid():
                      NoiseSide.ONE_SIDED, grid=grid)
     assert_allclose(out.times, grid)
     assert out.gamma.shape == (3,)
+    with pytest.raises(ValueError, match="nonempty"):
+        trajectory(spec, sched, BellDiagonalState(0.2), NoiseSide.ONE_SIDED, grid=np.empty(0))

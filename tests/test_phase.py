@@ -400,9 +400,9 @@ def test_block_memory_and_work(monkeypatch):
     sizes = []
     closed_forms = pulses._closed_forms
 
-    def counting(s, times, orders=(0,), envelopes=False, rows=0):
-        sizes.append(np.broadcast(times[0], rows).size)
-        return closed_forms(s, times, orders, envelopes, rows)
+    def counting(s, tau, orders=(0,), envelopes=False, rows=0):
+        sizes.append(np.broadcast(tau, rows).size)
+        return closed_forms(s, tau, orders, envelopes, rows)
 
     monkeypatch.setattr(pulses, "_closed_forms", counting)
     c_grid = np.linspace(0.0, 0.999, 50)
@@ -424,9 +424,9 @@ def test_scan_evaluates_each_closed_form_once(monkeypatch):
     evaluated, scans = [], {}
     closed_forms, evaluate = pulses._closed_forms, pulses.PulsedDecoherence._evaluate
 
-    def counting(s, times, orders=(0,), envelopes=False, rows=0):
-        evaluated.append(np.broadcast(times[0], rows).size)
-        return closed_forms(s, times, orders, envelopes, rows)
+    def counting(s, tau, orders=(0,), envelopes=False, rows=0):
+        evaluated.append(np.broadcast(tau, rows).size)
+        return closed_forms(s, tau, orders, envelopes, rows)
 
     def first_evaluation(self, *args, **kwargs):   # a block's first is its scan
         evaluated.clear()

@@ -156,11 +156,12 @@ def test_grid_evaluation_matches_scalar():
     dense = periodic_schedule(0.05, 12.0)
     uniform = np.linspace(0.0, 12.0, 301)
     cases = ((periodic_schedule(0.3, 12.0), uniform), (dense, default_time_grid(dense)),
-             (PulseSchedule((), 12.0), uniform))
+             (PulseSchedule((), 12.0), uniform), (dense, np.empty(0)))
     for s in (0.1, 4.0):
         for sched, taus in cases:
             engine = PulsedDecoherence(OhmicSpectrum(s), sched)
             grid = engine.gamma_grid(taus)
+            assert grid.dtype == float and grid.shape == taus.shape
             assert [engine.gamma(float(tau)) for tau in taus] == grid.tolist()
 
 
@@ -259,9 +260,9 @@ def _count_closed_forms(monkeypatch):
     evaluated = []
     closed_forms = pulses._closed_forms
 
-    def counting_closed_forms(s, times, orders=(0,), envelopes=False, rows=0):
-        evaluated.append(np.broadcast(times[0], rows).size)
-        return closed_forms(s, times, orders, envelopes, rows)
+    def counting_closed_forms(s, tau, orders=(0,), envelopes=False, rows=0):
+        evaluated.append(np.broadcast(tau, rows).size)
+        return closed_forms(s, tau, orders, envelopes, rows)
 
     monkeypatch.setattr(pulses, "_closed_forms", counting_closed_forms)
     return evaluated
@@ -433,6 +434,8 @@ def test_filter_function_validation():
         filter_function_sq(2, None, 1.0, 0.5)   # pulses need an interval
     with pytest.raises(ValueError, match="z must"):
         filter_function_sq(1, 0.3, 1.0, np.nan)
+    with pytest.raises(ValueError, match="z must"):
+        filter_function_sq(1, 0.5, 1.0, np.inf)
 
 
 def test_default_time_grid_structure():
@@ -467,3 +470,6 @@ def test_default_time_grid_custom_step():
         default_time_grid(sched, step=-1.0)
     with pytest.raises(ValueError, match="time_step"):
         default_time_grid(PulseSchedule((), 1e9))
+    # the uniform points and two per pulse count against the limit
+    with pytest.raises(ValueError, match="time_step"):
+        default_time_grid(periodic_schedule(2.5e-5, 25.0), 1.0)

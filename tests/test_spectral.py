@@ -20,7 +20,7 @@ from dd_discord import (
     spectral_density,
 )
 from dd_discord import spectral
-from dd_discord.spectral import _closed_forms, _euler_gamma, _times
+from dd_discord.spectral import _closed_forms, _euler_gamma
 from oracles import bisect_sign_change, central_difference, mp_controlled_exponent
 
 
@@ -42,6 +42,9 @@ def test_spectral_density_values():
     assert_allclose(out, [0.0, np.exp(-1.0), 2.0 * np.exp(-2.0)], rtol=1e-14)
     with pytest.raises(ValueError):
         spectral_density(spec, -0.5)
+    for omega in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="omega"):
+            spectral_density(spec, omega)
 
 
 def test_gamma0_reference_points():
@@ -146,11 +149,11 @@ def test_gamma0_negative_tau_rejected():
 
 
 def _curvature(spec, tau):
-    return _closed_forms(spec.s, _times(tau), (2,))[0]
+    return _closed_forms(spec.s, tau, (2,))[0]
 
 
 def _envelopes(spec, tau):
-    return _closed_forms(spec.s, _times(tau), (), envelopes=True)
+    return _closed_forms(spec.s, tau, (), envelopes=True)
 
 
 @pytest.mark.parametrize("fn", [gamma0, gamma0_rate, _curvature, _envelopes],

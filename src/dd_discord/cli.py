@@ -67,11 +67,14 @@ def _parse_grid(value, name):
     try:
         if not isinstance(parts, (list, tuple)) or len(parts) != 3:
             raise TypeError
-        lo, hi, count = _float(parts[0]), _float(parts[1]), int(_float(parts[2]))
+        lo, hi, number = _float(parts[0]), _float(parts[1]), _float(parts[2])
+        count = int(number)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name}: expected lo:hi:count, got {value!r}") from None
     if not math.isfinite(hi - lo):
         raise ValueError(f"{name}: bounds and their span must be finite, got {value!r}")
+    if count != number:
+        raise ValueError(f"{name}: count must be a whole number, got {number}")
     if count < 1:
         raise ValueError(f"{name}: count must be >= 1, got {count}")
     if hi < lo:
@@ -161,11 +164,17 @@ def _config_value(key, value, where=""):
 
 def _load_config_file(path):
     """Read key = value lines or a JSON sidecar into a dict."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"config: cannot read {path}: {exc}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        data = json.loads(text, parse_int=_json_int, object_pairs_hook=lambda pairs: {
-            key: _config_value(key, value) for key, value in pairs})
+        try:
+            data = json.loads(text, parse_int=_json_int, object_pairs_hook=lambda pairs: {
+                key: _config_value(key, value) for key, value in pairs})
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config: {path}: {exc}") from None
         data.pop("package_version", None)
         return data
     data = {}

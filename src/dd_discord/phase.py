@@ -43,6 +43,7 @@ _ULPS = 4                 # a solve stops within this many ulp of its time
 _MIN_WIDTH = 2.0 ** -40   # cells narrower than this (times max(1, t)) count as samples
 _TINY = float(np.finfo(float).tiny)   # factor floor: exp() may underflow to 0
 _BLOCK_POINTS = 8_000     # most scan points in a block of rows (a longer row is a block alone)
+_EMPTY_CELL = (np.nan, np.nan, np.nan, False)   # peak, peak_at, bend, peak_sure of an unsolved cell
 
 
 class Regime(Enum):
@@ -94,6 +95,11 @@ class _FactorProfile:
     Newton solve of g' = 0 finds it, and M3 certifies it as the cell's
     only maximum when g'' < 0 there with room to spare. Cells whose
     bound is not settled are bisected.
+
+    A point's branch n is in _n, the rest of its state in one list of
+    equal-length columns, _columns: r, f (g), d (g'), m2, m3, then those of
+    the cell it starts, _EMPTY_CELL until solved: peak, peak_at, bend (its
+    -g'' less the last Newton step's slack) and peak_sure (certified).
     """
 
     def __init__(self, s_values, schedule, side, scan):
@@ -102,17 +108,12 @@ class _FactorProfile:
         self.evaluator = PulsedDecoherence(tuple(OhmicSpectrum(s) for s in s_values), schedule)
         self.side = side
         self._branches = starts.size
-        # every point: branch n and phase r (time t_n + r), exponent f, rate
-        # d, and bounds m2, m3 on the second and third derivatives to the
-        # end of its branch
-        self._starts, self._r = np.tile(starts, rows.size), np.tile(phases, rows.size)
+        self._starts = np.tile(starts, rows.size)
         self._n = (rows[:, None] * starts.size + branch).reshape(-1)
-        self._f, self._d, self._m2, self._m3 = self.evaluator._evaluate(
-            branch, phases, 1, True, rows[:, None]).reshape(4, -1)
-        # per cell, by its left point: the solved peak, where it is, its -g''
-        # less the slack of the last Newton step, and whether it is certified
-        self._peak, self._peak_at, self._bend = (np.full(self._n.size, np.nan) for _ in range(3))
-        self._peak_sure = np.zeros(self._n.size, bool)
+        # no name holds the kernel's block of f, d, m2, m3 once _split replaces them
+        self._columns = [np.tile(phases, rows.size), *self.evaluator._evaluate(
+            branch, phases, 1, True, rows[:, None]).reshape(4, -1)]
+        self._columns += (np.full(self._n.size, empty) for empty in _EMPTY_CELL)
         self._bounds = None
         self._settle(np.empty(0), np.empty(0, int))
 
@@ -130,20 +131,20 @@ class _FactorProfile:
         too narrow to split or lying where a certified peak keeps g'' < 0.
         """
         if self._bounds is None:
-            n, r, f, d, m3 = self._n, self._r, self._f, self._d, self._m3
+            n, (r, f, d, m2, m3, peak, peak_at, bend, peak_sure) = self._n, self._columns
             cell = n[:-1] == n[1:]
             h = r[1:] - r[:-1]
             ends = np.maximum(f[:-1], f[1:])
             settled = ~cell | (h <= _MIN_WIDTH * np.maximum(1.0, self._starts[n[1:]] + r[1:]))
-            bend, at, sure = self._bend[:-1], self._peak_at[:-1], self._peak_sure[:-1]
+            bend, at, sure = bend[:-1], peak_at[:-1], peak_sure[:-1]
             with np.errstate(invalid="ignore"):
                 after = cell[1:] & sure[:-1] & (bend[:-1] > m3[:-2] * (r[2:] - at[:-1]))
                 before = cell[:-1] & sure[1:] & (bend[1:] > m3[:-2] * (at[1:] - r[:-2]))
             settled[1:] |= after
             settled[:-1] |= before
-            upper = _upper_bound(f[:-1], f[1:], d[:-1], d[1:], self._m2[:-1], h)
-            upper = np.where(settled, ends, np.where(sure, self._peak[:-1], upper))
-            self._bounds = cell, upper, np.fmax(ends, self._peak[:-1]), settled
+            upper = _upper_bound(f[:-1], f[1:], d[:-1], d[1:], m2[:-1], h)
+            upper = np.where(settled, ends, np.where(sure, peak[:-1], upper))
+            self._bounds = cell, upper, np.fmax(ends, peak[:-1]), settled
         return self._bounds
 
     def _settle(self, thresholds, rows, private=False):
@@ -155,13 +156,15 @@ class _FactorProfile:
         when private: the splits one asks for cannot move the others' times.
         """
         while True:
+            # rebound first: the columns a split replaced are freed before _cells runs
+            n, (r, f, d, m2, m3, peak, peak_at, bend, peak_sure) = self._n, self._columns
             cell, upper, known, settled = self._cells()
             row_branches = np.arange(self.evaluator._s.size + 1) * self._branches
-            self._first = first = np.searchsorted(self._n, row_branches)   # each row's first point
-            self._max = np.fmax(np.maximum.reduceat(self._f, first[:-1]),
-                                np.fmax.reduceat(self._peak, first[:-1]))
-            peak = cell & (self._d[:-1] > 0.0) & (self._d[1:] < 0.0) & np.isnan(self._peak[:-1])
-            split = (upper > self._max[self._n[:-1] // self._branches]) & ~settled
+            self._first = first = np.searchsorted(n, row_branches)   # each row's first point
+            self._max = np.fmax(np.maximum.reduceat(f, first[:-1]),
+                                np.fmax.reduceat(peak, first[:-1]))
+            unsolved = cell & (d[:-1] > 0.0) & (d[1:] < 0.0) & np.isnan(peak[:-1])
+            split = (upper > self._max[n[:-1] // self._branches]) & ~settled
             # row k owns the pairs first[k] .. first[k + 1] - 2
             pair, found = np.empty(thresholds.size, int), np.empty(thresholds.size, bool)
             for k in dict.fromkeys(rows.tolist()):   # np.unique would import numpy.ma
@@ -171,8 +174,8 @@ class _FactorProfile:
                 pair[mine], found[mine] = np.minimum(at, end - 1), at < end
             blocked = found & (known[pair] <= thresholds)
             unseen = pair[blocked]
-            solve = peak & split
-            solve[unseen] |= peak[unseen]
+            solve = unsolved & split
+            solve[unseen] |= unsolved[unseen]
             if private:
                 split[unseen] = True
             split &= ~solve
@@ -185,45 +188,39 @@ class _FactorProfile:
 
     def _solve_peaks(self, i):
         """Zero of the rate in the cells at left points i, and its certificate."""
-        starts, n = self._starts[self._n[i]], self._n[i]
+        n, (r, f, d, m2, m3, peak, peak_at, bend, peak_sure) = self._n[i], self._columns
 
         def minus_rate(x, k):
             g, rate, curvature = self._evaluate(n[k], x, 2)
             return -rate, -curvature, g
 
-        lo, hi, m3 = self._r[i], self._r[i + 1], self._m3[i]
-        start = _cubic_start(lo, hi, self._f[i], self._d[i], self._f[i + 1], self._d[i + 1],
-                             slope_root=True)
-        x, (_, bend, g), moved = _newton(minus_rate, lo, hi, start, starts + hi, m3)
-        self._peak[i], self._peak_at[i], self._bend[i] = g, x, bend - m3 * moved
+        lo, hi, m3 = r[i], r[i + 1], m3[i]
+        start = _cubic_start(lo, hi, f[i], d[i], f[i + 1], d[i + 1], slope_root=True)
+        x, (_, curvature, g), moved = _newton(minus_rate, lo, hi, start, self._starts[n] + hi, m3)
+        peak[i], peak_at[i], bend[i] = g, x, curvature - m3 * moved
         # g'' < 0 over the whole cell: the rate has no other zero in it
-        self._peak_sure[i] = self._bend[i] > m3 * np.maximum(x - lo, hi - x)
+        peak_sure[i] = bend[i] > m3 * np.maximum(x - lo, hi - x)
         self._bounds = None
 
     def _split(self, i):
         """Bisect the cells at left points i."""
-        n = self._n[i]
-        r = 0.5 * (self._r[i] + self._r[i + 1])
-        new = self._evaluate(n, r, 1, True)
-        self._peak[i], self._peak_at[i], self._bend[i] = np.nan, np.nan, np.nan
-        self._peak_sure[i] = False
-        at = i + 1
-        self._n, self._r = np.insert(self._n, at, n), np.insert(self._r, at, r)
-        self._f, self._d, self._m2, self._m3 = (
-            np.insert(old, at, values)
-            for old, values in zip((self._f, self._d, self._m2, self._m3), new))
-        self._peak, self._peak_at, self._bend = (
-            np.insert(old, at, np.nan) for old in (self._peak, self._peak_at, self._bend))
-        self._peak_sure = np.insert(self._peak_sure, at, False)
+        n, phases = self._n[i], self._columns[0]
+        r = 0.5 * (phases[i] + phases[i + 1])
+        for column, empty in zip(self._columns[-len(_EMPTY_CELL):], _EMPTY_CELL):
+            column[i] = empty
+        new = (r, *self._evaluate(n, r, 1, True), *_EMPTY_CELL)
+        self._n = np.insert(self._n, i + 1, n)
+        self._columns = [np.insert(old, i + 1, value) for old, value in zip(self._columns, new)]
         self._bounds = None
 
     def _argmax_time(self, row):
+        r, f, d, m2, m3, peak, peak_at, bend, peak_sure = self._columns
         lo, end = self._first[row:row + 2]
-        best = lo + int(np.argmax(self._f[lo:end]))
-        time, value = self._starts[self._n[best]] + self._r[best], self._f[best]
-        if np.nanmax(self._peak[lo:end], initial=0.0) > value:
-            k = lo + int(np.nanargmax(self._peak[lo:end]))
-            time = self._starts[self._n[k]] + self._peak_at[k]
+        best = lo + int(np.argmax(f[lo:end]))
+        time, value = self._starts[self._n[best]] + r[best], f[best]
+        if np.nanmax(peak[lo:end], initial=0.0) > value:
+            k = lo + int(np.nanargmax(peak[lo:end]))
+            time = self._starts[self._n[k]] + peak_at[k]
         return float(time)
 
     def first_crossings(self, cs, rows):
@@ -239,8 +236,9 @@ class _FactorProfile:
         times = self._crossings(targets, rows)
         for k in np.nonzero(np.isnan(times))[0]:
             private = copy.copy(self)
-            for name in ("_peak", "_peak_at", "_bend", "_peak_sure"):
-                setattr(private, name, getattr(self, name).copy())
+            # the cell columns are written in place, the others only replaced
+            private._columns = self._columns[:-len(_EMPTY_CELL)] + [
+                column.copy() for column in self._columns[-len(_EMPTY_CELL):]]
             while np.isnan(times[k]):
                 times[k] = private._crossings(targets[k:k + 1], rows[k:k + 1], private=True)[0]
         return times
@@ -252,6 +250,7 @@ class _FactorProfile:
         """
         times = np.full(targets.size, np.nan)
         j = self._settle(targets, rows, private)
+        r, f, d, m2, m3, peak, peak_at, bend, peak_sure = self._columns
         # a |c| at the rounding edge of min_factor: the maximum is the crossing
         times[j == -1] = [self._argmax_time(row) for row in rows[j == -1]]
         # a pair across a pulse: the level lies between the two branches' values there
@@ -263,23 +262,23 @@ class _FactorProfile:
             return times
         i, level = j[todo], targets[todo]
         starts, n = self._starts[self._n[i]], self._n[i]
-        lo, f_lo = self._r[i], self._f[i]
-        ahead = self._f[i + 1] > level
-        hi = np.where(ahead, self._r[i + 1], self._peak_at[i])
-        f_hi = np.where(ahead, self._f[i + 1], self._peak[i])
+        lo, f_lo = r[i], f[i]
+        ahead = f[i + 1] > level
+        hi = np.where(ahead, r[i + 1], peak_at[i])
+        f_hi = np.where(ahead, f[i + 1], peak[i])
 
         def excess(x, k):
             g, rate = self._evaluate(n[k], x, 1)
             return g - level[k], rate
 
-        m2 = self._m2[i]
-        d_hi = np.where(ahead, self._d[i + 1], 0.0)
-        start = _cubic_start(lo, hi, f_lo - level, self._d[i], f_hi - level, d_hi)
+        m2 = m2[i]
+        d_hi = np.where(ahead, d[i + 1], 0.0)
+        start = _cubic_start(lo, hi, f_lo - level, d[i], f_hi - level, d_hi)
         x, (_, rate), moved = _newton(excess, lo, hi, start, starts + hi, m2)
         # no earlier root: [lo, x] stays at or below the level
         width = x - lo
-        sure = _upper_bound(f_lo, level, self._d[i], rate - m2 * moved, m2, width) <= level
-        sure |= ~ahead & self._peak_sure[i]          # rising side of a certified peak
+        sure = _upper_bound(f_lo, level, d[i], rate - m2 * moved, m2, width) <= level
+        sure |= ~ahead & peak_sure[i]          # rising side of a certified peak
         sure |= width <= _MIN_WIDTH * np.maximum(1.0, starts + x)
         times[todo[sure]] = starts[sure] + x[sure]
         if private and not sure.all():

@@ -303,6 +303,8 @@ def test_sidecar_reruns_byte_identical(tmp_path, capsys):
     ("horizon = true", "horizon"),
     ("horizon = null", "horizon"),
     ('s_grid = {"a": 1}', "s_grid"),
+    ("s_grid = [0.1, 6, 2.5]", "s_grid"),
+    ('c_grid = "0:0.9:0.5"', "c_grid"),
     pytest.param("s = 1" + "0" * 400, "s", id="s = 1e400 as an integer"),
     pytest.param("dt = 1" + "0" * 400, "dt", id="dt = 1e400 as an integer"),
 ])
@@ -327,6 +329,21 @@ def test_config_integer_beyond_the_digit_limit(name, text, where, tmp_path, monk
     assert err.startswith(f"config error: {where}an integer of more than ")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == [tmp_path / name]
+
+
+@pytest.mark.parametrize("name", ["missing.cfg", "adir", "latin1.cfg", "truncated.json"])
+def test_unreadable_config_file_exits_one(name, tmp_path, monkeypatch, capsys):
+    # a file that is not there, a directory, bytes that are not UTF-8, or a
+    # JSON sidecar cut short: a config error that names the file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "latin1.cfg").write_bytes(b"s = 1\n# r\xe9sum\xe9\n")
+    (tmp_path / "truncated.json").write_text('{"command": "transition", "s": 1')
+    assert main(["transition", "--config", name, "--output", "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config: ")
+    assert name in err
+    assert "Traceback" not in err
 
 
 def test_sidecar_records_package_version(tmp_path, capsys):

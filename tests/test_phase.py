@@ -370,13 +370,21 @@ def test_row_refinement_work(monkeypatch):
         assert sum(kernel.values()) <= most * blocks
 
 
-@pytest.mark.parametrize("rows", [7, 3], ids=["budget", "small-budget"])
-@pytest.mark.parametrize("dt", [None, 0.3, 0.05])
+@pytest.mark.parametrize("dt, rows, one_step", [
+    *(pytest.param(dt, rows, False, id=f"{dt}-{name}")
+      for dt in (None, 0.3, 0.05) for rows, name in ((7, "budget"), (3, "small-budget"))),
+    *(pytest.param(dt, 3, True, id=f"{dt}-small-budget-one-step") for dt in (None, 0.3)),
+])
 @pytest.mark.parametrize("side", list(NoiseSide))
-def test_block_rows_equal_rows_alone(side, dt, rows, monkeypatch):
+def test_block_rows_equal_rows_alone(side, dt, rows, one_step, monkeypatch):
     # a row of a block gets the very doubles it gets alone: labels, minimum
     # and transition times; a budget of 7 rows' scan points splits the 8
-    # rows into blocks of 7 and 1, a small budget of 3 rows into 3, 3 and 2
+    # rows into blocks of 7 and 1, a small budget of 3 rows into 3, 3 and 2.
+    # One scan step per branch leaves the refinement all the work: about
+    # 100 to 1,000 cell splits and 8 to 42 private passes per map.
+    if one_step:
+        monkeypatch.setattr(phase, "_SCAN_STEP", math.inf)
+        monkeypatch.setattr(phase, "_SCAN_MIN_STEPS", 1)
     _rows_per_block(monkeypatch, dt, rows)
     s_grid, c_grid = np.linspace(0.1, 6.0, 8), np.linspace(0.0, 0.99, 23)
     blocks = []

@@ -105,6 +105,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        # a grid may start with -: --c-grid -0.99:0.99:41 is read as --c-grid=-0.99:0.99:41
+        args = list(sys.argv[1:] if args is None else args)
+        for i in reversed(range(1, len(args))):
+            grid, value = args[i - 1:i + 1]
+            if grid in ("--s-grid", "--c-grid") and value[:1] == "-" and value[:2] != "--":
+                args[i - 1:i + 1] = [f"{grid}={value}"]
+        return super().parse_args(args, namespace)
+
 
 def _build_parser():
     parser = _Parser(prog="dd-discord", description=__doc__)
@@ -128,7 +137,8 @@ def _build_parser():
         p.add_argument("--time-step", type=float, default=None,
                        help="override the sampling grid step")
         p.add_argument("--s-grid", default=None, help="lo:hi:count (default 0.1:6:60)")
-        p.add_argument("--c-grid", default=None, help="lo:hi:count (default 0:0.999:50)")
+        p.add_argument("--c-grid", default=None,
+                       help="lo:hi:count (default 0:0.999:50); lo may be negative: -0.99:0.99:41")
         p.add_argument("--rel-tol", type=float, default=None)
         p.add_argument("--abs-tol", type=float, default=None)
         p.add_argument("--max-subdivisions", type=int, default=None)

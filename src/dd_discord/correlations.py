@@ -103,10 +103,10 @@ def classical_correlations(state, factor):
 def discord(state, factor):
     """Quantum discord in bits: mutual information minus the classical part.
 
-    Equals correlation_bits(c) exactly while factor >= |c| and
-    correlation_bits(factor) once factor <= |c|.
+    Taken as correlation_bits(min(factor, |c|)), the difference without its
+    cancellation: correlation_bits(c) while factor >= |c|, else of factor.
     """
-    return mutual_information(state, factor) - classical_correlations(state, factor)
+    return correlation_bits(np.minimum(_check_factor(factor), abs(state.c)))
 
 
 def concurrence(state, gamma_value):

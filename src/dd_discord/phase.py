@@ -156,7 +156,7 @@ class _FactorProfile:
         when private: the splits one asks for cannot move the others' times.
         """
         while True:
-            # rebound first: the columns a split replaced are freed before _cells runs
+            # named anew each round, and unnamed before a split replaces them
             n, (r, f, d, m2, m3, peak, peak_at, bend, peak_sure) = self._n, self._columns
             cell, upper, known, settled = self._cells()
             row_branches = np.arange(self.evaluator._s.size + 1) * self._branches
@@ -181,6 +181,7 @@ class _FactorProfile:
             split &= ~solve
             if not (solve.any() or split.any()):
                 return np.where(found, np.where(blocked, -2, pair), -1)
+            del n, r, f, d, m2, m3, peak, peak_at, bend, peak_sure
             if solve.any():
                 self._solve_peaks(np.nonzero(solve)[0])
             if split.any():
@@ -209,9 +210,9 @@ class _FactorProfile:
         for column, empty in zip(self._columns[-len(_EMPTY_CELL):], _EMPTY_CELL):
             column[i] = empty
         new = (r, *self._evaluate(n, r, 1, True), *_EMPTY_CELL)
-        self._n = np.insert(self._n, i + 1, n)
-        self._columns = [np.insert(old, i + 1, value) for old, value in zip(self._columns, new)]
-        self._bounds = None
+        self._n, self._bounds = np.insert(self._n, i + 1, n), None
+        for k, value in enumerate(new):   # one at a time: each old column is freed at once
+            self._columns[k] = np.insert(self._columns[k], i + 1, value)
 
     def _argmax_time(self, row):
         r, f, d, m2, m3, peak, peak_at, bend, peak_sure = self._columns

@@ -72,26 +72,18 @@ class QuadratureConfig:
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
-# The gamma-function prefactor of the closed form has a pole at s = 1
-# that cancels only analytically; switch to the logarithmic Ohmic form
-# inside this window.
-_OHMIC_WINDOW = 1e-6
+# Below 2^-60 gamma0's sub-Ohmic bracket, over s, is its s -> 0 limit to 7e-16
+# relative; it is taken at 2^-60, where s log(1 - i tau) is a normal double.
+_TINY_S = 2.0 ** -60
 
 
 def _euler_gamma(x, s, t):
-    """Euler Gamma(x), the prefactor of a closed form at times t.
-
-    Gamma overflows a double for x above about 171.6, and has a pole
-    where s - 1 rounds to -1 (s at or below 2^-54); either is reported as a
-    numerical failure at Ohmicity s (and tau, when t is a single time),
-    not as a silent inf or a domain error.
-    """
+    """Gamma(x) of a prefactor at times t; its overflow past x ~ 171.6 is a ConvergenceError."""
     try:
         return math.gamma(x)
-    except (OverflowError, ValueError):
+    except OverflowError:
         tau = float(t) if np.ndim(t) == 0 else None
-        what = "overflows a double" if x > 0.0 else "hits a pole"
-        raise ConvergenceError(f"Gamma({x}) {what} at s={s}", s=s, tau=tau) from None
+        raise ConvergenceError(f"Gamma({x}) overflows a double at s={s}", s=s, tau=tau) from None
 
 
 def spectral_density(spec, omega):
@@ -106,62 +98,58 @@ def spectral_density(spec, omega):
 def _closed_forms(s, tau, orders=(0,), envelopes=False, rows=0):
     """gamma0 and its time derivatives of the given orders (0, 1, 2), then two envelopes.
 
-    Order k is Gamma(a) trig(a arctan tau) / (1 + tau^2)^(a/2) with
-    a = s - 1 + k and trig = sin, cos for k = 1, 2; order 0, gamma0, is
-    Gamma(s-1) [1 - cos((s-1) arctan tau) / (1 + tau^2)^((s-1)/2)], the
-    prefactor continued analytically through 0 < s < 1, and
-    (1/2) log(1 + tau^2) at s = 1. With envelopes, Gamma(s+1) /
-    (1 + tau^2)^((s+1)/2) and (s+1) times that over sqrt(1 + tau^2)
-    follow: the moduli of orders 2 and 3 without their cosine and sine,
-    so each decreases in tau and bounds its derivative at every later
-    time as well.
+    With z = 1 - i tau, L = log|z| and theta = arctan tau, order k is
+    Gamma(a) e^(-a L) trig(a theta), a = s - 1 + k, trig = sin, cos for
+    k = 1, 2; the envelopes, Gamma(a) e^(-a L) at a = s + 1 and s + 2, are
+    the moduli of orders 2 and 3: each decreases in tau, so it bounds its
+    derivative at every later time as well. Order 0, Gamma(s-1) (1 - Re
+    z^(1-s)), is P (expm1(x) - 2 e^x h^2 + [s < 1/2] 2 tau e^x h sqrt(1 - h^2)),
+    x = -a L, h = sin(a theta / 2): a = s - 1 and P = -Gamma(s-1) for s >= 1/2
+    (L at s = 1), and for s < 1/2 a = max(s, _TINY_S) and P = Gamma(s+1) /
+    ((1-s) a), the bracket p + tau q of p + i q = expm1(-a log z). No bracket
+    cancels by more than a factor of 2 and a keeps all of s's digits, so
+    gamma0 keeps its own at small tau and near s = 0 and 1. L = log B +
+    log1p(u^2) / 2 and e^(-s L) = B^-s e^(-s log1p(u^2) / 2), B = max(1,
+    tau), u = min(1, tau) / B, do not overflow past tau ~ 1.34e154.
 
     s holds an Ohmicity per row and rows (broadcast against tau, which must
-    be nonnegative) the row of each time. Every value is the double of its
-    row alone, with the row's exponents as scalars. Where 1 + tau^2
-    overflows, the powers are exp of 2 log tau + log1p(tau^-2).
+    be finite and nonnegative) the row of each time. Every value is the
+    double of its row alone, with the row's exponents as scalars.
     """
     t = np.asarray(tau, dtype=float)
-    if not np.all(t >= 0.0):   # also refuses NaN
-        raise ValueError("tau must be nonnegative")
-    with np.errstate(over="ignore"):   # past tau ~ 1.34e154, where the powers take logs
-        angle, q = np.arctan(t), 1.0 + t * t
+    if not np.all((0.0 <= t) & (t < math.inf)):   # also refuses NaN
+        raise ValueError("tau must be nonnegative and finite")
+    big = np.maximum(t, 1.0)   # |z| = big e^half, L = log(big) + half
+    half, angle = 0.5 * np.log1p((np.minimum(t, 1.0) / big) ** 2), np.arctan(t)
     s = np.ravel(s).tolist()
-    huge = np.isinf(q)
 
     def per_row(values):   # one value per row, at the row of every time
         return values[0] if len(values) == 1 else np.array(values)[rows]
 
-    def log_q():
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return np.where(huge, 2.0 * np.log(t) + np.log1p(1.0 / t ** 2), np.log1p(t * t))
+    def modulus(shift, trig=None):   # Gamma(a) e^(-a L) trig(a theta), a = s + shift
+        a = [x + shift for x in s]
+        out = per_row([_euler_gamma(x, y, t) for x, y in zip(a, s)]) * scale * inverse ** shift
+        return out if trig is None else out * trig(per_row(a) * angle)
 
-    def power(a):   # (1 + tau^2)^(-a/2); a scalar exponent -1 makes np.power divide
-        p = [-0.5 * x for x in a]
-        out = np.power(q, per_row(p))
-        if -1.0 in p:
-            out = np.where(per_row(p) == -1.0, 1.0 / q, out)
-        if huge.any():
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = np.where(huge, np.exp(per_row(p) * log_q()), out)
-        return out
+    def exponent():
+        low = [x < 0.5 for x in s]
+        a = [max(x, _TINY_S) if sub else x - 1.0 for x, sub in zip(s, low)]
+        prefactor = per_row([_euler_gamma(x + 1.0, x, t) / ((1.0 - x) * b) if sub else
+                             -_euler_gamma(b, x, t) if b else 0.0 for x, sub, b in zip(s, low, a)])
+        log_r, a = np.log(big) + half, per_row(a)
+        x, h = -a * log_r, np.sin(0.5 * a * angle)
+        e = np.exp(x)
+        bracket = np.expm1(x) - 2.0 * e * h * h
+        if any(low):
+            bracket = bracket + per_row(low) * t * e * h * 2.0 * np.sqrt(1.0 - h * h)
+        # L at s = 1; adding it, or 0.0, also turns a -0 at tau = 0 into 0
+        return prefactor * bracket + (per_row([y == 1.0 for y in s]) * log_r if 1.0 in s else 0.0)
 
-    out = []
-    for k in orders:
-        a = [x + (k - 1.0) for x in s]
-        ohmic = [k == 0 and abs(x) < _OHMIC_WINDOW for x in a]
-        prefactor = per_row([0.0 if log else _euler_gamma(x, row_s, t)
-                             for x, row_s, log in zip(a, s, ohmic)])
-        wave = (np.sin if k == 1 else np.cos)(per_row(a) * angle)
-        if k:
-            out.append(prefactor * wave * power(a))
-        else:   # the exact value is >= 0; clamp sub-epsilon rounding at tiny tau
-            value = np.maximum(prefactor * (1.0 - wave * power(a)), 0.0)
-            out.append(np.where(per_row(ohmic), 0.5 * log_q(), value) if any(ohmic) else value)
-    if envelopes:
-        second = per_row([_euler_gamma(x + 1.0, x, t) for x in s]) * power([x + 1.0 for x in s])
-        out += [second, per_row([x + 1.0 for x in s]) * second / np.sqrt(q)]
-    return out
+    if envelopes or any(orders):   # e^(-s L), and e^(-L) that takes it to e^(-(s + shift) L)
+        scale = np.power(big, -per_row(s)) * np.exp(-per_row(s) * half)
+        inverse = np.exp(-half) / big
+    out = [modulus(k - 1, np.sin if k == 1 else np.cos) if k else exponent() for k in orders]
+    return out + [modulus(1), modulus(2)] if envelopes else out
 
 
 def gamma0(spec, tau):

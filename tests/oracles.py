@@ -252,3 +252,111 @@ def mp_newton(f, lo, hi, dps=30, steps=200):
                 return +step
             x = step
     raise AssertionError("mpmath Newton did not converge")
+
+
+def _mp_eig2(a, d, b):
+    """Eigenvalues of the Hermitian 2x2 matrix [[a, b], [conj(b), d]]."""
+    mid, radius = (a + d) / 2, mpmath.sqrt(((a - d) / 2) ** 2 + abs(b) ** 2)
+    return [mid - radius, mid + radius]
+
+
+def _mp_entropy_bits(values):
+    return -mpmath.fsum(v * mpmath.log(v, 2) for v in values if v > 0)
+
+
+def mp_bell_correlations(c, factor, dps=40):
+    """Mutual information, classical correlations, discord and concurrence in mpmath.
+
+    From the explicit state of bell_diagonal_rho at dps digits: the entropies
+    of its two 2x2 blocks and of its marginals, projective measurements of
+    qubit B along the three coordinate axes (where the optimum sits for this
+    family), and the X-state form of Wootters' concurrence,
+    2 max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44)).
+    Discord, their difference, is ~ min(factor, |c|)^2 / ln 4, so the work
+    takes twice its decades more digits. Returns four mpf values.
+    """
+    c, f = mpmath.mpf(c), mpmath.mpf(factor)
+    least = min(abs(c), f)
+    with mpmath.workdps(dps + (2 * int(-mpmath.log10(least)) if 0 < least < 1 else 0)):
+        rho = mpmath.matrix(4, 4)
+        rho[0, 0] = rho[3, 3] = (1 + c) / 4
+        rho[1, 1] = rho[2, 2] = (1 - c) / 4
+        rho[0, 3] = rho[3, 0] = f * (1 + c) / 4
+        rho[1, 2] = rho[2, 1] = f * (1 - c) / 4
+
+        def entropy_2x2(m):
+            return _mp_entropy_bits(_mp_eig2(mpmath.re(m[0][0]), mpmath.re(m[1][1]), m[0][1]))
+
+        def trace_b(m):   # index 2 i + j is qubit A in i, qubit B in j
+            return [[m[2 * i, 2 * k] + m[2 * i + 1, 2 * k + 1] for k in range(2)] for i in range(2)]
+
+        s_a = entropy_2x2(trace_b(rho))
+        s_b = entropy_2x2([[rho[j, k] + rho[2 + j, 2 + k] for k in range(2)] for j in range(2)])
+        joint = _mp_entropy_bits(_mp_eig2(rho[0, 0], rho[3, 3], rho[0, 3])
+                                 + _mp_eig2(rho[1, 1], rho[2, 2], rho[1, 2]))
+        mutual = s_a + s_b - joint
+        paulis = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+        conditional = []
+        for pauli in paulis:
+            total = mpmath.mpf(0)
+            for sign in (1, -1):
+                project = mpmath.matrix(4, 4)   # 1 (x) (1 + sign pauli) / 2
+                for i in range(2):
+                    for j in range(2):
+                        for k in range(2):
+                            flip = sign * mpmath.mpc(pauli[j][k])
+                            project[2 * i + j, 2 * i + k] = (int(j == k) + flip) / 2
+                sub = project * rho * project
+                p = mpmath.re(sum(sub[i, i] for i in range(4)))
+                if p > 0:
+                    total += p * entropy_2x2([[x / p for x in row] for row in trace_b(sub)])
+            conditional.append(total)
+        classical = s_a - min(conditional)
+        concurrence = 2 * max(mpmath.mpf(0), abs(rho[0, 3]) - mpmath.sqrt(rho[1, 1] * rho[2, 2]),
+                              abs(rho[1, 2]) - mpmath.sqrt(rho[0, 0] * rho[3, 3]))
+        return mutual, classical, mutual - classical, concurrence
+
+
+def _np_gamma0(s):
+    """gamma0 at an array of times, transcribed from the defining closed form."""
+    def fn(tau):
+        tau = np.asarray(tau, dtype=float)
+        if s == 1.0:
+            return 0.5 * np.log1p(tau * tau)
+        a = s - 1.0
+        return math.gamma(a) * (1.0 - np.cos(a * np.arctan(tau)) * (1.0 + tau * tau) ** (-a / 2.0))
+    return fn
+
+
+def mp_max_exponent(s, dt, horizon, dps=30):
+    """Maximum over [0, horizon] of the exponent under pulses t_m = m * dt, in mpmath.
+
+    dt None is free evolution. A scan of general_controlled_gamma (with the
+    closed form transcribed in _np_gamma0) on 4,000 steps and every pulse
+    instant brackets the three highest sampled maxima; each is the value
+    at its sample, or at the zero of the rate between its neighbours when
+    the rate changes sign inside one branch there. Every value is
+    mp_controlled_exponent's.
+    """
+    instants = [] if dt is None else [m * dt for m in range(1, int(horizon / dt) + 2)
+                                      if m * dt <= horizon]
+    grid = np.unique(np.concatenate((np.linspace(0.0, horizon, 4001), instants)))
+    scan = general_controlled_gamma(_np_gamma0(s), instants, grid)
+    rising = np.append(True, scan[1:] >= scan[:-1])
+    falling = np.append(scan[:-1] >= scan[1:], True)
+    tops = np.nonzero(rising & falling)[0]
+    best = mpmath.mpf(0)
+
+    def at(t):
+        return mp_controlled_exponent(s, dt, t, dps)
+
+    def pulses_before(t):
+        return sum(1 for x in instants if x < t)
+
+    for i in tops[np.argsort(-scan[tops])][:3]:
+        best = max(best, at(grid[i])[0])
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        lo = np.nextafter(lo, np.inf) if lo in instants else lo   # the branch to its right
+        if pulses_before(lo) == pulses_before(hi) and at(lo)[1] > 0 > at(hi)[1]:
+            best = max(best, at(mp_newton(lambda x: at(x)[1:], lo, hi, dps))[0])
+    return best

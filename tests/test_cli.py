@@ -11,6 +11,7 @@ import pytest
 
 from dd_discord import cli
 from dd_discord.cli import main
+from oracles import mp_controlled_exponent
 
 UNITS_LINE = "# units: times in 1/omega_c, frequencies in omega_c"
 
@@ -436,20 +437,39 @@ def test_worker_pool_size_is_invisible_in_output(tmp_path, run_cli, monkeypatch)
     ["transition", "--s", "200", "--free", "--c", "0.5"],
     ["transition", "--s", "172", "--dt", "0.3", "--c", "0.5"],
     ["decoherence", "--s", "200", "--free", "--tau", "1", "--oracle"],
-    ["decoherence", "--s", "1e-17", "--free", "--tau", "1"],
 ])
 def test_overflowing_exponent_exits_two(args, tmp_path, run_cli):
     # Gamma(s-1) overflows a double past s ~ 172.6; just below it the
     # pulsed sum of finite terms overflows instead, and the quadrature
-    # oracle overflows in its tail bound. At s = 1e-17, s - 1 rounds to
-    # -1, a pole of Gamma. A child process shows what a user sees: the
-    # one message, with no numpy warning before it.
+    # oracle overflows in its tail bound. A child process shows what a user
+    # sees: the one message, with no numpy warning before it.
     res = run_cli(args + ["--output", "-"], tmp_path)
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith("convergence failure:")
     assert res.stderr.count("\n") == 1
     assert "s=" + args[2] in res.stderr
+
+
+def test_tiny_s_prints_the_finite_exponent(tmp_path, run_cli):
+    # at s = 1e-17, s - 1 rounds to -1, a pole of Gamma(s-1); the exponent
+    # is finite, and the form with Gamma(s+1) prints its digits
+    res = run_cli(["decoherence", "--s", "1e-17", "--free", "--tau", "1", "--output", "-"],
+                  tmp_path)
+    assert (res.returncode, res.stderr) == (0, "")
+    want = mp_controlled_exponent(1e-17, None, 1.0, dps=60)[0]
+    assert read_rows(res.stdout)[0]["gamma"] == format(float(want), ".12g")
+
+
+def test_negative_grid_bound_as_a_separate_argument(tmp_path, monkeypatch):
+    # argparse reads a separate -0.99:0.99:41 as an option; the CLI joins it to its flag
+    monkeypatch.chdir(tmp_path)
+    forms = {"apart": ["--c-grid", "-0.99:0.99:41"], "joined": ["--c-grid=-0.99:0.99:41"]}
+    for name, form in forms.items():
+        assert main(["phase-diagram", "--dt", "1.7", "--s-grid", "1:2:2", *form,
+                     "--no-free-companion", "--output", name + ".csv"]) == 0
+    assert (tmp_path / "apart.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
+    assert len(read_rows(tmp_path / "apart.csv")) == 2 * 41
 
 
 @pytest.mark.parametrize("args", [

@@ -204,12 +204,14 @@ def test_transition_absent_iff_invariant():
 @pytest.mark.parametrize("dt", [None, 0.3, 0.05])
 @pytest.mark.parametrize("s", [0.3, 1.0, 2.5, 4.0, 5.9])
 def test_row_crossings_match_scalar_bisection(s, dt):
-    # reference: scan the sampling grid one scalar exponent at a time, then
-    # bisect from the first sub-c sample; s > 2 has non-monotone factors
+    # reference: scan the sampling grid, then bisect from the first sub-c
+    # sample one scalar exponent at a time; s > 2 has non-monotone factors.
+    # The scan is one gamma_grid call, the scalar exponent's doubles.
     spec = OhmicSpectrum(s)
     sched = _schedule(dt)
     grid = default_time_grid(sched)
-    gammas = np.array([controlled_gamma(spec, sched, float(t)) for t in grid])
+    gammas = pulses.PulsedDecoherence(spec, sched).gamma_grid(grid)
+    assert [controlled_gamma(spec, sched, float(t)) for t in grid[::50]] == gammas[::50].tolist()
     c_grid = np.linspace(0.02, 0.98, 17)
     for side in NoiseSide:
         factors = decoherence_factor(gammas, side)
@@ -338,6 +340,20 @@ def test_transition_before_the_first_pulse_matches_mpmath(s, c, dt, side):
 
         root = mp_newton(excess, 0.0, dt, dps=60)
         assert abs(t / root - 1) <= 2e-12
+
+
+@pytest.mark.parametrize("s,bound", [(20.0, 1e-15), (30.0, phase._MIN_WIDTH)], ids=["20", "30"])
+def test_free_transition_at_high_s_matches_mpmath(s, bound):
+    # one-sided, c = 0.5: gamma0 reaches log 2 near tau = 7.5e-10 (s = 20)
+    # and 7.2e-17 (s = 30), where its closed form once cancelled to a few
+    # digits; cells narrower than _MIN_WIDTH max(1, t) are not split
+    t = transition_time(OhmicSpectrum(s), FREE_25, BellDiagonalState(0.5), NoiseSide.ONE_SIDED)
+    with mpmath.workdps(80):
+        def excess(x):
+            g, rate, _ = mp_controlled_exponent(s, None, x, dps=80)
+            return g - mpmath.log(2), rate
+
+        assert abs(t - mp_newton(excess, 0.0, 1e-6, dps=80)) <= bound
 
 
 def test_row_refinement_work(monkeypatch):

@@ -72,11 +72,51 @@ def test_gamma0_closed_form_vs_quadrature(s, tau):
 
 
 def test_gamma0_just_outside_ohmic_branch():
-    # the general formula must stay accurate right up to the branch window
+    # 2e-6 from s = 1, where an Ohmic special case once took over: the
+    # s >= 1/2 form holds right up to s = 1, which only it evaluates as L
     for s in (1.0 - 2e-6, 1.0 + 2e-6):
         spec = OhmicSpectrum(s)
         for tau in (0.5, 5.0, 25.0):
             assert abs(gamma0(spec, tau) - gamma0_quadrature(spec, tau)) < 1e-8
+
+
+# near s = 0 and s = 1 and at small tau, where gamma0's forms must not cancel
+AUDIT_S = [2.0 ** -60, 1e-16, 1e-12, 1e-10, 1e-6, 0.1, 0.3, 0.49, 0.5, 0.7, 1 - 1e-9, 1.0,
+           1 + 1e-12, 1.0000011, 1.5, 3.0, 5.9, 20.0, 60.0, 150.0]
+AUDIT_TAU = np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.5, 1.0, 3.0, 25.0, 1e4, 1e8])
+
+
+def test_closed_forms_against_mpmath():
+    # 150 digits: 1 - Re z^(1-s) cancels up to 24 digits at tau = 1e-12, and
+    # Gamma(s-1) has up to 18 more near s = 0 and s = 1. Orders 1 and 2 and
+    # the envelopes are measured against their moduli where those are normal
+    # doubles; above s = 6 the roundings of a theta and of a log1p(u^2) / 2
+    # add up to 2 a ulps.
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    for s in AUDIT_S:
+        got = _closed_forms(s, AUDIT_TAU, (0, 1, 2), True)
+        for j, tau in enumerate(AUDIT_TAU):
+            with mpmath.workdps(150):
+                free = mp_controlled_exponent(s, None, tau, dps=150)
+                base, a = 1 + mpmath.mpf(tau) ** 2, mpmath.mpf(s)
+                moduli = [mpmath.gamma(a + k) * base ** (-(a + k) / 2) for k in (0, 1, 2)]
+                assert abs(got[0][j] / free[0] - 1) <= 2e-15, (s, tau)
+                bound = 2.5e-15 + (2 * (s + 2) * eps if s > 6 else 0.0)
+                for k, (value, modulus) in enumerate(zip(got[1:], moduli[:2] + moduli[1:])):
+                    want = free[k + 1] if k < 2 else modulus
+                    assert modulus < tiny or abs(value[j] - want) <= bound * modulus, (s, tau, k)
+
+
+@pytest.mark.parametrize("s", [1e-100, 1e-300, 1e-310, 5e-324])
+def test_gamma0_at_tiny_s_is_its_s_to_zero_limit(s):
+    # tau arctan tau - log1p(tau^2) / 2, without an inf or a NaN from 1 / s,
+    # or a subnormal s L that keeps only some of s's digits
+    taus = np.array([1e-8, 1.0, 1e4])
+    got = gamma0(OhmicSpectrum(s), taus)
+    with mpmath.workdps(40):
+        for tau, value in zip(taus, got):
+            t = mpmath.mpf(tau)
+            assert abs(value / (t * mpmath.atan(t) - mpmath.log1p(t * t) / 2) - 1) <= 2e-15
 
 
 def test_gamma0_vectorized_matches_scalar():
@@ -144,6 +184,8 @@ def test_recoherence_onset_values():
 def test_gamma0_negative_tau_rejected():
     with pytest.raises(ValueError):
         gamma0(OhmicSpectrum(1.0), -0.1)
+    with pytest.raises(ValueError, match="finite"):
+        gamma0(OhmicSpectrum(0.7), np.inf)
     with pytest.raises(ValueError):
         gamma0_rate(OhmicSpectrum(1.0), np.array([0.0, -2.0]))
 
@@ -219,8 +261,8 @@ def test_sub_ohmic_uses_continued_gamma():
 
 
 def test_gamma_prefactor_against_mpmath():
-    # Gamma(s-1) in gamma0 and Gamma(s) in gamma0_rate, against 40-digit
-    # mpmath; s - 1 = 0 is the pole the Ohmic branch never evaluates
+    # Gamma(s-1) in gamma0 (s >= 1/2) and Gamma(s) in gamma0_rate, against
+    # 40-digit mpmath; at s = 1, gamma0 is L and evaluates no Gamma
     worst = 0.0
     with mpmath.workdps(40):
         for s in np.linspace(0.0, 7.0, 1401)[1:]:
@@ -233,7 +275,7 @@ def test_gamma_prefactor_against_mpmath():
     assert worst <= 8.0
 
 
-@pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 3.0])
+@pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 1.5, 3.0])
 def test_gamma0_past_the_overflow_of_tau_squared(s):
     # 1 + tau^2 overflows a double past tau ~ 1.34e154; its logarithm does not
     want = float(mp_controlled_exponent(s, None, 1e160, dps=40)[0])
@@ -254,13 +296,14 @@ def test_gamma_overflow_is_a_convergence_error():
     with pytest.raises(ConvergenceError) as err:
         gamma0_rate(OhmicSpectrum(180.0), np.array([1.0, 2.0]))
     assert (err.value.s, err.value.tau) == (180.0, None)
-    # s at or below 2^-54: s - 1 rounds to -1, a pole of Gamma(s-1)
+    # s at or below 2^-54, where s - 1 rounds to -1, a pole of Gamma(s-1):
+    # the exponent is finite, and gamma0 takes the form with Gamma(s+1)
     for s in (1e-17, 2.0 ** -54, 5e-324):
-        for tau, named in ((1.0, 1.0), (np.array([1.0, 2.0]), None)):
-            with pytest.raises(ConvergenceError) as err:
-                gamma0(OhmicSpectrum(s), tau)
-            assert (err.value.s, err.value.tau) == (s, named)
-            assert f"pole at s={s}" in str(err.value)
+        got = gamma0(OhmicSpectrum(s), np.array([1.0, 2.0]))
+        assert got[0] == gamma0(OhmicSpectrum(s), 1.0)
+        with mpmath.workdps(400):
+            for tau, value in zip((1.0, 2.0), got):
+                assert abs(value / mp_controlled_exponent(s, None, tau, dps=400)[0] - 1) <= 2e-15
     # the quadrature oracles integrate in log space: they follow the closed
     # form up to its own overflow, and a non-finite integral is a failure
     one_pulse = periodic_schedule(0.5, 1.0)   # tau = 1 is past the first pulse only

@@ -13,10 +13,10 @@ from .phase import (PhaseDiagram, Regime, RegimeLabel, boundary_curve, classify,
                     invariant_discord_value, min_decoherence_factor,
                     phase_diagram, transition_time)
 from .pulses import (PulsedDecoherence, PulseSchedule, controlled_gamma,
-                     controlled_gamma_oracle, default_time_grid,
-                     filter_function_sq, gamma0_quadrature, periodic_schedule)
+                     controlled_gamma_oracle, default_time_grid, periodic_schedule)
 from .spectral import (DEFAULT_QUADRATURE, ConvergenceError, OhmicSpectrum,
-                       QuadratureConfig, gamma0, gamma0_rate, recoherence_onset,
+                       QuadratureConfig, filter_function_sq, gamma0,
+                       gamma0_quadrature, gamma0_rate, recoherence_onset,
                        spectral_density)
 
 __all__ = [

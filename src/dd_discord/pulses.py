@@ -6,8 +6,9 @@ exponent then follows from signed combinations of the free exponent
 gamma0 evaluated at pulse instants, pairwise pulse gaps, and the
 intervals elapsed since each pulse. Equivalently, the pulses act in
 frequency space through a filter |y_n(omega t)|^2 on the bath spectrum.
-Both routes are implemented: the signed sum is the production path, the
-filter-function quadrature the independent oracle.
+The signed sum, the production path, lives here; the filter-function
+quadrature, the independent oracle, is spectral.oscillatory_quad, which
+controlled_gamma_oracle calls once.
 
 Every schedule is periodic: pulses at t_k = k t_1, k = 1 .. N, with
 N = 0 for free evolution. The filter is then a geometric series in
@@ -24,7 +25,6 @@ evaluator with a spectrum, so an s, per row.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -114,7 +114,6 @@ def periodic_schedule(delta_tau, horizon):
 
 # table entries per block of the shared-phase sums: bounds their working set
 _PHASE_BLOCK = 4096
-_EPS = float(np.finfo(float).eps)
 
 
 class PulsedDecoherence:
@@ -255,101 +254,28 @@ class PulsedDecoherence:
             first = stop
 
 
-@lru_cache(maxsize=256)
-def _cached_evaluator(spec, schedule):
-    return PulsedDecoherence(spec, schedule)
-
-
 def controlled_gamma(spec, sched, tau):
     """Pulse-controlled decoherence exponent at time tau.
 
     Piecewise in the number of elapsed pulses; reduces to gamma0 for an
-    empty schedule and stays continuous across pulse instants.
+    empty schedule and stays continuous across pulse instants. The
+    one-point view PulsedDecoherence(spec, sched).gamma(tau): it builds the
+    evaluator, at O(pulses) cost, on every call, so many times of one
+    schedule are one PulsedDecoherence(spec, sched).gamma_grid call.
     """
-    return _cached_evaluator(spec, sched).gamma(tau)
-
-
-def filter_function_sq(n, interval, tau, z):
-    """Squared filter amplitude |y_n(z)|^2 for n pulses at m * interval before tau.
-
-    y_n(z) = 1 + (-1)^(n+1) e^(iz) + 2 sum_m (-1)^m e^(iz t_m / tau),
-    t_m = m * interval, m = 1 .. n; with no pulses (interval unused, may
-    be None) this reduces to 2 (1 - cos z), and y_n(0) = 0 for every n.
-    The pulses must lie inside (0, tau). z may be a scalar or an array of
-    nonnegative phases.
-
-    The sum is geometric: with theta = z t_1 / tau and psi = (theta + pi) / 2,
-    sum_m (-1)^m e^(i m theta) = e^(i (n+1) psi) sin(n psi) / sin(psi).
-    It depends on psi only modulo pi, so it is evaluated at the reduced
-    angle eps = psi - k pi, k = rint(psi / pi), as
-    e^(i (n+1) eps) sin(n eps) / sin(eps), whose limit n at eps = 0
-    removes the resonances sin(psi) = 0; the cost per z is then
-    independent of n.
-    """
-    z = np.asarray(z, dtype=float)
-    if not np.all((0.0 <= z) & (z < math.inf)):   # also refuses NaN
-        raise ValueError("z must be finite and nonnegative")
-    if n < 0 or (n > 0 and not (interval is not None and 0.0 < n * interval < tau)):
-        raise ValueError(f"{n} pulses at interval {interval} must lie in (0, tau), tau = {tau}")
-    end = (-1.0) ** (n + 1)
-    real, imag = 1.0 + end * np.cos(z), end * np.sin(z)
-    if n:
-        psi = 0.5 * (z * (interval / tau) + np.pi)
-        eps = psi - np.pi * np.rint(psi / np.pi)
-        den = np.sin(eps)
-        ratio = 2.0 * np.divide(np.sin(n * eps), den, out=np.full_like(den, n),
-                                where=den != 0.0)
-        real += ratio * np.cos((n + 1) * eps)
-        imag += ratio * np.sin((n + 1) * eps)
-    out = real * real + imag * imag
-    return float(out) if out.ndim == 0 else out
-
-
-def _filter_integral(spec, n, interval, tau, cfg):
-    """Integral of x^(s-2) e^-x |y_n(tau x)|^2 / 2 over x > 0 for n pulses, in log space.
-
-    The integrand is nonnegative, so the first pass over [0, L], L =
-    max(20, 2|s-2| + 2), less its error estimate bounds the whole from
-    below. The range then ends at the first X >= L (in steps of 1.25)
-    where the tail bound 2 envelope X^(s-2) e^-X (envelope 2 (n+1)^2 = max
-    |y_n|^2 / 2) is below max(abs_tol, eps * that bound) / 2, with eps
-    the double's relative spacing: a tail the sum cannot resolve.
-    """
-    power = spec.s - 2.0
-    lead_end = max(20.0, 2.0 * abs(power) + 2.0)
-
-    def cutoff(lower_bound):
-        log_bound = math.log(max(cfg.abs_tol, _EPS * lower_bound)
-                             / (8.0 * (n + 1.0) ** 2))
-        upper = lead_end
-        while power * math.log(upper) - upper > log_bound:
-            upper *= 1.25
-        return upper
-
-    def integrand(x):
-        return np.exp(power * np.log(x) - x) * filter_function_sq(n, interval, tau, tau * x) / 2.0
-
-    return oscillatory_quad(integrand, lead_end, cutoff, tau, cfg, s=spec.s, tau=tau)
-
-
-def gamma0_quadrature(spec, tau, cfg=DEFAULT_QUADRATURE):
-    """Free exponent by quadrature: controlled_gamma_oracle without pulses."""
-    tau = float(tau)
-    if not 0.0 <= tau < math.inf:
-        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
-    return _filter_integral(spec, 0, None, tau, cfg)
+    return PulsedDecoherence(spec, sched).gamma(tau)
 
 
 def controlled_gamma_oracle(spec, sched, tau, cfg=DEFAULT_QUADRATURE):
     """Controlled exponent by quadrature of the filter-weighted spectrum.
 
-    Integrates x^(s-2) e^-x |y_n(x tau)|^2 / 2 over frequency with the pulses
-    before tau: an independent cross-check of the signed sum.
+    spectral.oscillatory_quad with the pulses before tau: an independent
+    cross-check of the signed sum.
     """
     tau = float(tau)
     if not (0.0 <= tau <= sched.horizon and tau < math.inf):
         raise ValueError(f"tau must be finite and lie in [0, {sched.horizon}], got {tau}")
-    return _filter_integral(spec, sched.pulses_before(tau), sched.interval, tau, cfg)
+    return oscillatory_quad(spec, sched.pulses_before(tau), sched.interval, tau, cfg)
 
 
 def default_time_grid(schedule, step=None):

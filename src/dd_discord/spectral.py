@@ -7,10 +7,10 @@ bath at zero temperature accumulates the exponent
     gamma0(tau) = integral_0^inf x^(s-2) exp(-x) (1 - cos(tau x)) dx,
 
 where s is the Ohmicity of the bath. The closed form in terms of the
-Euler gamma function is the production path. `oscillatory_quad` is the
-one quadrature rule of the package (Gauss-Legendre panels, numpy only);
-the oracles in `pulses` integrate the filter-weighted spectrum with it,
-as independent cross-checks of the closed forms.
+Euler gamma function is the production path. `oscillatory_quad`, the
+one quadrature of the package (Gauss-Legendre panels, numpy only), is
+its independent oracle: the integral of the spectrum weighted by the
+pulse filter `filter_function_sq`, with its rule, range and integrand.
 """
 
 import math
@@ -102,15 +102,17 @@ def _closed_forms(s, tau, orders=(0,), envelopes=False, rows=0):
     Gamma(a) e^(-a L) trig(a theta), a = s - 1 + k, trig = sin, cos for
     k = 1, 2; the envelopes, Gamma(a) e^(-a L) at a = s + 1 and s + 2, are
     the moduli of orders 2 and 3: each decreases in tau, so it bounds its
-    derivative at every later time as well. Order 0, Gamma(s-1) (1 - Re
-    z^(1-s)), is P (expm1(x) - 2 e^x h^2 + [s < 1/2] 2 tau e^x h sqrt(1 - h^2)),
-    x = -a L, h = sin(a theta / 2): a = s - 1 and P = -Gamma(s-1) for s >= 1/2
-    (L at s = 1), and for s < 1/2 a = max(s, _TINY_S) and P = Gamma(s+1) /
-    ((1-s) a), the bracket p + tau q of p + i q = expm1(-a log z). No bracket
-    cancels by more than a factor of 2 and a keeps all of s's digits, so
-    gamma0 keeps its own at small tau and near s = 0 and 1. L = log B +
-    log1p(u^2) / 2 and e^(-s L) = B^-s e^(-s log1p(u^2) / 2), B = max(1,
-    tau), u = min(1, tau) / B, do not overflow past tau ~ 1.34e154.
+    derivative at every later time as well. Their Gamma(a) trig(a theta)
+    takes a = max(a, _TINY_S): Gamma(s) overflows below s ~ 5.6e-309.
+    Order 0, Gamma(s-1) (1 - Re z^(1-s)), is P (expm1(x) - 2 e^x h^2 +
+    [s < 1/2] 2 tau e^x h sqrt(1 - h^2)), x = -a L, h = sin(a theta / 2):
+    a = s - 1 and P = -Gamma(s-1) for s >= 1/2 (L at s = 1), and for
+    s < 1/2 a = max(s, _TINY_S) and P = Gamma(s+1) / ((1-s) a), the
+    bracket p + tau q of p + i q = expm1(-a log z). No bracket cancels by
+    more than a factor of 2 and a keeps all of s's digits, so gamma0 keeps
+    its own at small tau and near s = 0 and 1. L = log B + log1p(u^2) / 2
+    and e^(-s L) = B^-s e^(-s log1p(u^2) / 2), B = max(1, tau), u =
+    min(1, tau) / B, do not overflow past tau ~ 1.34e154.
 
     s holds an Ohmicity per row and rows (broadcast against tau, which must
     be finite and nonnegative) the row of each time. Every value is the
@@ -127,7 +129,7 @@ def _closed_forms(s, tau, orders=(0,), envelopes=False, rows=0):
         return values[0] if len(values) == 1 else np.array(values)[rows]
 
     def modulus(shift, trig=None):   # Gamma(a) e^(-a L) trig(a theta), a = s + shift
-        a = [x + shift for x in s]
+        a = [max(x + shift, _TINY_S) for x in s]
         out = per_row([_euler_gamma(x, y, t) for x, y in zip(a, s)]) * scale * inverse ** shift
         return out if trig is None else out * trig(per_row(a) * angle)
 
@@ -195,6 +197,7 @@ def _gauss_legendre():
 
 _MAX_PANELS = 1_000_000   # panels before any split: bounds the rule's arrays
 _PANEL_BLOCK = 1024       # panels per integrand call: bounds its node arrays
+_EPS = float(np.finfo(float).eps)
 
 
 def _panel_sums(integrand, lo, hi):
@@ -208,32 +211,82 @@ def _panel_sums(integrand, lo, hi):
     return sums[:, 0], np.abs(sums[:, 0] - sums[:, 1])
 
 
-def oscillatory_quad(integrand, lead, upper, osc_rate, cfg, *, s, tau):
-    """Integrate a nonnegative vectorised integrand from 0 with Gauss-Legendre panels.
+def filter_function_sq(n, interval, tau, z):
+    """Squared filter amplitude |y_n(z)|^2 for n pulses at m * interval before tau.
 
-    Panels are no wider than pi / max(osc_rate, 1), half an oscillation of
-    cos(osc_rate x) or the decay scale of e^-x, and the first is graded
-    toward 0. upper maps a lower bound on the integral to the end of the
-    range, and must not grow with the bound. A first pass covers [0, lead]
-    and, past lead, as much of [0, upper(0)] as one integrand call of
-    _PANEL_BLOCK panels reaches; upper of its lower bound (the pass less
-    its error estimate) ends the range, and panels up to that end join
-    the first pass before any is bisected. While the panels' 24- against
-    12-point differences add up to more than max(cfg.abs_tol, cfg.rel_tol
-    |integral|), every panel whose difference exceeds its width's share
-    of that bound is bisected. ConvergenceError names (s, tau) for a
-    non-finite integral, more than _MAX_PANELS initial panels or more
-    than cfg.max_subdivisions bisections.
+    y_n(z) = 1 + (-1)^(n+1) e^(iz) + 2 sum_m (-1)^m e^(iz t_m / tau),
+    t_m = m * interval, m = 1 .. n; with no pulses (interval unused, may
+    be None) this reduces to 2 (1 - cos z), and y_n(0) = 0 for every n.
+    The pulses must lie inside (0, tau). z may be a scalar or an array of
+    nonnegative phases.
+
+    The sum is geometric: with theta = z t_1 / tau and psi = (theta + pi) / 2,
+    sum_m (-1)^m e^(i m theta) = e^(i (n+1) psi) sin(n psi) / sin(psi).
+    It depends on psi only modulo pi, so it is evaluated at the reduced
+    angle eps = psi - k pi, k = rint(psi / pi), as
+    e^(i (n+1) eps) sin(n eps) / sin(eps), whose limit n at eps = 0
+    removes the resonances sin(psi) = 0; the cost per z is then
+    independent of n.
     """
+    z = np.asarray(z, dtype=float)
+    if not np.all((0.0 <= z) & (z < math.inf)):   # also refuses NaN
+        raise ValueError("z must be finite and nonnegative")
+    if n < 0 or (n > 0 and not (interval is not None and 0.0 < n * interval < tau)):
+        raise ValueError(f"{n} pulses at interval {interval} must lie in (0, tau), tau = {tau}")
+    end = (-1.0) ** (n + 1)
+    real, imag = 1.0 + end * np.cos(z), end * np.sin(z)
+    if n:
+        psi = 0.5 * (z * (interval / tau) + np.pi)
+        eps = psi - np.pi * np.rint(psi / np.pi)
+        den = np.sin(eps)
+        ratio = 2.0 * np.divide(np.sin(n * eps), den, out=np.full_like(den, n),
+                                where=den != 0.0)
+        real += ratio * np.cos((n + 1) * eps)
+        imag += ratio * np.sin((n + 1) * eps)
+    out = real * real + imag * imag
+    return float(out) if out.ndim == 0 else out
+
+
+def oscillatory_quad(spec, n, interval, tau, cfg):
+    """Integral of x^(s-2) e^-x |y_n(tau x)|^2 / 2 over x > 0, n pulses at m * interval before tau.
+
+    In log space, by Gauss-Legendre panels no wider than pi / max(tau, 1)
+    (half an oscillation of cos(tau x), or the decay scale of e^-x), the
+    first graded toward 0, where the integrand may go like x^s. A first
+    pass covers [0, L], L = max(20, 2|s-2| + 2), and as much past L as one
+    integrand call of _PANEL_BLOCK panels reaches. The integrand is
+    nonnegative, so that pass less its error estimate bounds the integral
+    below: the range ends at the first X >= L, in steps of 1.25, where the
+    tail bound 2 envelope X^(s-2) e^-X (envelope 2 (n+1)^2 = max |y_n|^2 / 2)
+    is below max(abs_tol, eps * that bound) / 2, eps the double's relative
+    spacing, and panels up to X join the first pass. While the panels' 24-
+    against 12-point differences add up to more than max(cfg.abs_tol,
+    cfg.rel_tol |integral|), every panel whose difference exceeds its
+    width's share of that bound is bisected. ConvergenceError names (s,
+    tau) for a non-finite integral, more than _MAX_PANELS initial panels
+    or more than cfg.max_subdivisions bisections.
+    """
+    power = spec.s - 2.0
+    lead = max(20.0, 2.0 * abs(power) + 2.0)
+
     def failure(what):
-        return ConvergenceError(f"quadrature {what} at s={s}, tau={tau}", s=s, tau=tau)
+        return ConvergenceError(f"quadrature {what} at s={spec.s}, tau={tau}", s=spec.s, tau=tau)
 
     def check(end):
         if not end / width <= _MAX_PANELS:
             raise failure(f"needs {end / width:.3g} panels, more than {_MAX_PANELS:,},")
 
-    width = math.pi / max(osc_rate, 1.0)
-    # the first panel is graded geometrically toward 0, where the integrand may go like x^s
+    def upper(lower_bound):   # the end of the range, for a lower bound on the integral
+        log_bound = math.log(max(cfg.abs_tol, _EPS * lower_bound) / (8.0 * (n + 1.0) ** 2))
+        end = lead
+        while power * math.log(end) - end > log_bound:
+            end *= 1.25
+        return end
+
+    def integrand(x):
+        return np.exp(power * np.log(x) - x) * filter_function_sq(n, interval, tau, tau * x) / 2.0
+
+    width = math.pi / max(tau, 1.0)
     grading = width * 0.25 ** np.arange(16.0, 0.0, -1.0)
     # panels that fill the first integrand call cost no extra call
     reach = max(lead, min(upper(0.0), (_PANEL_BLOCK - grading.size) * width))
@@ -265,3 +318,11 @@ def oscillatory_quad(integrand, lead, upper, osc_rate, cfg, *, s, tau):
                 raise failure(f"did not converge within {cfg.max_subdivisions} bisections")
             edges = np.sort(np.concatenate((edges, 0.5 * (lo[split] + hi[split]))))
             value, error = _panel_sums(integrand, edges[:-1], edges[1:])
+
+
+def gamma0_quadrature(spec, tau, cfg=DEFAULT_QUADRATURE):
+    """Free exponent by quadrature: oscillatory_quad without pulses, the check of gamma0."""
+    tau = float(tau)
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
+    return oscillatory_quad(spec, 0, None, tau, cfg)

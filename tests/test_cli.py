@@ -461,6 +461,16 @@ def test_tiny_s_prints_the_finite_exponent(tmp_path, run_cli):
     assert read_rows(res.stdout)[0]["gamma"] == format(float(want), ".12g")
 
 
+@pytest.mark.parametrize("s", ["1e-300", "1e-310", "5e-324"])
+def test_transition_below_the_overflow_of_gamma_s(s, tmp_path):
+    # the rate's Gamma(s) overflows below s ~ 5.6e-309; its s -> 0 limit does not
+    out = tmp_path / "tr.csv"
+    assert main(["transition", "--s", s, "--free", "--side", "one", "--c", "0.5",
+                 "--output", str(out)]) == 0
+    (row,) = read_rows(out)
+    assert (row["min_factor"], row["transition_time"]) == ("5.99302133625e-16", "1.29812721631")
+
+
 def test_negative_grid_bound_as_a_separate_argument(tmp_path, monkeypatch):
     # argparse reads a separate -0.99:0.99:41 as an option; the CLI joins it to its flag
     monkeypatch.chdir(tmp_path)

@@ -250,6 +250,35 @@ def test_crossing_between_grid_and_refined_minimum():
     assert transition_time(spec, FREE_25, BellDiagonalState(c), side) == label.transition_time
 
 
+@pytest.mark.parametrize("s,dt,side,want", [
+    (4.0, None, NoiseSide.TWO_SIDED, 1.0),       # the peak tan(pi/4), where gamma = 5/2
+    (0.3, None, NoiseSide.ONE_SIDED, 25.0),      # the window end
+    (4.0, 0.3, NoiseSide.ONE_SIDED, 24.9),       # the last pulse
+])
+def test_c_an_ulp_above_the_minimum_crosses_at_the_maximum(s, dt, side, want, monkeypatch):
+    # |c| at the rounding edge of min_factor settles at no cell: the time is
+    # that of the exponent's maximum
+    spec, sched = OhmicSpectrum(s), _schedule(dt)
+    calls = []
+    original = phase._FactorProfile._argmax_time
+
+    def counting(self, row):
+        calls.append(row)
+        return original(self, row)
+
+    monkeypatch.setattr(phase._FactorProfile, "_argmax_time", counting)
+    mf = min_decoherence_factor(spec, sched, side)
+    if (s, side) == (4.0, NoiseSide.TWO_SIDED):
+        assert mf == math.exp(-5.0)
+    state = BellDiagonalState(float(np.nextafter(mf, 1.0)))
+    assert classify(state, mf) is Regime.SUDDEN_TRANSITION
+    got = transition_time(spec, sched, state, side)
+    assert got == want
+    label = phase_diagram([s], [state.c], dt, side).labels[0][0]
+    assert label == RegimeLabel(Regime.SUDDEN_TRANSITION, want)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("s,dt,tau", [(0.3, 0.3, 2.05), (2.5, 0.3, 0.9), (1.0, None, 3.3),
                                        (5.9, 0.05, 0.42)])
 def test_mpmath_reference_matches_naive_sum(s, dt, tau):

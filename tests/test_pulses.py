@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dd_discord import pulses
+from dd_discord import pulses, spectral
 from dd_discord import (
     ConvergenceError,
     OhmicSpectrum,
     PulseSchedule,
+    QuadratureConfig,
     controlled_gamma,
     controlled_gamma_oracle,
     default_time_grid,
@@ -64,6 +65,16 @@ def test_periodic_schedule_exact_multiple():
     sched = periodic_schedule(5.0, 25.0)
     assert len(sched) == 5
     assert sched.instants[-1] == 25.0
+
+
+@pytest.mark.parametrize("dt,count", [
+    (0.025025025025025027, 999),   # 25 / dt = 998.9999999999999: floor lands one short
+    (0.6410256410256411, 38),      # 25 / dt rounds up to 39.0, but 39 dt overshoots 25
+])
+def test_periodic_schedule_count_at_a_rounded_quotient(dt, count):
+    sched = periodic_schedule(dt, 25.0)
+    assert len(sched) == count
+    assert sched.instants[-1] <= 25.0 < (count + 1) * dt
 
 
 def test_schedule_validation():
@@ -344,6 +355,24 @@ def test_dense_pulse_oracle_matches_mpmath(s):
     for tau in (0.07, 4.97, 12.51, 24.97):
         want = float(mp_controlled_exponent(s, 0.05, tau)[0])
         assert abs(controlled_gamma_oracle(spec, sched, tau) - want) < 1e-11
+
+
+def test_oracle_bisects_panels_to_a_tight_tolerance(monkeypatch):
+    # at rel_tol 1e-13 the first pass misses the bound: three rounds of
+    # bisection, each over more panels, reach it
+    panels = []
+    original = spectral._panel_sums
+
+    def counting(integrand, lo, hi):
+        panels.append(lo.size)
+        return original(integrand, lo, hi)
+
+    monkeypatch.setattr(spectral, "_panel_sums", counting)
+    cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)
+    got = controlled_gamma_oracle(OhmicSpectrum(0.1), periodic_schedule(0.3, 25.0), 7.3, cfg)
+    assert len(panels) == 4 and panels == sorted(set(panels))
+    assert abs(got / 0.012920663553636427 - 1.0) <= 1e-14
+    assert abs(got / float(mp_controlled_exponent(0.1, 0.3, 7.3, dps=40)[0]) - 1.0) <= 2e-12
 
 
 @pytest.mark.parametrize("evaluate", [

@@ -119,6 +119,17 @@ def test_gamma0_at_tiny_s_is_its_s_to_zero_limit(s):
             assert abs(value / (t * mpmath.atan(t) - mpmath.log1p(t * t) / 2) - 1) <= 2e-15
 
 
+@pytest.mark.parametrize("s", [1e-300, 1e-310, 5e-324])
+def test_rate_at_tiny_s_is_its_s_to_zero_limit(s):
+    # arctan tau, with no overflow of Gamma(s) below s ~ 5.6e-309, and no
+    # subnormal s arctan tau that keeps only some of its digits
+    taus = np.array([1e-8, 1.0, 1e4])
+    got = gamma0_rate(OhmicSpectrum(s), taus)
+    with mpmath.workdps(40):
+        for tau, value in zip(taus, got):
+            assert abs(value / mpmath.atan(mpmath.mpf(tau)) - 1) <= 4e-16
+
+
 def test_gamma0_vectorized_matches_scalar():
     # a scalar is the same double as its point in an array; ** on a numpy
     # float64 calls another pow, whose last bit 1 - cos * pow amplifies

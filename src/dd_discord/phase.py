@@ -6,9 +6,12 @@ decoherence factor over the evolution window. States with |c| at or below
 that minimum keep their discord pinned at correlation_bits(c) for the
 whole window; every other state hits a sudden transition at the first
 time the factor crosses |c| from above. Discord depends on |c| only, so
-c and -c always share a label. A map takes its rows in blocks, one set
-of arrays each: one scan, one set of kernel calls and one Newton solve
-serve a block, and each row still gets the doubles it gets alone.
+c and -c always share a label. phase_diagram is the one entry point:
+min_decoherence_factor and transition_time are its one-row views, and
+boundary_curve its minima, all over the schedule's window [0, horizon].
+A map takes its rows in blocks, one set of arrays each: one scan, one
+set of kernel calls and one Newton solve serve a block, and each row
+still gets the doubles it gets alone.
 
 Both are found in exponent space: the minimum factor is the maximum of
 the exponent g, and the factor crosses |c| where g first exceeds
@@ -167,7 +170,7 @@ class _FactorProfile:
             split = (upper > self._max[n[:-1] // self._branches]) & ~settled
             # row k owns the pairs first[k] .. first[k + 1] - 2
             pair, found = np.empty(thresholds.size, int), np.empty(thresholds.size, bool)
-            for k in dict.fromkeys(rows.tolist()):   # np.unique would import numpy.ma
+            for k in _sorted_distinct(rows).tolist():
                 mine, lo, end = rows == k, first[k], first[k + 1] - 1
                 at = lo + np.searchsorted(np.maximum.accumulate(upper[lo:end]), thresholds[mine],
                                           side="right")
@@ -287,23 +290,8 @@ class _FactorProfile:
         return times
 
 
-def _blocks(s_values, c_values, schedule, side, horizon=None):
-    """_labels of the rows s_values over [0, horizon] by blocks: as many rows as fit
-    _BLOCK_POINTS scan points, at least one, and one block alive at a time. They share a scan.
-    """
-    if horizon is None:
-        horizon = schedule.horizon
-    if not 0.0 < horizon <= schedule.horizon:
-        raise ValueError(
-            f"horizon must lie in (0, {schedule.horizon}], got {horizon}")
-    scan = _scan(schedule, horizon)
-    size = max(1, _BLOCK_POINTS // scan[1].size)
-    for first in range(0, len(s_values), size):
-        yield _labels(_FactorProfile(s_values[first:first + size], schedule, side, scan), c_values)
-
-
-def _scan(schedule, horizon):
-    """Scan of [0, horizon]: branch starts, then per sample its branch and phase.
+def _scan(schedule):
+    """Scan of [0, schedule.horizon]: branch starts, then per sample its branch and phase.
 
     Branch n starts at t_n (t_0 = 0) and samples the phases j (P / m), j =
     0 .. m, of one period P (t_1, or the window without a pulse in it), the
@@ -315,8 +303,9 @@ def _scan(schedule, horizon):
     density sets the work, while every result holds to the same few ulp.
     More than MAX_POINTS steps is a ValueError, raised first.
     """
+    horizon = schedule.horizon
     starts = np.concatenate(([0.0], schedule.instants[:schedule.pulses_before(horizon)]))
-    period = min(schedule.interval or horizon, horizon)
+    period = schedule.interval or horizon
     steps = max(_SCAN_MIN_STEPS, np.ceil(period / _SCAN_STEP))   # a float: the window may be inf
     total = steps * starts.size
     if not total <= MAX_POINTS:
@@ -406,15 +395,16 @@ def _newton(evaluate, lo, hi, x, times, curv):
     return roots, out, moved
 
 
-def min_decoherence_factor(spec, sched, side, horizon=None):
-    """Minimum of the decoherence factor over [0, horizon].
+def min_decoherence_factor(spec, sched, side):
+    """Minimum of the decoherence factor over the schedule's window [0, sched.horizon].
 
     exp(-side * max g), where the maximum of the exponent g sits at a
     pulse, at the window end or at a zero of its rate, and is certified
     against every cell between the scan samples. Floored at the smallest
-    normal double, since exp() may underflow.
+    normal double, since exp() may underflow. The one-row view of
+    phase_diagram; a shorter window is a shorter schedule.
     """
-    return next(_blocks((spec.s,), (), sched, side, horizon))[0][0]
+    return phase_diagram((spec.s,), (), sched.interval, side, sched.horizon).min_factors[0]
 
 
 def classify(state, min_factor):
@@ -430,16 +420,17 @@ def classify(state, min_factor):
     return Regime.SUDDEN_TRANSITION
 
 
-def transition_time(spec, sched, state, side, horizon=None):
+def transition_time(spec, sched, state, side):
     """Earliest time the factor drops below |c|; None when none exists.
 
     The first root of g = -log|c| / side, solved by safeguarded Newton
-    steps to a few ulp and certified free of an earlier root; labelled as
-    one cell of a phase-diagram row, whose other c values never move it.
-    Consistent with classify: returns None exactly for time-invariant
-    states.
+    steps to a few ulp and certified free of an earlier root: the one-cell
+    view of phase_diagram over the schedule's window, whose other c values
+    never move it. Consistent with classify: returns None exactly for
+    time-invariant states.
     """
-    return next(_blocks((spec.s,), (state.c,), sched, side, horizon))[1][0][0].transition_time
+    diagram = phase_diagram((spec.s,), (state.c,), sched.interval, side, sched.horizon)
+    return diagram.labels[0][0].transition_time
 
 
 def _labels(profile, c_values):
@@ -470,7 +461,12 @@ def phase_diagram(s_grid, c_grid, pulse_interval, side, horizon=25.0, workers=No
         raise ValueError("s_grid values must be > 0")
     if any(not abs(c) < 1.0 for c in c_vals):
         raise ValueError("c_grid values must satisfy |c| < 1")
-    blocks = list(_blocks(s_vals, c_vals, periodic_schedule(pulse_interval, horizon), side))
+    schedule = periodic_schedule(pulse_interval, horizon)
+    scan = _scan(schedule)
+    # as many rows as fit _BLOCK_POINTS scan points, at least one: one block alive at a time
+    size = max(1, _BLOCK_POINTS // scan[1].size)
+    blocks = [_labels(_FactorProfile(s_vals[first:first + size], schedule, side, scan), c_vals)
+              for first in range(0, len(s_vals), size)]
     return PhaseDiagram(
         s_grid=s_vals,
         c_grid=c_vals,
@@ -482,13 +478,12 @@ def phase_diagram(s_grid, c_grid, pulse_interval, side, horizon=25.0, workers=No
     )
 
 
-def boundary_curve(s_grid, pulse_interval, side, horizon=25.0, workers=None):
+def boundary_curve(s_grid, pulse_interval, side, horizon=25.0):
     """Critical c as a function of s: the per-s minimum decoherence factor.
 
     States with c at or below the curve stay time-invariant for this
     schedule and noise side. Returns a list of (s, min_factor) pairs: the
-    min_factors of a phase diagram with no c values. workers is accepted
-    for older callers and ignored.
+    min_factors of a phase diagram with no c values.
     """
     diagram = phase_diagram(s_grid, (), pulse_interval, side, horizon)
     return list(zip(diagram.s_grid, diagram.min_factors))

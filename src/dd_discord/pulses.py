@@ -299,7 +299,5 @@ def default_time_grid(schedule, step=None):
     _check_size(horizon, step, "grid points", "time_step", schedule.count)
     inst, count = schedule.instants, max(1, int(round(horizon / step)))
     base = np.linspace(0.0, horizon, count + 1)
-    if inst.size:
-        base = np.concatenate([base, inst, np.nextafter(inst, np.inf)])
-    grid = _sorted_distinct(base)
+    grid = _sorted_distinct(np.concatenate([base, inst, np.nextafter(inst, np.inf)]))
     return grid[(grid >= 0.0) & (grid <= horizon)]

@@ -187,6 +187,36 @@ def test_missing_required_field_exits_one(capsys):
     assert "c:" in err
 
 
+@pytest.mark.parametrize("argv,config,field", [
+    ("phase-diagram --free --s-grid 0.1:6:0", None, "s_grid"),
+    ("phase-diagram --free --c-grid 0.9:0.1:3", None, "c_grid"),
+    ("boundary --dt , --s-grid 1:2:2", None, "dt"),
+    ("transition --s 1 --c 0.5 --free", "s 1\n", "config"),
+    ("", None, "command"),
+    ("decoherence --s 1 --free", 'command = "trajectory"\n', "command"),
+    ("transition --s 1 --c 0.5 --free", 'side = "three"\n', "side"),
+    ("transition --s 1 --c 0.5 --free --horizon -1", None, "horizon"),
+    ("decoherence --s 1 --dt 0.3,0.4", None, "dt"),
+    ("decoherence --s 1 --dt=-0.3", None, "dt"),
+    ("decoherence --free", None, "s"),
+    ("decoherence --s 0 --free", None, "s"),
+    ("transition --s 1 --c 1 --free", None, "c"),
+    ("trajectory --s 1 --c 0.5 --free --tau 1", None, "tau"),
+    ("decoherence --s 1 --free --tau 30", None, "tau"),
+    ("decoherence --s 1 --free --time-step 0", None, "time_step"),
+    ("decoherence --s 1 --free --rel-tol 0", None, "rel_tol"),
+    ("decoherence --s 1 --free --abs-tol 0", None, "abs_tol"),
+])
+def test_refused_field_exits_one(argv, config, field, tmp_path, capsys):
+    args = argv.split()
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        args += ["--config", str(path)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
 def test_conflicting_schedule_flags_exit_one(capsys):
     rc = main(["decoherence", "--s", "1", "--dt", "0.3", "--free"])
     assert rc == 1

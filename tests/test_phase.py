@@ -39,7 +39,7 @@ def _schedule(dt):
 
 def _rows_per_block(monkeypatch, dt, rows):
     """Set the block budget to the scan points of that many rows of dt's map."""
-    monkeypatch.setattr(phase, "_BLOCK_POINTS", rows * phase._scan(_schedule(dt), 25.0)[1].size)
+    monkeypatch.setattr(phase, "_BLOCK_POINTS", rows * phase._scan(_schedule(dt))[1].size)
 
 
 def _scalar_factor(spec, sched, side):
@@ -74,18 +74,6 @@ def test_min_factor_vanishing_window():
         spec = OhmicSpectrum(s)
         tiny = PulseSchedule((), 1e-4)
         assert min_decoherence_factor(spec, tiny, NoiseSide.TWO_SIDED) > 0.999999
-        # restricting the horizon of a longer schedule behaves the same
-        got = min_decoherence_factor(spec, FREE_25, NoiseSide.TWO_SIDED,
-                                     horizon=1e-4)
-        assert got > 0.999999
-
-
-def test_min_factor_horizon_validation():
-    spec = OhmicSpectrum(1.0)
-    with pytest.raises(ValueError):
-        min_decoherence_factor(spec, FREE_25, NoiseSide.ONE_SIDED, horizon=26.0)
-    with pytest.raises(ValueError):
-        min_decoherence_factor(spec, FREE_25, NoiseSide.ONE_SIDED, horizon=0.0)
 
 
 def test_min_factor_zeno_regime():
@@ -254,6 +242,9 @@ def test_crossing_between_grid_and_refined_minimum():
     (4.0, None, NoiseSide.TWO_SIDED, 1.0),       # the peak tan(pi/4), where gamma = 5/2
     (0.3, None, NoiseSide.ONE_SIDED, 25.0),      # the window end
     (4.0, 0.3, NoiseSide.ONE_SIDED, 24.9),       # the last pulse
+    # peaks tan(pi/s) between scan samples: the time of a solved peak
+    (3.0, None, NoiseSide.TWO_SIDED, pytest.approx(math.tan(math.pi / 3.0), rel=0.0, abs=1e-14)),
+    (5.0, None, NoiseSide.ONE_SIDED, pytest.approx(math.tan(math.pi / 5.0), rel=0.0, abs=1e-14)),
 ])
 def test_c_an_ulp_above_the_minimum_crosses_at_the_maximum(s, dt, side, want, monkeypatch):
     # |c| at the rounding edge of min_factor settles at no cell: the time is
@@ -275,7 +266,7 @@ def test_c_an_ulp_above_the_minimum_crosses_at_the_maximum(s, dt, side, want, mo
     got = transition_time(spec, sched, state, side)
     assert got == want
     label = phase_diagram([s], [state.c], dt, side).labels[0][0]
-    assert label == RegimeLabel(Regime.SUDDEN_TRANSITION, want)
+    assert label == RegimeLabel(Regime.SUDDEN_TRANSITION, got)
     assert len(calls) == 2
 
 
@@ -550,11 +541,12 @@ def test_one_step_scan_is_certified(dt, monkeypatch):
 def test_off_grid_horizon_includes_the_window_end():
     # 10.049 is no multiple of the scan step: the last sample is the window end
     spec, side, end = OhmicSpectrum(1.0), NoiseSide.ONE_SIDED, 10.049
-    mf = min_decoherence_factor(spec, FREE_25, side, horizon=end)
+    window = periodic_schedule(None, end)
+    mf = min_decoherence_factor(spec, window, side)
     assert abs(mf - math.exp(-gamma0(spec, end))) <= 1e-12 * mf
     # a c between the factor at the window end and 0.05 earlier is crossed
     c = 0.5 * (mf + math.exp(-gamma0(spec, end - 0.05)))
-    tbar = transition_time(spec, FREE_25, BellDiagonalState(c), side, horizon=end)
+    tbar = transition_time(spec, window, BellDiagonalState(c), side)
     assert tbar is not None and end - 0.05 < tbar < end
 
 

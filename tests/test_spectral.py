@@ -256,9 +256,22 @@ def test_quadrature_reports_nonconvergence():
     assert "s=0.5" in str(err.value)
 
 
+def test_quadrature_refuses_too_many_panels_before_summing(monkeypatch):
+    # tau = 1e6 asks for about 6.4e6 initial panels: refused before any is summed
+    summed = []
+    monkeypatch.setattr(spectral, "_panel_sums", lambda *args: summed.append(args))
+    with pytest.raises(ConvergenceError) as err:
+        gamma0_quadrature(OhmicSpectrum(1.0), 1e6)
+    assert (err.value.s, err.value.tau) == (1.0, 1e6)
+    assert "panels" in str(err.value)
+    assert not summed
+
+
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
+    with pytest.raises(ValueError):
+        QuadratureConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=0)
 

@@ -3,8 +3,11 @@
 Emits deterministic CSV (12 significant digits, '#' unit header, one
 row per grid point) plus a JSON sidecar holding the fully resolved
 configuration, so every output can be reproduced byte-for-byte from its
-sidecar. Exit codes: 0 success, 1 configuration error, 2 numerical
-convergence failure.
+sidecar. The CSV is formatted and written in chunks of 1,024 rows, into
+a temporary file that is renamed onto the output at the end; an output
+name ending in .json is refused, since the sidecar takes that name.
+Exit codes: 0 success, 1 configuration error, 2 numerical convergence
+failure.
 """
 
 import argparse
@@ -30,6 +33,7 @@ from .pulses import (MAX_CELLS, PulsedDecoherence, controlled_gamma_oracle,
 from .spectral import ConvergenceError, OhmicSpectrum, QuadratureConfig
 
 _UNITS_COMMENT = "# units: times in 1/omega_c, frequencies in omega_c"
+_CHUNK_ROWS = 1024   # most CSV rows formatted and held at once: one piece of _render_csv
 
 
 @dataclass
@@ -116,41 +120,42 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
+    common = argparse.ArgumentParser(add_help=False)   # the options every command takes
+    common.add_argument("--config", default=None,
+                        help="config file: key = value lines, or a JSON sidecar")
+    common.add_argument("--s", type=float, default=None, help="Ohmicity parameter")
+    common.add_argument("--dt", default=None,
+                        help="pulse interval; comma list allowed for boundary")
+    common.add_argument("--free", action="store_true",
+                        help="free evolution (no pulses)")
+    common.add_argument("--side", choices=("one", "two"), default=None,
+                        help="noise on one or both qubits (default two)")
+    common.add_argument("--c", type=float, default=None, help="state parameter")
+    common.add_argument("--horizon", type=float, default=None,
+                        help="evolution window length (default 25)")
+    common.add_argument("--tau", type=float, default=None,
+                        help="single evaluation time (decoherence only)")
+    common.add_argument("--time-step", type=float, default=None,
+                        help="override the sampling grid step")
+    common.add_argument("--s-grid", default=None, help="lo:hi:count (default 0.1:6:60)")
+    common.add_argument("--c-grid", default=None,
+                        help="lo:hi:count (default 0:0.999:50); lo may be negative: -0.99:0.99:41")
+    common.add_argument("--rel-tol", type=float, default=None)
+    common.add_argument("--abs-tol", type=float, default=None)
+    common.add_argument("--max-subdivisions", type=int, default=None)
+    common.add_argument("--workers", type=int, default=None,
+                        help="accepted for older command lines and ignored")
+    common.add_argument("--oracle", action="store_true", default=None,
+                        help="decoherence: evaluate by quadrature instead of closed form")
+    common.add_argument("--no-free-companion", dest="free_companion",
+                        action="store_false", default=None,
+                        help="phase-diagram: skip the free-evolution companion file")
+    common.add_argument("--output", default=None,
+                        help="output CSV path, or - for stdout (default out/<command>-<stamp>.csv)")
     parser = _Parser(prog="dd-discord", description=__doc__)
     sub = parser.add_subparsers(dest="command")
     for name in _RUNNERS:
-        p = sub.add_parser(name, add_help=True)
-        p.add_argument("--config", default=None,
-                       help="config file: key = value lines, or a JSON sidecar")
-        p.add_argument("--s", type=float, default=None, help="Ohmicity parameter")
-        p.add_argument("--dt", default=None,
-                       help="pulse interval; comma list allowed for boundary")
-        p.add_argument("--free", action="store_true",
-                       help="free evolution (no pulses)")
-        p.add_argument("--side", choices=("one", "two"), default=None,
-                       help="noise on one or both qubits (default two)")
-        p.add_argument("--c", type=float, default=None, help="state parameter")
-        p.add_argument("--horizon", type=float, default=None,
-                       help="evolution window length (default 25)")
-        p.add_argument("--tau", type=float, default=None,
-                       help="single evaluation time (decoherence only)")
-        p.add_argument("--time-step", type=float, default=None,
-                       help="override the sampling grid step")
-        p.add_argument("--s-grid", default=None, help="lo:hi:count (default 0.1:6:60)")
-        p.add_argument("--c-grid", default=None,
-                       help="lo:hi:count (default 0:0.999:50); lo may be negative: -0.99:0.99:41")
-        p.add_argument("--rel-tol", type=float, default=None)
-        p.add_argument("--abs-tol", type=float, default=None)
-        p.add_argument("--max-subdivisions", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None,
-                       help="accepted for older command lines and ignored")
-        p.add_argument("--oracle", action="store_true", default=None,
-                       help="decoherence: evaluate by quadrature instead of closed form")
-        p.add_argument("--no-free-companion", dest="free_companion",
-                       action="store_false", default=None,
-                       help="phase-diagram: skip the free-evolution companion file")
-        p.add_argument("--output", default=None,
-                       help="output CSV path, or - for stdout (default out/<command>-<stamp>.csv)")
+        sub.add_parser(name, parents=[common])
     return parser
 
 
@@ -266,6 +271,8 @@ def _normalize(cfg):
             raise ValueError(f"{name}: must be true or false, got {getattr(cfg, name)!r}")
     if not isinstance(cfg.output, str):
         raise ValueError(f"output: expected a path, got {cfg.output!r}")
+    if Path(cfg.output).suffix.lower() == ".json":   # the sidecar's name would be the CSV's
+        raise ValueError(f"output: {cfg.output!r} ends in .json, the suffix of its sidecar")
     cfg.s_grid = _parse_grid(cfg.s_grid, "s_grid")
     cfg.c_grid = _parse_grid(cfg.c_grid, "c_grid")
     cells = cfg.s_grid[2] * (cfg.c_grid[2] if cfg.command == "phase-diagram" else 1)
@@ -410,34 +417,38 @@ _RUNNERS = {
 
 
 def _render_csv(dataset):
-    """CSV text, a float to 12 significant digits and None as an empty field.
+    """The CSV text in pieces: the header, then at most _CHUNK_ROWS rows per piece.
 
-    A float array is formatted a row at a time; any other column is turned
-    into strings once. No name or string holds a comma, quote or newline.
+    A float prints to 12 significant digits and None as an empty field.
+    Each piece slices its columns: a float array slice becomes Python
+    floats for the row format, any other slice becomes strings. So the
+    memory held at once is a chunk's, not the file's. No name or string
+    holds a comma, quote or newline.
     """
-    formats, columns = [], []
-    for column in dataset.columns:
-        floats = isinstance(column, np.ndarray) and column.dtype.kind == "f"
-        formats.append("%.12g" if floats else "%s")
-        columns.append(column.tolist() if floats else [
+    floats = [isinstance(column, np.ndarray) and column.dtype.kind == "f"
+              for column in dataset.columns]
+    line = ",".join("%.12g" if f else "%s" for f in floats) + "\n"
+    yield f"{_UNITS_COMMENT}\n{','.join(dataset.names)}\n"
+    for start in range(0, len(dataset.rows), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        columns = [column[start:stop].tolist() if f else [
             "" if v is None else v if isinstance(v, str) else format(float(v), ".12g")
-            for v in column])
-    line = ",".join(formats) + "\n"
-    header = f"{_UNITS_COMMENT}\n{','.join(dataset.names)}\n"
-    return "".join([header] + [line % row for row in zip(*columns)])
+            for v in column[start:stop]] for f, column in zip(floats, dataset.columns)]
+        yield "".join([line % row for row in zip(*columns)])
 
 
-def _write(path, text, stream=False):
-    """Write one output file: in place when stream, else by renaming a temporary file onto it.
+def _write(path, pieces, stream=False):
+    """Write one output file from an iterable of str pieces, each as it comes.
 
-    A symlink's target is written and the link stays a link; the file gets
-    mode 0o666 less the umask, as open() would create it. An OSError is a
-    configuration error that names the path.
+    In place when stream, else into a temporary file that is then renamed
+    onto path. A symlink's target is written and the link stays a link;
+    the file gets mode 0o666 less the umask, as open() would create it. An
+    OSError is a configuration error that names the path.
     """
     try:
         if stream:
             with open(path, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
             return
         target = Path(os.path.realpath(path))
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -445,7 +456,7 @@ def _write(path, text, stream=False):
             "w", dir=target.parent, prefix=target.name + ".", delete=False)
         try:
             with handle as fh:
-                fh.write(text)
+                fh.writelines(pieces)
                 umask = os.umask(0)
                 os.umask(umask)
                 os.fchmod(fh.fileno(), 0o666 & ~umask)
@@ -472,17 +483,17 @@ def emit(dataset, cfg, output):
     A device or FIFO gets the CSV written straight to it and no sidecar:
     renaming a temporary file onto it would replace it with a regular file.
     """
-    text = _render_csv(dataset)
+    pieces = _render_csv(dataset)
     if output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return []
     path, stream = Path(output), _is_stream(output)
-    _write(path, text, stream)
+    _write(path, pieces, stream)
     if stream:
         return [path]
     sidecar = path.with_suffix(".json")
     resolved = dict(asdict(cfg), package_version=__version__)
-    _write(sidecar, json.dumps(resolved, indent=2, sort_keys=True) + "\n")
+    _write(sidecar, [json.dumps(resolved, indent=2, sort_keys=True) + "\n"])
     return [path, sidecar]
 
 

@@ -71,10 +71,50 @@ def test_columnar_csv_matches_the_row_renderer():
     words = ["time-invariant", "sudden-transition"] * (values.size // 2)
     dataset = cli._Dataset(("tau", "regime", "transition_time", "factor"),
                            (values, words, optional, values[::-1].copy()))
-    assert cli._render_csv(dataset) == _csv_writer_text(dataset)
+    assert "".join(cli._render_csv(dataset)) == _csv_writer_text(dataset)
     assert len(dataset.rows) == values.size
     empty = cli._Dataset(("s", "c"), (np.empty(0), []))
-    assert cli._render_csv(empty) == _csv_writer_text(empty)
+    assert "".join(cli._render_csv(empty)) == _csv_writer_text(empty)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 7])
+def test_csv_chunk_boundaries_match_the_row_renderer(rows, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    values = np.linspace(-1.0, 2.0, rows) / 3.0
+    words = ["time-invariant", "sudden-transition"] * 4
+    optional = [None, 0.1, np.float64(1.0 / 3.0), None, -2.5e-7, np.float64(-0.0), 7][:rows]
+    dataset = cli._Dataset(("tau", "regime", "transition_time", "factor"),
+                           (values, words[:rows], optional, values[::-1].copy()))
+    pieces = list(cli._render_csv(dataset))
+    assert "".join(pieces) == _csv_writer_text(dataset)
+    # the header, then one piece per 3 rows: full pieces and the remainder
+    assert [piece.count("\n") for piece in pieces] == [2] + [3] * (rows // 3) + (
+        [rows % 3] if rows % 3 else [])
+
+
+def test_multi_chunk_csv_is_the_same_on_stdout_and_in_a_file(tmp_path, capsys):
+    args = ["decoherence", "--s", "0.7", "--dt", "0.05", "--side", "two"]
+    assert main([*args, "--output", "-"]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "d.csv"
+    assert main([*args, "--output", str(out)]) == 0
+    assert out.read_text() == printed
+    assert len(read_rows(printed)) > 5 * cli._CHUNK_ROWS
+
+
+def test_emit_holds_a_chunk_not_the_file(tmp_path):
+    import tracemalloc
+    names = ("tau", "gamma", "factor", "mutual_info", "classical", "discord", "concurrence")
+    dataset = cli._Dataset(names, tuple(np.linspace(0.0, k + 1.0, 200_000) for k in range(7)))
+    tracemalloc.start()   # the arrays are the caller's: only emit's own allocations count
+    try:
+        written = cli.emit(dataset, cli.RunConfig(command="trajectory"), tmp_path / "t.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written[0].read_text().count("\n") == 2 + 200_000   # the units line, the header
+    # the whole text as Python objects would take ~90 MiB
+    assert peak < 2 * 2**20
 
 
 def test_decoherence_oracle_flag_matches_closed_form(capsys):
@@ -410,6 +450,19 @@ def test_output_to_fifo_is_written_in_place(args, tmp_path, capsys):
 
 
 _POINT = ["decoherence", "--s", "1", "--free", "--tau", "0.5"]
+
+
+@pytest.mark.parametrize("args", [
+    _POINT, ["phase-diagram", "--dt", "0.6", "--s-grid", "0.5:3:2", "--c-grid", "0:0.8:2"]],
+    ids=["decoherence", "phase-diagram"])
+@pytest.mark.parametrize("output", ["res.json", "res.JSON"])
+def test_json_output_is_refused_before_any_compute(args, output, tmp_path, monkeypatch, capsys):
+    # its sidecar, res.json, would overwrite the CSV
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("ran"))
+    assert main([*args, "--output", output]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: output: {output!r} ends in .json")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_symlinked_output_writes_its_target(tmp_path, capsys):

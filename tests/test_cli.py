@@ -257,6 +257,88 @@ def test_refused_field_exits_one(argv, config, field, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
 
 
+# every refusal of the configuration layer, by its whole message after
+# "config error: ": the arguments, and the text of the --config file (if any)
+_REFUSALS = {
+    "command: one of decoherence, trajectory, phase-diagram, boundary, transition is required":
+        ("", None),
+    "workers: must be a positive integer, got 0": ("boundary --workers 0 --s-grid 1:2:2", None),
+    "config: unknown key 'sides'": ("boundary", "sides = one\n"),
+    "command: config file says 'trajectory', invoked as 'decoherence'":
+        ("decoherence --s 1 --free", 'command = "trajectory"\n'),
+    "dt: --dt and --free are mutually exclusive": ("decoherence --s 1 --dt 0.3 --free", None),
+    "config: cannot read missing.cfg: [Errno 2] No such file or directory: 'missing.cfg'":
+        ("transition --config missing.cfg", None),
+    "config: run.json: Expecting ',' delimiter: line 1 column 33 (char 32)":
+        ("transition", '{"command": "transition", "s": 1'),
+    "config: line 1 is not key = value: 's 1'": ("transition", "s 1\n"),
+    "horizon: line 3: an integer of more than 4,300 digits":
+        ("decoherence", "s = 1\ntau = 0.5\nhorizon = 1" + "0" * 5000 + "\n"),
+    "dt: expected number(s), got ['abc']": ("decoherence --s 1 --dt abc", None),
+    "dt: expected at least one value": ("boundary --dt , --s-grid 1:2:2", None),
+    "s: expected a number, got 'abc'": ("decoherence --free --tau 1", 's = "abc"\n'),
+    "horizon: must be finite, got inf": ("decoherence --s 1 --free --horizon=inf", None),
+    "max_subdivisions: must be an integer >= 1, got 0":
+        ("decoherence --s 1 --free --max-subdivisions 0", None),
+    "oracle: must be true or false, got 1": ("decoherence --s 1 --free", "oracle = 1\n"),
+    "free_companion: must be true or false, got 'no'":
+        ("decoherence --s 1 --free", 'free_companion = "no"\n'),
+    "output: expected a path, got 3": ("decoherence --s 1 --free", "output = 3\n"),
+    "output: 'res.json' ends in .json, the suffix of its sidecar":
+        ("decoherence --s 1 --free --output res.json", None),
+    "s_grid: expected lo:hi:count, got 'x'": ("boundary --free --s-grid x", None),
+    "s_grid: bounds and their span must be finite, got '-1e308:1e308:2'":
+        ("boundary --free --s-grid=-1e308:1e308:2", None),
+    "s_grid: count must be a whole number, got 2.5": ("boundary --free --s-grid 1:2:2.5", None),
+    "s_grid: count must be >= 1, got 0": ("phase-diagram --free --s-grid 0.1:6:0", None),
+    "c_grid: upper bound below lower bound in '0.9:0.1:3'":
+        ("phase-diagram --free --c-grid 0.9:0.1:3", None),
+    "s_grid, c_grid: the map has 1,001,000 cells, more than the limit of 1,000,000":
+        ("phase-diagram --free --s-grid 1:2:1001 --c-grid 0:0.5:1000", None),
+    "side: must be 'one' or 'two', got 'three'":
+        ("transition --s 1 --c 0.5 --free", 'side = "three"\n'),
+    "horizon: must be > 0, got -1.0": ("transition --s 1 --c 0.5 --free --horizon -1", None),
+    "dt: a single interval is required here, got 2 values":
+        ("decoherence --s 1 --dt 0.3,0.4", None),
+    "dt: intervals must be > 0, got (-0.3,)": ("decoherence --s 1 --dt=-0.3", None),
+    "s: required for the decoherence command": ("decoherence --free", None),
+    "s: must be > 0, got 0.0": ("decoherence --s 0 --free", None),
+    "c: required for the transition command": ("transition --s 1 --free", None),
+    "c: must satisfy |c| < 1, got 1.0": ("transition --s 1 --c 1 --free", None),
+    "tau: only the decoherence command takes --tau":
+        ("trajectory --s 1 --c 0.5 --free --tau 1", None),
+    "tau: must lie in [0, horizon], got 30.0": ("decoherence --s 1 --free --tau 30", None),
+    "time_step: must be > 0, got 0.0": ("decoherence --s 1 --free --time-step 0", None),
+    "oracle: only the decoherence command supports --oracle":
+        ("trajectory --s 1 --c 0.3 --free --oracle", None),
+    "rel_tol: must be > 0, got 0.0": ("decoherence --s 1 --free --rel-tol 0", None),
+    "abs_tol: must be > 0, got 0.0": ("decoherence --s 1 --free --abs-tol 0", None),
+}
+
+
+@pytest.mark.parametrize("message", list(_REFUSALS))
+def test_refusal_message_in_full(message, tmp_path, monkeypatch, capsys):
+    argv, config = _REFUSALS[message]
+    monkeypatch.chdir(tmp_path)
+    args = argv.split()
+    if config is not None:
+        name = "run.json" if config.startswith("{") else "run.cfg"
+        (tmp_path / name).write_text(config)
+        args += ["--config", name]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "boundary --free --s -1 --s-grid 1:2:2",
+    "decoherence --s 1 --free --tau 1 --c 5",
+])
+def test_a_field_the_command_ignores_is_only_checked_for_finiteness(argv, capsys):
+    # s and c are range-checked only where the command reads them
+    assert main([*argv.split(), "--output", "-"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_conflicting_schedule_flags_exit_one(capsys):
     rc = main(["decoherence", "--s", "1", "--dt", "0.3", "--free"])
     assert rc == 1

@@ -8,6 +8,9 @@ a temporary file that is renamed onto the output at the end; an output
 name ending in .json is refused, since the sidecar takes that name.
 Exit codes: 0 success, 1 configuration error, 2 numerical convergence
 failure.
+
+_OPTIONS is the one list of options: the parser, RunConfig and the
+per-field checks of _normalize are built from it.
 """
 
 import argparse
@@ -19,9 +22,8 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, make_dataclass, replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -36,26 +38,54 @@ _UNITS_COMMENT = "# units: times in 1/omega_c, frequencies in omega_c"
 _CHUNK_ROWS = 1024   # most CSV rows formatted and held at once: one piece of _render_csv
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved run parameters; serialized verbatim into sidecars."""
+_POSITIVE = (lambda value: value > 0.0, "must be > 0")
 
-    command: str = ""
-    s: Optional[float] = None
-    dt: Optional[tuple] = None          # pulse interval(s); None = free evolution
-    side: str = "two"
-    c: Optional[float] = None
-    horizon: float = 25.0
-    tau: Optional[float] = None
-    time_step: Optional[float] = None
-    s_grid: tuple = (0.1, 6.0, 60)
-    c_grid: tuple = (0.0, 0.999, 50)
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 10000
-    oracle: bool = False
-    free_companion: bool = True
-    output: str = ""
+# The one list of options, in --help order. A row holds the flag; the
+# RunConfig field it sets (None: a flag only) and that field's default;
+# the commands that require the field; its range check, a (test, text)
+# pair that holds on those commands, or on every command where none
+# requires the field; and the keywords of add_argument. A float field is
+# finite, an int field an integer >= 1, a store_true or store_false field
+# a boolean, and a field with choices one of them.
+_OPTIONS = (
+    ("--config", None, None, (), None,
+     dict(help="config file: key = value lines, or a JSON sidecar")),
+    ("--s", "s", None, ("decoherence", "trajectory", "transition"), _POSITIVE,
+     dict(type=float, help="Ohmicity parameter")),
+    ("--dt", "dt", None, (), None, dict(help="pulse interval; comma list allowed for boundary")),
+    ("--free", None, None, (), None, dict(action="store_true", help="free evolution (no pulses)")),
+    ("--side", "side", "two", (), None,
+     dict(choices=("one", "two"), help="noise on one or both qubits (default two)")),
+    ("--c", "c", None, ("trajectory", "transition"),
+     (lambda c: abs(c) < 1.0, "must satisfy |c| < 1"), dict(type=float, help="state parameter")),
+    ("--horizon", "horizon", 25.0, (), _POSITIVE,
+     dict(type=float, help="evolution window length (default 25)")),
+    ("--tau", "tau", None, (), None,
+     dict(type=float, help="single evaluation time (decoherence only)")),
+    ("--time-step", "time_step", None, (), _POSITIVE,
+     dict(type=float, help="override the sampling grid step")),
+    ("--s-grid", "s_grid", (0.1, 6.0, 60), (), None, dict(help="lo:hi:count (default 0.1:6:60)")),
+    ("--c-grid", "c_grid", (0.0, 0.999, 50), (), None,
+     dict(help="lo:hi:count (default 0:0.999:50); lo may be negative: -0.99:0.99:41")),
+    ("--rel-tol", "rel_tol", 1e-10, (), _POSITIVE, dict(type=float)),
+    ("--abs-tol", "abs_tol", 1e-12, (), _POSITIVE, dict(type=float)),
+    ("--max-subdivisions", "max_subdivisions", 10000, (), None, dict(type=int)),
+    ("--workers", None, None, (), None,
+     dict(type=int, help="accepted for older command lines and ignored")),
+    ("--oracle", "oracle", False, (), None, dict(
+        action="store_true", help="decoherence: evaluate by quadrature instead of closed form")),
+    ("--no-free-companion", "free_companion", True, (), None, dict(
+        action="store_false", help="phase-diagram: skip the free-evolution companion file")),
+    ("--output", "output", "", (), None, dict(
+        help="output CSV path, or - for stdout (default out/<command>-<stamp>.csv)")),
+)
+_FIELDS = tuple(row for row in _OPTIONS if row[1])
+
+RunConfig = make_dataclass(
+    "RunConfig", [("command", str, "")] + [(name, object, default)
+                                           for _, name, default, *_ in _FIELDS],
+    namespace={"__module__": __name__,
+               "__doc__": "Fully resolved run parameters; serialized verbatim into sidecars."})
 
 
 def _float(value):
@@ -87,7 +117,7 @@ def _parse_grid(value, name):
 
 
 def _parse_dt(value):
-    """Accept None, a number, '0.3,0.4' strings, or sequences of numbers."""
+    """Accept None, a number, '0.3,0.4' strings, or sequences of numbers, all finite and > 0."""
     if value is None:
         return None
     if isinstance(value, str):
@@ -100,6 +130,10 @@ def _parse_dt(value):
         raise ValueError(f"dt: expected number(s), got {value!r}") from None
     if not out:
         raise ValueError("dt: expected at least one value")
+    for v in out:
+        _check_finite("dt", v)
+    if min(out) <= 0.0:
+        raise ValueError(f"dt: intervals must be > 0, got {out}")
     return out
 
 
@@ -121,38 +155,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)   # the options every command takes
-    common.add_argument("--config", default=None,
-                        help="config file: key = value lines, or a JSON sidecar")
-    common.add_argument("--s", type=float, default=None, help="Ohmicity parameter")
-    common.add_argument("--dt", default=None,
-                        help="pulse interval; comma list allowed for boundary")
-    common.add_argument("--free", action="store_true",
-                        help="free evolution (no pulses)")
-    common.add_argument("--side", choices=("one", "two"), default=None,
-                        help="noise on one or both qubits (default two)")
-    common.add_argument("--c", type=float, default=None, help="state parameter")
-    common.add_argument("--horizon", type=float, default=None,
-                        help="evolution window length (default 25)")
-    common.add_argument("--tau", type=float, default=None,
-                        help="single evaluation time (decoherence only)")
-    common.add_argument("--time-step", type=float, default=None,
-                        help="override the sampling grid step")
-    common.add_argument("--s-grid", default=None, help="lo:hi:count (default 0.1:6:60)")
-    common.add_argument("--c-grid", default=None,
-                        help="lo:hi:count (default 0:0.999:50); lo may be negative: -0.99:0.99:41")
-    common.add_argument("--rel-tol", type=float, default=None)
-    common.add_argument("--abs-tol", type=float, default=None)
-    common.add_argument("--max-subdivisions", type=int, default=None)
-    common.add_argument("--workers", type=int, default=None,
-                        help="accepted for older command lines and ignored")
-    common.add_argument("--oracle", action="store_true", default=None,
-                        help="decoherence: evaluate by quadrature instead of closed form")
-    common.add_argument("--no-free-companion", dest="free_companion",
-                        action="store_false", default=None,
-                        help="phase-diagram: skip the free-evolution companion file")
-    common.add_argument("--output", default=None,
-                        help="output CSV path, or - for stdout (default out/<command>-<stamp>.csv)")
-    parser = _Parser(prog="dd-discord", description=__doc__)
+    for flag, name, _, _, _, keywords in _OPTIONS:
+        common.add_argument(flag, dest=name or flag[2:], default=None, **keywords)
+    # the last paragraph of the docstring is for the code's readers, not --help
+    parser = _Parser(prog="dd-discord", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command")
     for name in _RUNNERS:
         sub.add_parser(name, parents=[common])
@@ -177,6 +183,15 @@ def _config_value(key, value, where=""):
     return value
 
 
+def _config_dict(pairs):
+    """The (key, value) pairs as a dict, refusing a key given twice (s-grid is s_grid)."""
+    names = [key.replace("-", "_") for key, _ in pairs]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"config: key {name!r} given twice")
+    return dict(pairs)
+
+
 def _load_config_file(path):
     """Read key = value lines or a JSON sidecar into a dict."""
     try:
@@ -186,13 +201,13 @@ def _load_config_file(path):
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            data = json.loads(text, parse_int=_json_int, object_pairs_hook=lambda pairs: {
-                key: _config_value(key, value) for key, value in pairs})
+            data = json.loads(text, parse_int=_json_int, object_pairs_hook=lambda pairs: (
+                _config_dict([(key, _config_value(key, value)) for key, value in pairs])))
         except json.JSONDecodeError as exc:
             raise ValueError(f"config: {path}: {exc}") from None
         data.pop("package_version", None)
         return data
-    data = {}
+    pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -201,11 +216,11 @@ def _load_config_file(path):
             raise ValueError(f"config: line {lineno} is not key = value: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         try:
-            data[key] = _config_value(key, json.loads(value, parse_int=_json_int),
-                                      f"line {lineno}: ")
+            value = _config_value(key, json.loads(value, parse_int=_json_int), f"line {lineno}: ")
         except json.JSONDecodeError:
-            data[key] = value
-    return data
+            pass
+        pairs.append((key, value))
+    return _config_dict(pairs)
 
 
 def _resolve(args):
@@ -256,19 +271,18 @@ def _check_finite(name, value):
 def _normalize(cfg):
     """Type-check and canonicalize a merged config, naming bad fields."""
     cfg.dt = _parse_dt(cfg.dt)
-    for name in ("s", "c", "horizon", "tau", "time_step", "rel_tol", "abs_tol"):
-        value = getattr(cfg, name)
+    for _, name, default, _, _, keywords in _FIELDS:
+        value, kind = getattr(cfg, name), keywords.get("type", keywords.get("action"))
         # a field whose default is a number may not be unset
-        if value is not None or getattr(RunConfig, name) is not None:
+        if kind is float and (value is not None or default is not None):
             _check_finite(name, value)
-    for value in cfg.dt or ():
-        _check_finite("dt", value)
-    n = cfg.max_subdivisions
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"max_subdivisions: must be an integer >= 1, got {n!r}")
-    for name in ("oracle", "free_companion"):
-        if not isinstance(getattr(cfg, name), bool):
-            raise ValueError(f"{name}: must be true or false, got {getattr(cfg, name)!r}")
+        elif kind is int and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
+            raise ValueError(f"{name}: must be an integer >= 1, got {value!r}")
+        elif kind in ("store_true", "store_false") and not isinstance(value, bool):
+            raise ValueError(f"{name}: must be true or false, got {value!r}")
+        elif "choices" in keywords and value not in keywords["choices"]:
+            choices = " or ".join(map(repr, keywords["choices"]))
+            raise ValueError(f"{name}: must be {choices}, got {value!r}")
     if not isinstance(cfg.output, str):
         raise ValueError(f"output: expected a path, got {cfg.output!r}")
     if Path(cfg.output).suffix.lower() == ".json":   # the sidecar's name would be the CSV's
@@ -279,40 +293,23 @@ def _normalize(cfg):
     if cfg.command in ("phase-diagram", "boundary") and cells > MAX_CELLS:
         raise ValueError(f"s_grid, c_grid: the map has {cells:,} cells, more than "
                          f"the limit of {MAX_CELLS:,}")
-    if cfg.side not in ("one", "two"):
-        raise ValueError(f"side: must be 'one' or 'two', got {cfg.side!r}")
-    if not cfg.horizon > 0.0:
-        raise ValueError(f"horizon: must be > 0, got {cfg.horizon}")
-    if cfg.dt is not None:
-        if cfg.command != "boundary" and len(cfg.dt) != 1:
-            raise ValueError("dt: a single interval is required here, got "
-                             f"{len(cfg.dt)} values")
-        if any(not d > 0.0 for d in cfg.dt):
-            raise ValueError(f"dt: intervals must be > 0, got {cfg.dt}")
-    if cfg.command in ("decoherence", "trajectory", "transition"):
-        if cfg.s is None:
-            raise ValueError(f"s: required for the {cfg.command} command")
-        if not cfg.s > 0.0:
-            raise ValueError(f"s: must be > 0, got {cfg.s}")
-    if cfg.command in ("trajectory", "transition"):
-        if cfg.c is None:
-            raise ValueError(f"c: required for the {cfg.command} command")
-        if not abs(cfg.c) < 1.0:
-            raise ValueError(f"c: must satisfy |c| < 1, got {cfg.c}")
+    # QuadratureConfig revalidates rel_tol and abs_tol; this names the field first
+    for _, name, _, required_by, check, _ in _FIELDS:
+        value = getattr(cfg, name)
+        if cfg.command in required_by and value is None:
+            raise ValueError(f"{name}: required for the {cfg.command} command")
+        if (check and value is not None and cfg.command in (required_by or _RUNNERS)
+                and not check[0](value)):
+            raise ValueError(f"{name}: {check[1]}, got {value}")
+    if cfg.dt is not None and cfg.command != "boundary" and len(cfg.dt) != 1:
+        raise ValueError(f"dt: a single interval is required here, got {len(cfg.dt)} values")
     if cfg.tau is not None:
         if cfg.command != "decoherence":
             raise ValueError("tau: only the decoherence command takes --tau")
         if not 0.0 <= cfg.tau <= cfg.horizon:
             raise ValueError(f"tau: must lie in [0, horizon], got {cfg.tau}")
-    if cfg.time_step is not None and not cfg.time_step > 0.0:
-        raise ValueError(f"time_step: must be > 0, got {cfg.time_step}")
     if cfg.oracle and cfg.command != "decoherence":
         raise ValueError("oracle: only the decoherence command supports --oracle")
-    # QuadratureConfig revalidates, but fail here with field-first messages
-    if not cfg.rel_tol > 0.0:
-        raise ValueError(f"rel_tol: must be > 0, got {cfg.rel_tol}")
-    if not cfg.abs_tol > 0.0:
-        raise ValueError(f"abs_tol: must be > 0, got {cfg.abs_tol}")
     if not cfg.output:
         stamp = time.strftime("%Y%m%d-%H%M%S")
         cfg.output = os.path.join("out", f"{cfg.command}-{stamp}.csv")

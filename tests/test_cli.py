@@ -415,6 +415,20 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "--format" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text, key", [
+    ("run.cfg", "s = 1\ns = 2\n", "s"),
+    ("run.json", '{"s": 1, "s": 2}', "s"),
+    ("run.cfg", 's-grid = "1:2:2"\ns_grid = "3:4:2"\n', "s_grid"),
+    ("run.json", '{"s_grid": "1:2:2", "s-grid": "3:4:2"}', "s_grid"),
+], ids=["key = value", "JSON", "s-grid beside s_grid", "JSON s_grid beside s-grid"])
+def test_config_key_given_twice_exits_one(name, text, key, tmp_path, monkeypatch, capsys):
+    # the last value used to win silently; - and _ name the same key
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    assert main(["boundary", "--free", "--config", name, "--output", "-"]) == 1
+    assert capsys.readouterr() == ("", f"config error: config: key {key!r} given twice\n")
+
+
 def test_sidecar_reruns_byte_identical(tmp_path, capsys):
     first = tmp_path / "first.csv"
     rc = main(["transition", "--s", "2.5", "--dt", "1", "--side", "two",
@@ -463,7 +477,11 @@ def test_sidecar_reruns_byte_identical(tmp_path, capsys):
 ])
 def test_config_values_take_the_flag_types(line, field, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "run.cfg").write_text("s = 1\ntau = 0.5\n" + line + "\n")
+    # the line takes the place of a base value of its key, since a key given twice is refused
+    values = {"s": "1", "tau": "0.5"}
+    key, value = line.split(" = ", 1)
+    values[key] = value
+    (tmp_path / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
     assert main(["decoherence", "--config", "run.cfg"]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
     assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
@@ -507,6 +525,18 @@ def test_sidecar_records_package_version(tmp_path, capsys):
     resolved = json.loads(out.with_suffix(".json").read_text())
     assert resolved["package_version"] == "0.1.0"
     assert resolved["command"] == "decoherence"
+
+
+def test_sidecar_holds_every_field_and_the_version(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["transition", "--s", "1", "--free", "--c", "0.5", "--output", "x.csv"]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "x.json").read_text()) == {
+        "command": "transition", "s": 1.0, "dt": None, "side": "two", "c": 0.5,
+        "horizon": 25.0, "tau": None, "time_step": None, "s_grid": [0.1, 6.0, 60],
+        "c_grid": [0.0, 0.999, 50], "rel_tol": 1e-10, "abs_tol": 1e-12,
+        "max_subdivisions": 10000, "oracle": False, "free_companion": True,
+        "output": "x.csv", "package_version": "0.1.0"}
 
 
 @pytest.mark.parametrize("args", [

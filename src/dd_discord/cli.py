@@ -124,6 +124,8 @@ def _parse_dt(value):
         value = [p for p in value.split(",") if p.strip()]
     elif isinstance(value, (int, float)):
         value = [value]
+    elif not isinstance(value, (list, tuple)):
+        raise ValueError(f"dt: expected number(s), got {value!r}")
     try:
         out = tuple(_float(v) for v in value)
     except (TypeError, ValueError, OverflowError):
@@ -496,10 +498,7 @@ def emit(dataset, cfg, output):
 
 def run(cfg):
     """Execute one resolved configuration; returns the exit status."""
-    runner = _RUNNERS.get(cfg.command)
-    if runner is None:
-        raise ValueError(f"command: unknown command {cfg.command!r}")
-    written = emit(runner(cfg), cfg, cfg.output)
+    written = emit(_RUNNERS[cfg.command](cfg), cfg, cfg.output)
     # overlay companion: same grids under free evolution, for region overlays
     if (cfg.command == "phase-diagram" and cfg.dt is not None
             and cfg.free_companion and not _is_stream(cfg.output)):

@@ -239,10 +239,7 @@ class _FactorProfile:
         targets = -np.log(np.abs(np.asarray(cs, dtype=float))) / self.side.value
         times = self._crossings(targets, rows)
         for k in np.nonzero(np.isnan(times))[0]:
-            private = copy.copy(self)
-            # the cell columns are written in place, the others only replaced
-            private._columns = self._columns[:-len(_EMPTY_CELL)] + [
-                column.copy() for column in self._columns[-len(_EMPTY_CELL):]]
+            private = copy.deepcopy(self)
             while np.isnan(times[k]):
                 times[k] = private._crossings(targets[k:k + 1], rows[k:k + 1], private=True)[0]
         return times

@@ -1,5 +1,6 @@
 """Shared test fixtures."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -44,3 +45,29 @@ def run_python():
         return _run_python(["-c", code], cwd)
 
     return run
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """spy(owner, name, measure) records measure(**arguments) of each call of owner.name.
+
+    The arguments are bound by parameter name, defaults filled in, so a
+    measure names only those it reads; the original then runs. Returns
+    the list of records, 1 per call by default.
+    """
+
+    def install(owner, name, measure=lambda **_: 1):
+        original = getattr(owner, name)
+        signature = inspect.signature(original)
+        records = []
+
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            records.append(measure(**bound.arguments))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return records
+
+    return install

@@ -8,6 +8,7 @@ checked against genuinely different routes.
 """
 
 import cmath
+import functools
 import math
 
 import mpmath
@@ -328,35 +329,67 @@ def _np_gamma0(s):
     return fn
 
 
+@functools.lru_cache(maxsize=8)
+def _mp_scan(s, dt, horizon):
+    """Pulses t_m = m * dt <= horizon, a scan grid of [0, horizon] and the exponent on it.
+
+    dt None is free evolution. The grid has 4,000 steps, every instant and
+    the double just past it, so neighbours lie on one branch or straddle
+    one pulse. The exponent is general_controlled_gamma's, in double, of
+    the closed form transcribed in _np_gamma0. Cached: callers must not
+    write to the arrays.
+    """
+    instants = np.array([] if dt is None else [m * dt for m in range(1, int(horizon / dt) + 2)
+                                               if m * dt <= horizon])
+    grid = np.unique(np.concatenate((np.linspace(0.0, horizon, 4001), instants,
+                                     np.nextafter(instants, np.inf))))
+    grid = grid[grid <= horizon]
+    return instants, grid, general_controlled_gamma(_np_gamma0(s), instants, grid)
+
+
 def mp_max_exponent(s, dt, horizon, dps=30):
     """Maximum over [0, horizon] of the exponent under pulses t_m = m * dt, in mpmath.
 
-    dt None is free evolution. A scan of general_controlled_gamma (with the
-    closed form transcribed in _np_gamma0) on 4,000 steps and every pulse
-    instant brackets the three highest sampled maxima; each is the value
-    at its sample, or at the zero of the rate between its neighbours when
-    the rate changes sign inside one branch there. Every value is
-    mp_controlled_exponent's.
+    dt None is free evolution. _mp_scan brackets the three highest sampled
+    maxima; each is the value at its sample or at a neighbour across a
+    pulse, or at the zero of the rate between the neighbours on its branch
+    when the rate changes sign there.
+    Every value is mp_controlled_exponent's.
     """
-    instants = [] if dt is None else [m * dt for m in range(1, int(horizon / dt) + 2)
-                                      if m * dt <= horizon]
-    grid = np.unique(np.concatenate((np.linspace(0.0, horizon, 4001), instants)))
-    scan = general_controlled_gamma(_np_gamma0(s), instants, grid)
+    instants, grid, scan = _mp_scan(s, dt, horizon)
     rising = np.append(True, scan[1:] >= scan[:-1])
     falling = np.append(scan[:-1] >= scan[1:], True)
     tops = np.nonzero(rising & falling)[0]
     best = mpmath.mpf(0)
 
+    @functools.lru_cache(maxsize=None)
     def at(t):
         return mp_controlled_exponent(s, dt, t, dps)
 
-    def pulses_before(t):
-        return sum(1 for x in instants if x < t)
-
     for i in tops[np.argsort(-scan[tops])][:3]:
-        best = max(best, at(grid[i])[0])
+        branch = np.searchsorted(instants, grid[i])   # pulses strictly before the sample
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-        lo = np.nextafter(lo, np.inf) if lo in instants else lo   # the branch to its right
-        if pulses_before(lo) == pulses_before(hi) and at(lo)[1] > 0 > at(hi)[1]:
+        across = [t for t in (lo, hi) if np.searchsorted(instants, t) != branch]
+        best = max(best, at(grid[i])[0], *(at(t)[0] for t in across))
+        lo, hi = (grid[i] if t in across else t for t in (lo, hi))
+        if at(lo)[1] > 0 > at(hi)[1]:
             best = max(best, at(mp_newton(lambda x: at(x)[1:], lo, hi, dps))[0])
     return best
+
+
+def mp_first_crossing(s, dt, horizon, level, dps=30):
+    """First time the exponent under pulses t_m = m * dt exceeds level, in mpmath.
+
+    _mp_scan brackets it by its first sample above level: the root of
+    mp_controlled_exponent - level between that sample and the one before.
+    Two samples that straddle a pulse are one double apart.
+    """
+    _, grid, scan = _mp_scan(s, dt, horizon)
+    i = int(np.argmax(scan > level))
+    assert scan[i] > level, "no sample exceeds the level"
+
+    def excess(x):
+        g, rate, _ = mp_controlled_exponent(s, dt, x, dps)
+        return g - level, rate
+
+    return mp_newton(excess, grid[i - 1], grid[i], dps)

@@ -15,7 +15,6 @@ from dd_discord import (
     BellDiagonalState,
     NoiseSide,
     OhmicSpectrum,
-    PulseSchedule,
     Regime,
     boundary_curve,
     classical_correlations,
@@ -174,10 +173,10 @@ def test_criterion_06_sparse_pulsing_destroys_invariance():
 
 
 def test_criterion_07_free_evolution_anchors():
-    tbar = transition_time(OhmicSpectrum(1.0), PulseSchedule((), 25.0),
+    tbar = transition_time(OhmicSpectrum(1.0), periodic_schedule(None, 25.0),
                            BellDiagonalState(0.5), NoiseSide.ONE_SIDED)
     err_t = abs(tbar - np.sqrt(3.0))
-    mf = min_decoherence_factor(OhmicSpectrum(4.0), PulseSchedule((), 25.0),
+    mf = min_decoherence_factor(OhmicSpectrum(4.0), periodic_schedule(None, 25.0),
                                 NoiseSide.TWO_SIDED)
     err_f = abs(mf - np.exp(-5.0))
     ok = err_t < 1e-6 and err_f < 1e-6

@@ -275,6 +275,7 @@ _REFUSALS = {
     "horizon: line 3: an integer of more than 4,300 digits":
         ("decoherence", "s = 1\ntau = 0.5\nhorizon = 1" + "0" * 5000 + "\n"),
     "dt: expected number(s), got ['abc']": ("decoherence --s 1 --dt abc", None),
+    "dt: expected number(s), got {'0.3': 1}": ("transition --s 1 --c 0.5", '{"dt": {"0.3": 1}}'),
     "dt: expected at least one value": ("boundary --dt , --s-grid 1:2:2", None),
     "s: expected a number, got 'abc'": ("decoherence --free --tau 1", 's = "abc"\n'),
     "horizon: must be finite, got inf": ("decoherence --s 1 --free --horizon=inf", None),
@@ -467,6 +468,7 @@ def test_sidecar_reruns_byte_identical(tmp_path, capsys):
     ('oracle = "no"', "oracle"),
     ('free_companion = "no"', "free_companion"),
     ("dt = true", "dt"),
+    ('dt = {"0.3": "x"}', "dt"),
     ("horizon = true", "horizon"),
     ("horizon = null", "horizon"),
     ('s_grid = {"a": 1}', "s_grid"),
@@ -750,16 +752,9 @@ def test_non_finite_inputs_exit_one(field, value, capsys):
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
 
 
-def test_transition_builds_one_profile(monkeypatch, capsys):
+def test_transition_builds_one_profile(spy, capsys):
     import dd_discord.phase as phase
-    built = []
-
-    class CountingDecoherence(phase.PulsedDecoherence):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(phase, "PulsedDecoherence", CountingDecoherence)
+    built = spy(phase, "PulsedDecoherence")
     assert main(["transition", "--s", "1", "--free", "--side", "one",
                  "--c", "0.5", "--output", "-"]) == 0
     assert read_rows(capsys.readouterr().out)[0]["regime"] == "sudden-transition"

@@ -9,7 +9,6 @@ from dd_discord import (
     BellDiagonalState,
     NoiseSide,
     OhmicSpectrum,
-    PulseSchedule,
     classical_correlations,
     concurrence,
     correlation_bits,
@@ -254,7 +253,7 @@ def test_concurrence_validation():
 
 def test_trajectory_uncorrelated_state_stays_classical():
     spec = OhmicSpectrum(1.0)
-    sched = PulseSchedule((), 10.0)
+    sched = periodic_schedule(None, 10.0)
     out = trajectory(spec, sched, BellDiagonalState(0.0), NoiseSide.ONE_SIDED)
     assert np.all(np.abs(out.discord) < 1e-15)
     assert np.all(out.concurrence == 0.0)
@@ -295,7 +294,7 @@ def test_trajectory_two_sided_has_no_concurrence():
 
 def test_trajectory_custom_grid():
     spec = OhmicSpectrum(1.0)
-    sched = PulseSchedule((), 10.0)
+    sched = periodic_schedule(None, 10.0)
     grid = np.array([0.0, 1.0, 2.0])
     out = trajectory(spec, sched, BellDiagonalState(0.2),
                      NoiseSide.ONE_SIDED, grid=grid)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -11,7 +12,6 @@ from dd_discord import (
     NoiseSide,
     OhmicSpectrum,
     PhaseDiagram,
-    PulseSchedule,
     Regime,
     RegimeLabel,
     boundary_curve,
@@ -28,18 +28,16 @@ from dd_discord import (
     transition_time,
 )
 
-from oracles import mp_controlled_exponent, mp_newton, naive_controlled_gamma
+from oracles import (mp_controlled_exponent, mp_first_crossing, mp_max_exponent, mp_newton,
+                     naive_controlled_gamma)
 
-FREE_25 = PulseSchedule((), 25.0)
-
-
-def _schedule(dt):
-    return FREE_25 if dt is None else periodic_schedule(dt, 25.0)
+FREE_25 = periodic_schedule(None, 25.0)
 
 
 def _rows_per_block(monkeypatch, dt, rows):
     """Set the block budget to the scan points of that many rows of dt's map."""
-    monkeypatch.setattr(phase, "_BLOCK_POINTS", rows * phase._scan(_schedule(dt))[1].size)
+    scan = phase._scan(periodic_schedule(dt, 25.0))
+    monkeypatch.setattr(phase, "_BLOCK_POINTS", rows * scan[1].size)
 
 
 def _scalar_factor(spec, sched, side):
@@ -72,7 +70,7 @@ def test_min_factor_marginal_free():
 def test_min_factor_vanishing_window():
     for s in (0.5, 1.0, 4.0):
         spec = OhmicSpectrum(s)
-        tiny = PulseSchedule((), 1e-4)
+        tiny = periodic_schedule(None, 1e-4)
         assert min_decoherence_factor(spec, tiny, NoiseSide.TWO_SIDED) > 0.999999
 
 
@@ -118,7 +116,7 @@ def test_classify_validation():
 @pytest.mark.parametrize("dt", [None, 0.3])
 def test_sign_of_c_does_not_change_the_regime(dt):
     # discord depends on |c| only, and so do the label and the transition time
-    spec, sched, side = OhmicSpectrum(1.3), _schedule(dt), NoiseSide.ONE_SIDED
+    spec, sched, side = OhmicSpectrum(1.3), periodic_schedule(dt, 25.0), NoiseSide.ONE_SIDED
     mf = min_decoherence_factor(spec, sched, side)
     cs = [0.0, 0.5 * mf, 0.35, 0.7, 0.97]
     diagram = phase_diagram([1.3], cs + [-c for c in cs], dt, side)
@@ -160,7 +158,7 @@ def test_transition_time_absent_cases():
 ])
 def test_transition_time_straddles_crossing(s, interval, side, c):
     spec = OhmicSpectrum(s)
-    sched = PulseSchedule((), 25.0) if interval is None else periodic_schedule(interval, 25.0)
+    sched = periodic_schedule(interval, 25.0)
     tbar = transition_time(spec, sched, BellDiagonalState(c), side)
     assert tbar is not None
     assert 0.0 < tbar <= 25.0
@@ -196,7 +194,7 @@ def test_row_crossings_match_scalar_bisection(s, dt):
     # sample one scalar exponent at a time; s > 2 has non-monotone factors.
     # The scan is one gamma_grid call, the scalar exponent's doubles.
     spec = OhmicSpectrum(s)
-    sched = _schedule(dt)
+    sched = periodic_schedule(dt, 25.0)
     grid = default_time_grid(sched)
     gammas = pulses.PulsedDecoherence(spec, sched).gamma_grid(grid)
     assert [controlled_gamma(spec, sched, float(t)) for t in grid[::50]] == gammas[::50].tolist()
@@ -246,18 +244,11 @@ def test_crossing_between_grid_and_refined_minimum():
     (3.0, None, NoiseSide.TWO_SIDED, pytest.approx(math.tan(math.pi / 3.0), rel=0.0, abs=1e-14)),
     (5.0, None, NoiseSide.ONE_SIDED, pytest.approx(math.tan(math.pi / 5.0), rel=0.0, abs=1e-14)),
 ])
-def test_c_an_ulp_above_the_minimum_crosses_at_the_maximum(s, dt, side, want, monkeypatch):
+def test_c_an_ulp_above_the_minimum_crosses_at_the_maximum(s, dt, side, want, spy):
     # |c| at the rounding edge of min_factor settles at no cell: the time is
     # that of the exponent's maximum
-    spec, sched = OhmicSpectrum(s), _schedule(dt)
-    calls = []
-    original = phase._FactorProfile._argmax_time
-
-    def counting(self, row):
-        calls.append(row)
-        return original(self, row)
-
-    monkeypatch.setattr(phase._FactorProfile, "_argmax_time", counting)
+    spec, sched = OhmicSpectrum(s), periodic_schedule(dt, 25.0)
+    calls = spy(phase._FactorProfile, "_argmax_time")
     mf = min_decoherence_factor(spec, sched, side)
     if (s, side) == (4.0, NoiseSide.TWO_SIDED):
         assert mf == math.exp(-5.0)
@@ -274,66 +265,26 @@ def test_c_an_ulp_above_the_minimum_crosses_at_the_maximum(s, dt, side, want, mo
                                        (5.9, 0.05, 0.42)])
 def test_mpmath_reference_matches_naive_sum(s, dt, tau):
     # the reference groups the pairwise gaps by length; the naive sum does not
-    sched = _schedule(dt)
+    sched = periodic_schedule(dt, 25.0)
     want = naive_controlled_gamma(lambda t: gamma0(OhmicSpectrum(s), t), sched.instants, tau)
     assert abs(float(mp_controlled_exponent(s, dt, tau)[0]) - want) <= 1e-12 * max(1.0, want)
-
-
-def _mp_reference(s, dt, levels):
-    """mpmath maximum of the exponent over [0, 25] and first crossing times of levels.
-
-    A fine closed-form scan only brackets the candidates: sampled local
-    maxima (a pulse, the window end, or a zero of the rate between two
-    samples) and, per level, the first sample above it. Every value and
-    root returned is computed in mpmath.
-    """
-    sched = _schedule(dt)
-    grid = default_time_grid(sched, 0.01 if dt is None else dt / 40)
-    scan = pulses.PulsedDecoherence(OhmicSpectrum(s), sched).gamma_grid(grid)
-
-    def at(t):
-        return mp_controlled_exponent(s, dt, t)
-
-    def one_branch(a, b):
-        return sched.pulses_before(b) - sched.pulses_before(a) == 0 and a < b
-
-    best = mpmath.mpf(0)
-    rising = np.append(True, scan[1:] >= scan[:-1])
-    falling = np.append(scan[:-1] >= scan[1:], True)
-    tops = np.nonzero(rising & falling)[0]
-    for i in tops[np.argsort(-scan[tops])][:2]:
-        best = max(best, at(grid[i])[0])
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-        if one_branch(lo, hi) and at(lo)[1] > 0 > at(hi)[1]:
-            root = mp_newton(lambda x: at(x)[1:], lo, hi)
-            best = max(best, at(root)[0])
-    times = []
-    for level in levels:
-        i = int(np.argmax(scan > level))
-        lo, hi = grid[i - 1], grid[i]
-        if one_branch(lo, hi):
-            root = mp_newton(lambda x: (at(x)[0] - level, at(x)[1]), lo, hi)
-        else:   # crossed at the pulse between the two samples
-            root = mpmath.mpf(hi if sched.pulses_before(hi) > sched.pulses_before(lo) else lo)
-        times.append(root)
-    return best, times
 
 
 @pytest.mark.parametrize("dt", [None, 0.3, 0.05])
 @pytest.mark.parametrize("s", [0.3, 1.0, 2.5, 4.0, 5.9])
 @pytest.mark.parametrize("side", list(NoiseSide))
 def test_min_factor_and_crossings_match_mpmath(s, dt, side):
-    mf = min_decoherence_factor(OhmicSpectrum(s), _schedule(dt), side)
+    mf = min_decoherence_factor(OhmicSpectrum(s), periodic_schedule(dt, 25.0), side)
     cs = mf + (1.0 - mf) * np.array([1e-6, 0.03, 0.3, 0.7, 0.97])
     levels = -np.log(cs) / side.value
     row = phase_diagram([s], cs, dt, side).labels[0]
-    best, times = _mp_reference(s, dt, levels)
-    want = mpmath.exp(-side.value * best)
+    want = mpmath.exp(-side.value * mp_max_exponent(s, dt, 25.0))
     if want < np.finfo(float).tiny:   # the factor's floor
         assert mf == np.finfo(float).tiny
     else:
         assert abs(mf / float(want) - 1.0) <= 1e-12
-    for label, level, t_mp in zip(row, levels, times):
+    for label, level in zip(row, levels):
+        t_mp = mp_first_crossing(s, dt, 25.0, level)
         assert label.regime is Regime.SUDDEN_TRANSITION
         t = label.transition_time
         g = mp_controlled_exponent(s, dt, t)[0]
@@ -376,31 +327,27 @@ def test_free_transition_at_high_s_matches_mpmath(s, bound):
         assert abs(t - mp_newton(excess, 0.0, 1e-6, dps=80)) <= bound
 
 
-def test_row_refinement_work(monkeypatch):
+def test_row_refinement_work(monkeypatch, spy):
     # per block of rows: one scan call, then vectorised Newton steps shared by
     # the block's c values (and its peaks); no scalar exponent at all. The
     # budget splits each map into blocks of 4 rows.
     # Measured on these maps: at most 6 kernel calls per pulsed block and 11
     # per free block.
-    def counting(method, calls):
-        def wrapper(self, *args, **kwargs):
-            calls[self.spec] = calls.get(self.spec, 0) + 1   # one evaluator per block
-            return method(self, *args, **kwargs)
-        return wrapper
+    def block(self, **_):   # one evaluator per block
+        return self.spec
 
     evaluator = pulses.PulsedDecoherence
     for dt, most, blocks in ((0.3, 6, 3), (None, 12, 3)):
-        scalar, kernel = {}, {}
         _rows_per_block(monkeypatch, dt, 4)
-        monkeypatch.setattr(evaluator, "gamma", counting(evaluator.gamma, scalar))
-        monkeypatch.setattr(evaluator, "_evaluate", counting(evaluator._evaluate, kernel))
+        scalar, kernel = spy(evaluator, "gamma", block), spy(evaluator, "_evaluate", block)
         diagram = phase_diagram(np.linspace(0.1, 6.0, 12), np.linspace(0.0, 0.99, 50), dt,
-                                NoiseSide.ONE_SIDED, workers=1)
+                                NoiseSide.ONE_SIDED)
         monkeypatch.undo()
         sudden = sum(label.regime is Regime.SUDDEN_TRANSITION
                      for row in diagram.labels for label in row)
         assert sudden > 200
         assert not scalar
+        kernel = Counter(kernel)
         assert len(kernel) == blocks
         assert max(kernel.values()) <= most
         assert sum(kernel.values()) <= most * blocks
@@ -412,7 +359,7 @@ def test_row_refinement_work(monkeypatch):
     *(pytest.param(dt, 3, True, id=f"{dt}-small-budget-one-step") for dt in (None, 0.3)),
 ])
 @pytest.mark.parametrize("side", list(NoiseSide))
-def test_block_rows_equal_rows_alone(side, dt, rows, one_step, monkeypatch):
+def test_block_rows_equal_rows_alone(side, dt, rows, one_step, monkeypatch, spy):
     # a row of a block gets the very doubles it gets alone: labels, minimum
     # and transition times; a budget of 7 rows' scan points splits the 8
     # rows into blocks of 7 and 1, a small budget of 3 rows into 3, 3 and 2.
@@ -423,10 +370,7 @@ def test_block_rows_equal_rows_alone(side, dt, rows, one_step, monkeypatch):
         monkeypatch.setattr(phase, "_SCAN_MIN_STEPS", 1)
     _rows_per_block(monkeypatch, dt, rows)
     s_grid, c_grid = np.linspace(0.1, 6.0, 8), np.linspace(0.0, 0.99, 23)
-    blocks = []
-    profile = phase._FactorProfile
-    monkeypatch.setattr(phase, "_FactorProfile", lambda s, *args: blocks.append(len(s)) or
-                        profile(s, *args))
+    blocks = spy(phase, "_FactorProfile", lambda s_values, **_: len(s_values))
     diagram = phase_diagram(s_grid, c_grid, dt, side)
     assert max(blocks) > 1
     assert len(blocks) > 1
@@ -437,18 +381,11 @@ def test_block_rows_equal_rows_alone(side, dt, rows, one_step, monkeypatch):
     assert any(label.regime is Regime.SUDDEN_TRANSITION for row in diagram.labels for label in row)
 
 
-def test_block_memory_and_work(monkeypatch):
+def test_block_memory_and_work(spy):
     # on the benchmark's maps no evaluation is larger than 10,500 points
     # (measured: at most 7,839, within a block's 8,000 scan points), and the
     # free map takes a few calls per block, not per row
-    sizes = []
-    closed_forms = pulses._closed_forms
-
-    def counting(s, tau, orders=(0,), envelopes=False, rows=0):
-        sizes.append(np.broadcast(tau, rows).size)
-        return closed_forms(s, tau, orders, envelopes, rows)
-
-    monkeypatch.setattr(pulses, "_closed_forms", counting)
+    sizes = spy(pulses, "_closed_forms", lambda tau, rows, **_: np.broadcast(tau, rows).size)
     c_grid = np.linspace(0.0, 0.999, 50)
     for dt, side, rows in ((0.3, NoiseSide.ONE_SIDED, 60), (None, NoiseSide.ONE_SIDED, 60),
                            (0.05, NoiseSide.TWO_SIDED, 20)):
@@ -459,18 +396,14 @@ def test_block_memory_and_work(monkeypatch):
             assert len(sizes) <= 60
 
 
-def test_scan_evaluates_each_closed_form_once(monkeypatch):
+def test_scan_evaluates_each_closed_form_once(monkeypatch, spy):
     # a block's scan evaluates each closed form once per (row, phase, pulse
     # count): m + 1 phases of the period and the window end, after 0 .. N
     # pulses; the head term of every sample is one of them
     sched = periodic_schedule(0.3, 25.0)
     m, pulses_n = phase._SCAN_MIN_STEPS, len(sched)   # 0.3 / _SCAN_STEP is fewer steps
-    evaluated, scans = [], {}
-    closed_forms, evaluate = pulses._closed_forms, pulses.PulsedDecoherence._evaluate
-
-    def counting(s, tau, orders=(0,), envelopes=False, rows=0):
-        evaluated.append(np.broadcast(tau, rows).size)
-        return closed_forms(s, tau, orders, envelopes, rows)
+    scans, evaluate = {}, pulses.PulsedDecoherence._evaluate
+    evaluated = spy(pulses, "_closed_forms", lambda tau, rows, **_: np.broadcast(tau, rows).size)
 
     def first_evaluation(self, *args, **kwargs):   # a block's first is its scan
         evaluated.clear()
@@ -478,7 +411,6 @@ def test_scan_evaluates_each_closed_form_once(monkeypatch):
         scans.setdefault(self.spec, sum(evaluated))
         return out
 
-    monkeypatch.setattr(pulses, "_closed_forms", counting)
     monkeypatch.setattr(pulses.PulsedDecoherence, "_evaluate", first_evaluation)
     _rows_per_block(monkeypatch, 0.3, 4)
     phase_diagram(np.linspace(0.1, 6.0, 12), np.linspace(0.0, 0.99, 50), 0.3,
@@ -488,31 +420,20 @@ def test_scan_evaluates_each_closed_form_once(monkeypatch):
         assert points <= len(spec) * (m + 2) * (pulses_n + 1)
 
 
-def test_scan_refinement_work_is_bounded(monkeypatch):
+def test_scan_refinement_work_is_bounded(spy):
     # the scan is dense enough that the certificate seldom splits a cell: a
     # sparser one stays correct but refines cell by cell, one private pass
     # per c value at a time. Measured on these maps: at most 2 splits and no
     # private pass per map (one step of 1.0 per branch: up to 560 and 104)
-    work = {}
-    profile = phase._FactorProfile
-    split, crossings = profile._split, profile._crossings
-
-    def counting_split(self, i):
-        work["splits"] += 1
-        return split(self, i)
-
-    def counting_crossings(self, targets, rows, private=False):
-        work["private"] += private
-        return crossings(self, targets, rows, private)
-
-    monkeypatch.setattr(profile, "_split", counting_split)
-    monkeypatch.setattr(profile, "_crossings", counting_crossings)
+    splits = spy(phase._FactorProfile, "_split")
+    private = spy(phase._FactorProfile, "_crossings", lambda private, **_: private)
     for dt in (0.05, 0.3, 1.0, None):
         for side in NoiseSide:
-            work.update(splits=0, private=0)
+            splits.clear()
+            private.clear()
             phase_diagram(np.linspace(0.1, 6.0, 12), np.linspace(0.0, 0.99, 25), dt, side)
-            assert work["splits"] <= 4, (dt, side)
-            assert work["private"] <= 2, (dt, side)
+            assert len(splits) <= 4, (dt, side)
+            assert sum(private) <= 2, (dt, side)
 
 
 @pytest.mark.parametrize("dt", [None, 0.3, 0.05, 1.7])
@@ -526,7 +447,8 @@ def test_one_step_scan_is_certified(dt, monkeypatch):
         monkeypatch.setattr(phase, "_SCAN_STEP", math.inf)
         monkeypatch.setattr(phase, "_SCAN_MIN_STEPS", 1)
         coarse = phase_diagram(s_grid, c_grid, dt, side)
-        alone = [[transition_time(OhmicSpectrum(s), _schedule(dt), BellDiagonalState(c), side)
+        alone = [[transition_time(OhmicSpectrum(s), periodic_schedule(dt, 25.0),
+                                  BellDiagonalState(c), side)
                   for c in c_grid[::4]] for s in s_grid]
         monkeypatch.undo()
         assert_allclose(coarse.min_factors, fine.min_factors, rtol=1e-12, atol=0.0)
@@ -536,6 +458,23 @@ def test_one_step_scan_is_certified(dt, monkeypatch):
                 assert a.regime is b.regime
                 if a.transition_time is not None:
                     assert abs(a.transition_time - b.transition_time) <= 1e-12
+
+
+def test_newton_out_of_steps_returns_its_last_iterate(monkeypatch):
+    # two steps solve x = 1/4 but not x^3 = 2, whose zero slope at the start
+    # forces a bisection: that solve returns its last iterate, unmoved
+    monkeypatch.setattr(phase, "_NEWTON_STEPS", 2)
+
+    def evaluate(x, k):
+        return np.where(k == 0, x - 0.25, x ** 3 - 2.0), np.where(k == 0, 1.0, 3.0 * x * x)
+
+    lo, hi = np.zeros(2), np.array([1.0, 2.0])
+    roots, values, moved = phase._newton(evaluate, lo, hi, lo.copy(), hi, np.array([0.0, 12.0]))
+    assert np.all((lo <= roots) & (roots <= hi))
+    assert roots[0] == 0.25 and moved[0] == 0.25   # one step from its last evaluation, at 0
+    assert abs(roots[1] ** 3 - 2.0) > 0.1 and moved[1] == 0.0
+    # the unconverged solve's values are those at its root
+    assert [v[1] for v in values] == [w[0] for w in evaluate(roots[1:], np.ones(1))]
 
 
 def test_off_grid_horizon_includes_the_window_end():

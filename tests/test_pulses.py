@@ -90,8 +90,6 @@ def test_schedule_validation():
         for horizon in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="horizon"):
                 periodic_schedule(dt, horizon)
-    with pytest.raises(ValueError, match="horizon"):
-        PulseSchedule((), 0.0)
     # refused before a pulse is built: 3e300 of them would never finish
     for horizon in (1e300, 0.3 * (pulses.MAX_POINTS + 2)):
         with pytest.raises(ValueError, match="horizon"):
@@ -119,7 +117,7 @@ def test_pulses_before_uses_open_interval():
 
 def test_free_schedule_reduces_to_free_exponent():
     spec = OhmicSpectrum(1.7)
-    free = PulseSchedule((), 30.0)
+    free = periodic_schedule(None, 30.0)
     for tau in (0.0, 0.4, 2.0, 17.0, 30.0):
         assert controlled_gamma(spec, free, tau) == gamma0(spec, tau)
 
@@ -167,7 +165,7 @@ def test_grid_evaluation_matches_scalar():
     dense = periodic_schedule(0.05, 12.0)
     uniform = np.linspace(0.0, 12.0, 301)
     cases = ((periodic_schedule(0.3, 12.0), uniform), (dense, default_time_grid(dense)),
-             (PulseSchedule((), 12.0), uniform), (dense, np.empty(0)))
+             (periodic_schedule(None, 12.0), uniform), (dense, np.empty(0)))
     for s in (0.1, 4.0):
         for sched, taus in cases:
             engine = PulsedDecoherence(OhmicSpectrum(s), sched)
@@ -249,38 +247,18 @@ def test_periodic_route_matches_general_sum(s, dt):
         assert abs(engine.gamma(grid[i]) - general[i]) < 1e-9
 
 
-def test_nonrepeating_phases_still_take_the_phase_route(monkeypatch):
+def test_nonrepeating_phases_still_take_the_phase_route(spy):
     # at dt = 0.3 almost every grid point has a phase of its own: the
     # evaluation still groups them, into a table of almost one row per point
-    tables = []
-    phase_sums = PulsedDecoherence._phase_sums
-
-    def counting_phase_sums(self, order, bounds, distinct, *args):
-        tables.append(distinct.size)
-        return phase_sums(self, order, bounds, distinct, *args)
-
-    monkeypatch.setattr(PulsedDecoherence, "_phase_sums", counting_phase_sums)
+    tables = spy(PulsedDecoherence, "_phase_sums", lambda distinct, **_: distinct.size)
     sched = periodic_schedule(0.3, 25.0)
     grid = default_time_grid(sched)
     PulsedDecoherence(OhmicSpectrum(2.5), sched).gamma_grid(grid)
     assert len(tables) == 1 and tables[0] > 0.9 * grid.size
 
 
-def _count_closed_forms(monkeypatch):
-    """Record the size of every closed-form evaluation the pulses module makes."""
-    evaluated = []
-    closed_forms = pulses._closed_forms
-
-    def counting_closed_forms(s, tau, orders=(0,), envelopes=False, rows=0):
-        evaluated.append(np.broadcast(tau, rows).size)
-        return closed_forms(s, tau, orders, envelopes, rows)
-
-    monkeypatch.setattr(pulses, "_closed_forms", counting_closed_forms)
-    return evaluated
-
-
-def test_periodic_work_is_linear(monkeypatch):
-    evaluated = _count_closed_forms(monkeypatch)
+def test_periodic_work_is_linear(spy):
+    evaluated = spy(pulses, "_closed_forms", lambda tau, rows, **_: np.broadcast(tau, rows).size)
     sched = periodic_schedule(0.05, 25.0)
     grid = default_time_grid(sched)
     assert _phase_count(sched, grid) < 250
@@ -295,12 +273,12 @@ def test_periodic_work_is_linear(monkeypatch):
     assert sum(evaluated) <= len(sched) + 1
 
 
-def test_free_grid_builds_no_phase_table(monkeypatch):
+def test_free_grid_builds_no_phase_table(monkeypatch, spy):
     # no point has a pulse behind it: the exponent is gamma0 of the grid, one call
-    evaluated = _count_closed_forms(monkeypatch)
+    evaluated = spy(pulses, "_closed_forms", lambda tau, rows, **_: np.broadcast(tau, rows).size)
     monkeypatch.setattr(PulsedDecoherence, "_phase_sums",
                         lambda *args: pytest.fail("free evolution grouped its phases"))
-    sched = PulseSchedule((), 25.0)
+    sched = periodic_schedule(None, 25.0)
     grid = default_time_grid(sched)
     engine = PulsedDecoherence(OhmicSpectrum(2.5), sched)
     evaluated.clear()
@@ -308,7 +286,7 @@ def test_free_grid_builds_no_phase_table(monkeypatch):
     assert evaluated == [grid.size]
 
 
-def test_phase_table_holds_only_the_keys_points_use(monkeypatch):
+def test_phase_table_holds_only_the_keys_points_use(monkeypatch, spy):
     # 15 rows, every point in row 0: the table evaluates row 0's keys alone,
     # at most (largest pulse count + 1) terms each, the head terms included
     spectra = tuple(OhmicSpectrum(s) for s in np.linspace(0.5, 4.0, 15))
@@ -316,7 +294,7 @@ def test_phase_table_holds_only_the_keys_points_use(monkeypatch):
     engine = PulsedDecoherence(spectra, sched)
     taus = np.linspace(5.05, 24.95, 10)
     counts = np.searchsorted(sched.instants, taus)
-    evaluated = _count_closed_forms(monkeypatch)
+    evaluated = spy(pulses, "_closed_forms", lambda tau, rows, **_: np.broadcast(tau, rows).size)
     got = engine._evaluate(counts, taus - engine._starts[counts])[0]
     assert sum(evaluated) <= taus.size * (counts.max() + 1)
     monkeypatch.undo()
@@ -339,7 +317,7 @@ def test_closed_sum_agrees_with_filter_integral(s):
 def test_oracles_match_scipy_reference(s, dt):
     # the package's Gauss-Legendre rule against scipy's adaptive quad
     spec = OhmicSpectrum(s)
-    sched = periodic_schedule(dt, 12.5) if dt is not None else PulseSchedule((), 12.5)
+    sched = periodic_schedule(dt, 12.5)
     for tau in (0.7, 4.1, 11.3):
         prefix = sched.instants[:sched.pulses_before(tau)]
         want = scipy_filter_integral(s, prefix, tau)
@@ -357,17 +335,10 @@ def test_dense_pulse_oracle_matches_mpmath(s):
         assert abs(controlled_gamma_oracle(spec, sched, tau) - want) < 1e-11
 
 
-def test_oracle_bisects_panels_to_a_tight_tolerance(monkeypatch):
+def test_oracle_bisects_panels_to_a_tight_tolerance(spy):
     # at rel_tol 1e-13 the first pass misses the bound: three rounds of
     # bisection, each over more panels, reach it
-    panels = []
-    original = spectral._panel_sums
-
-    def counting(integrand, lo, hi):
-        panels.append(lo.size)
-        return original(integrand, lo, hi)
-
-    monkeypatch.setattr(spectral, "_panel_sums", counting)
+    panels = spy(spectral, "_panel_sums", lambda lo, **_: lo.size)
     cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)
     got = controlled_gamma_oracle(OhmicSpectrum(0.1), periodic_schedule(0.3, 25.0), 7.3, cfg)
     assert len(panels) == 4 and panels == sorted(set(panels))
@@ -407,7 +378,7 @@ def test_domain_errors():
     with pytest.raises(ValueError, match="tau must be finite"):
         gamma0_quadrature(spec, np.inf)
     with pytest.raises(ValueError, match="tau must be finite"):
-        controlled_gamma_oracle(spec, PulseSchedule((), np.inf), np.inf)
+        controlled_gamma_oracle(spec, periodic_schedule(None, np.inf), np.inf)
 
 
 def test_filter_function_reference_values():
@@ -492,13 +463,13 @@ def test_default_time_grid_keeps_the_smallest_double_gap():
 
 
 def test_default_time_grid_custom_step():
-    sched = PulseSchedule((), 2.0)
+    sched = periodic_schedule(None, 2.0)
     grid = default_time_grid(sched, step=0.5)
     assert_allclose(grid, [0.0, 0.5, 1.0, 1.5, 2.0])
     with pytest.raises(ValueError):
         default_time_grid(sched, step=-1.0)
     with pytest.raises(ValueError, match="time_step"):
-        default_time_grid(PulseSchedule((), 1e9))
+        default_time_grid(periodic_schedule(None, 1e9))
     # the uniform points and two per pulse count against the limit
     with pytest.raises(ValueError, match="time_step"):
         default_time_grid(periodic_schedule(2.5e-5, 25.0), 1.0)

@@ -232,16 +232,9 @@ def test_curvature_and_its_envelopes(s):
     assert np.all(np.diff(second) <= 0.0) and np.all(np.diff(third) <= 0.0)
 
 
-def test_quadrature_tail_is_cut_relative_to_the_integral(monkeypatch):
+def test_quadrature_tail_is_cut_relative_to_the_integral(spy):
     # an integral of 2.35e78: a tail cut at abs_tol alone evaluated 143,299 panels
-    panels = []
-    original = spectral._panel_sums
-
-    def counting(integrand, lo, hi):
-        panels.append(lo.size)
-        return original(integrand, lo, hi)
-
-    monkeypatch.setattr(spectral, "_panel_sums", counting)
+    panels = spy(spectral, "_panel_sums", lambda lo, **_: lo.size)
     spec = OhmicSpectrum(60.0)
     assert abs(gamma0_quadrature(spec, 1000.0) / gamma0(spec, 1000.0) - 1.0) < 1e-9
     assert sum(panels) < 143_299 / 2

@@ -112,14 +112,13 @@ def discord(state, factor):
 def concurrence(state, gamma_value):
     """Entanglement under one-sided dephasing, directly off the exponent(s).
 
-    (1/2) max{0, |f(1-c)| - 1 - c, |f(1+c)| - 1 + c} with f = e^-gamma;
-    clips to zero (sudden death) once f < (1-c)/(1+c).
+    (1/2) max{0, f(1+|c|) - 1 + |c|} with f = e^-gamma, the one term of
+    (1/2) max{0, |f(1-c)| - 1 - c, |f(1+c)| - 1 + c} that can be positive;
+    clips to zero (sudden death) once f < (1-|c|)/(1+|c|).
     """
-    c = state.c
+    c = abs(state.c)
     f = np.asarray(decoherence_factor(gamma_value, NoiseSide.ONE_SIDED))
-    return _scalar_or_array(0.5 * np.maximum(0.0, np.maximum(
-        np.abs(f * (1.0 - c)) - 1.0 - c,
-        np.abs(f * (1.0 + c)) - 1.0 + c)))
+    return _scalar_or_array(0.5 * np.maximum(0.0, f * (1.0 + c) - 1.0 + c))
 
 
 @dataclass(frozen=True)

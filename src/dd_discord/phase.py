@@ -306,10 +306,10 @@ def _scan(schedule):
     steps = max(_SCAN_MIN_STEPS, np.ceil(period / _SCAN_STEP))   # a float: the window may be inf
     total = steps * starts.size
     if not total <= MAX_POINTS:
-        raise ValueError(
-            f"the regime scan of [0, {horizon}] asks for about {total:.3g} steps "
-            f"(at least {_SCAN_MIN_STEPS} per pulse interval and one per {_SCAN_STEP} of "
-            f"time), more than the limit of {MAX_POINTS:,}")
+        ratio = f"horizon {horizon}" + (f" / dt {period}" if schedule.interval else "")
+        raise ValueError(f"{ratio} asks for about {total:.3g} regime scan steps (at least "
+                         f"{_SCAN_MIN_STEPS} per pulse interval and one per {_SCAN_STEP} of "
+                         f"time), more than the limit of {MAX_POINTS:,}")
     m = int(steps)
     end = horizon - starts[-1]
     distinct = np.append(np.arange(m) * (period / m), (period, end))

@@ -294,8 +294,8 @@ def default_time_grid(schedule, step=None):
     horizon = schedule.horizon
     if step is None:
         step = float(np.min(np.diff(schedule.instants, prepend=0.0), initial=1.0)) / 20.0
-    if not step > 0.0:
-        raise ValueError(f"step must be > 0, got {step}")
+    if not step > 0.0:   # the default underflows to 0 at dt 5e-324
+        raise ValueError(f"dt {schedule.interval}, time_step {step}: the grid step must be > 0")
     _check_size(horizon, step, "grid points", "time_step", schedule.count)
     inst, count = schedule.instants, max(1, int(round(horizon / step)))
     base = np.linspace(0.0, horizon, count + 1)

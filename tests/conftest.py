@@ -71,3 +71,20 @@ def spy(monkeypatch):
         return records
 
     return install
+
+
+_NOT_RUN_IN_FULL = []   # node ids of tests that were skipped, xfailed or xpassed
+
+
+def pytest_runtest_logreport(report):
+    if report.skipped or hasattr(report, "wasxfail"):
+        _NOT_RUN_IN_FULL.append(report.nodeid)
+
+
+def pytest_sessionfinish(session):
+    """Fail a run in which any test was skipped, xfailed or xpassed: every test must pass."""
+    if _NOT_RUN_IN_FULL and session.exitstatus == pytest.ExitCode.OK:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        if reporter is not None:
+            reporter.write_line("\nnot run in full: " + ", ".join(_NOT_RUN_IN_FULL), red=True)

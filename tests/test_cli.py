@@ -224,13 +224,18 @@ def test_transition_row(tmp_path):
 # the --config file or None, stderr after "config error: " or "convergence
 # failure: "). The text is written to run.json if it starts with {, else to
 # run.cfg, in Latin-1: the é of "résumé" is the byte 0xe9, which UTF-8 refuses.
+# A row runs as test_refusal_message_in_full[<its line>], or as the test that
+# a fifth element names, so a case keeps the test id it has long had.
 _STATUS = {1: "config error: ", 2: "convergence failure: "}
 _POINT_CFG = "s = 1\ntau = 0.5\n"
 _LIMIT = "more than the limit of 1,000,000"
 _SCAN = "regime scan steps (at least 4 per pulse interval and one per 0.125 of time)"
+_TYPES = "test_config_values_take_the_flag_types"
+_MAP = "test_oversized_map_exits_one"
 # --flag=value: argparse would read a separate "-inf" as an option
 _NON_FINITE = [(1, f"{argv} --{field.replace('_', '-')}={value} --output -", None,
-                f"{field}: must be finite, got {value}") for field, argv in (
+                f"{field}: must be finite, got {value}",
+                f"test_non_finite_inputs_exit_one[{field}-{value}]") for field, argv in (
     ("abs_tol", "decoherence --s 1 --free --tau 1"), ("c", "transition --s 1 --free"),
     ("dt", "decoherence --s 1 --tau 1"), ("horizon", "decoherence --s 1 --free"),
     ("rel_tol", "decoherence --s 1 --free --tau 1"), ("s", "decoherence --free --tau 1"),
@@ -243,96 +248,118 @@ _REFUSED_BEFORE_RUN = [
     (1, "boundary --workers 0 --s-grid 1:2:2", None, "workers: must be a positive integer, got 0"),
     (1, "boundary", "sides = one\n", "config: unknown key 'sides'"),
     # format = csv is what older sidecars record; any other format is unknown
-    (1, "boundary", "format = json\n", "config: unknown key 'format'"),
+    (1, "boundary", "format = json\n", "config: unknown key 'format'",
+     "test_config_file_rejects_unknown_keys"),
     (1, "decoherence --s 1 --free", 'command = "trajectory"\n',
      "command: config file says 'trajectory', invoked as 'decoherence'"),
     (1, "decoherence --s 1 --dt 0.3 --free", None, "dt: --dt and --free are mutually exclusive"),
     (1, "transition --config missing.cfg", None,
      "config: cannot read missing.cfg: [Errno 2] No such file or directory: 'missing.cfg'"),
     (1, "transition --config missing.cfg --output -", None,
-     "config: cannot read missing.cfg: [Errno 2] No such file or directory: 'missing.cfg'"),
+     "config: cannot read missing.cfg: [Errno 2] No such file or directory: 'missing.cfg'",
+     "test_unreadable_config_file_exits_one[missing.cfg]"),
     (1, "transition --config . --output -", None,
-     "config: cannot read .: [Errno 21] Is a directory: '.'"),
+     "config: cannot read .: [Errno 21] Is a directory: '.'",
+     "test_unreadable_config_file_exits_one[adir]"),
     (1, "transition --output -", "s = 1\n# résumé\n", "config: cannot read run.cfg: 'utf-8' "
-     "codec can't decode byte 0xe9 in position 9: invalid continuation byte"),
+     "codec can't decode byte 0xe9 in position 9: invalid continuation byte",
+     "test_unreadable_config_file_exits_one[latin1.cfg]"),
     (1, "transition", '{"command": "transition", "s": 1',
      "config: run.json: Expecting ',' delimiter: line 1 column 33 (char 32)"),
     (1, "transition --output -", '{"command": "transition", "s": 1',
-     "config: run.json: Expecting ',' delimiter: line 1 column 33 (char 32)"),
+     "config: run.json: Expecting ',' delimiter: line 1 column 33 (char 32)",
+     "test_unreadable_config_file_exits_one[truncated.json]"),
     (1, "transition", "s 1\n", "config: line 1 is not key = value: 's 1'"),
-    (1, "transition --s 1 --c 0.5 --free", "s 1\n", "config: line 1 is not key = value: 's 1'"),
+    (1, "transition --s 1 --c 0.5 --free", "s 1\n", "config: line 1 is not key = value: 's 1'",
+     "test_refused_field_exits_one[transition --s 1 --c 0.5 --free-s 1\n-config]"),
     # Python's int() refuses more than 4,300 digits
     (1, "decoherence", _POINT_CFG + "horizon = 1" + "0" * 5000 + "\n",
      "horizon: line 3: an integer of more than 4,300 digits"),
     (1, "decoherence", '{"s": 1, "tau": 0.5, "horizon": 1' + "0" * 5000 + "}",
-     "horizon: an integer of more than 4,300 digits"),
+     "horizon: an integer of more than 4,300 digits",
+     "test_config_integer_beyond_the_digit_limit[JSON]"),
     # the last value used to win silently; - and _ name the same key
-    (1, "boundary --free --output -", "s = 1\ns = 2\n", "config: key 's' given twice"),
-    (1, "boundary --free --output -", '{"s": 1, "s": 2}', "config: key 's' given twice"),
+    (1, "boundary --free --output -", "s = 1\ns = 2\n", "config: key 's' given twice",
+     "test_config_key_given_twice_exits_one[key = value]"),
+    (1, "boundary --free --output -", '{"s": 1, "s": 2}', "config: key 's' given twice",
+     "test_config_key_given_twice_exits_one[JSON]"),
     (1, "boundary --free --output -", 's-grid = "1:2:2"\ns_grid = "3:4:2"\n',
-     "config: key 's_grid' given twice"),
+     "config: key 's_grid' given twice",
+     "test_config_key_given_twice_exits_one[s-grid beside s_grid]"),
     (1, "boundary --free --output -", '{"s_grid": "1:2:2", "s-grid": "3:4:2"}',
-     "config: key 's_grid' given twice"),
+     "config: key 's_grid' given twice",
+     "test_config_key_given_twice_exits_one[JSON s_grid beside s-grid]"),
     (1, "decoherence --s 1 --dt abc", None, "dt: expected number(s), got ['abc']"),
     (1, "transition --s 1 --c 0.5", '{"dt": {"0.3": 1}}',
      "dt: expected number(s), got {'0.3': 1}"),
     (1, "decoherence", _POINT_CFG + 'dt = {"0.3": "x"}\n',
-     "dt: expected number(s), got {'0.3': 'x'}"),
-    (1, "decoherence", _POINT_CFG + "dt = true\n", "dt: expected number(s), got [True]"),
+     "dt: expected number(s), got {'0.3': 'x'}", f'{_TYPES}[dt = {{"0.3": "x"}}-dt]'),
+    (1, "decoherence", _POINT_CFG + "dt = true\n", "dt: expected number(s), got [True]",
+     f"{_TYPES}[dt = true-dt]"),
     (1, "decoherence", _POINT_CFG + "dt = 1" + "0" * 400 + "\n",
-     "dt: expected number(s), got [1" + "0" * 400 + "]"),
+     "dt: expected number(s), got [1" + "0" * 400 + "]", f"{_TYPES}[dt = 1e400 as an integer]"),
     (1, "boundary --dt , --s-grid 1:2:2", None, "dt: expected at least one value"),
     (1, "decoherence --s 1 --dt=-0.3", None, "dt: intervals must be > 0, got (-0.3,)"),
     (1, "decoherence --free --tau 1", 's = "abc"\n', "s: expected a number, got 'abc'"),
     (1, "decoherence", "s = 1" + "0" * 400 + "\ntau = 0.5\n",
-     "s: must be finite, got 1" + "0" * 400),
+     "s: must be finite, got 1" + "0" * 400, f"{_TYPES}[s = 1e400 as an integer]"),
     (1, "decoherence --s 1 --free --horizon=inf", None, "horizon: must be finite, got inf"),
-    (1, "decoherence", _POINT_CFG + "horizon = true\n", "horizon: expected a number, got True"),
-    (1, "decoherence", _POINT_CFG + "horizon = null\n", "horizon: expected a number, got None"),
+    (1, "decoherence", _POINT_CFG + "horizon = true\n", "horizon: expected a number, got True",
+     f"{_TYPES}[horizon = true-horizon]"),
+    (1, "decoherence", _POINT_CFG + "horizon = null\n", "horizon: expected a number, got None",
+     f"{_TYPES}[horizon = null-horizon]"),
     *_NON_FINITE,
     (1, "decoherence --s 1 --free --max-subdivisions 0", None,
      "max_subdivisions: must be an integer >= 1, got 0"),
     (1, "decoherence", _POINT_CFG + 'max_subdivisions = "x"\n',
-     "max_subdivisions: must be an integer >= 1, got 'x'"),
+     "max_subdivisions: must be an integer >= 1, got 'x'",
+     f'{_TYPES}[max_subdivisions = "x"-max_subdivisions]'),
     (1, "decoherence", _POINT_CFG + "max_subdivisions = NaN\n",
-     "max_subdivisions: must be an integer >= 1, got nan"),
+     "max_subdivisions: must be an integer >= 1, got nan",
+     f"{_TYPES}[max_subdivisions = NaN-max_subdivisions]"),
     (1, "decoherence", _POINT_CFG + "max_subdivisions = 2.5\n",
-     "max_subdivisions: must be an integer >= 1, got 2.5"),
+     "max_subdivisions: must be an integer >= 1, got 2.5",
+     f"{_TYPES}[max_subdivisions = 2.5-max_subdivisions]"),
     (1, "decoherence", _POINT_CFG + "max_subdivisions = true\n",
-     "max_subdivisions: must be an integer >= 1, got True"),
+     "max_subdivisions: must be an integer >= 1, got True",
+     f"{_TYPES}[max_subdivisions = true-max_subdivisions]"),
     (1, "decoherence --s 1 --free", "oracle = 1\n", "oracle: must be true or false, got 1"),
-    (1, "decoherence", _POINT_CFG + 'oracle = "no"\n', "oracle: must be true or false, got 'no'"),
+    (1, "decoherence", _POINT_CFG + 'oracle = "no"\n', "oracle: must be true or false, got 'no'",
+     f'{_TYPES}[oracle = "no"-oracle]'),
     (1, "decoherence --s 1 --free", 'free_companion = "no"\n',
      "free_companion: must be true or false, got 'no'"),
     (1, "decoherence", _POINT_CFG + 'free_companion = "no"\n',
-     "free_companion: must be true or false, got 'no'"),
+     "free_companion: must be true or false, got 'no'",
+     f'{_TYPES}[free_companion = "no"-free_companion]'),
     (1, "decoherence --s 1 --free", "output = 3\n", "output: expected a path, got 3"),
-    (1, "decoherence", _POINT_CFG + "output = 5\n", "output: expected a path, got 5"),
+    (1, "decoherence", _POINT_CFG + "output = 5\n", "output: expected a path, got 5",
+     f"{_TYPES}[output = 5-output]"),
     # its sidecar, res.json, would overwrite the CSV: refused before any compute
     (1, "decoherence --s 1 --free --output res.json", None,
      "output: 'res.json' ends in .json, the suffix of its sidecar"),
     *[(1, f"{argv} --output {name}", None,
-       f"output: {name!r} ends in .json, the suffix of its sidecar")
+       f"output: {name!r} ends in .json, the suffix of its sidecar",
+       f"test_json_output_is_refused_before_any_compute[{name}-{argv.split()[0]}]")
       for argv in ("decoherence --s 1 --free --tau 0.5",
                    "phase-diagram --dt 0.6 --s-grid 0.5:3:2 --c-grid 0:0.8:2")
       for name in ("res.json", "res.JSON")],
     (1, "boundary --free --s-grid x", None, "s_grid: expected lo:hi:count, got 'x'"),
     (1, "decoherence", _POINT_CFG + 's_grid = {"a": 1}\n',
-     "s_grid: expected lo:hi:count, got {'a': 1}"),
+     "s_grid: expected lo:hi:count, got {'a': 1}", f'{_TYPES}[s_grid = {{"a": 1}}-s_grid]'),
     (1, "phase-diagram --free --c-grid 0:0.9:1e400 --output -", None,
-     "c_grid: expected lo:hi:count, got '0:0.9:1e400'"),
+     "c_grid: expected lo:hi:count, got '0:0.9:1e400'", f"{_MAP}[args3]"),
     (1, "boundary --free --s-grid=-1e308:1e308:2", None,
      "s_grid: bounds and their span must be finite, got '-1e308:1e308:2'"),
     # an infinite bound: numpy's linspace would warn before the map is refused
     (1, "phase-diagram --free --c-grid 0:inf:3 --output -", None,
-     "c_grid: bounds and their span must be finite, got '0:inf:3'"),
+     "c_grid: bounds and their span must be finite, got '0:inf:3'", f"{_MAP}[args4]"),
     (1, "boundary --free --s-grid 1:inf:3 --output -", None,
-     "s_grid: bounds and their span must be finite, got '1:inf:3'"),
+     "s_grid: bounds and their span must be finite, got '1:inf:3'", f"{_MAP}[args5]"),
     (1, "boundary --free --s-grid 1:2:2.5", None, "s_grid: count must be a whole number, got 2.5"),
     (1, "decoherence", _POINT_CFG + "s_grid = [0.1, 6, 2.5]\n",
-     "s_grid: count must be a whole number, got 2.5"),
+     "s_grid: count must be a whole number, got 2.5", f"{_TYPES}[s_grid = [0.1, 6, 2.5]-s_grid]"),
     (1, "decoherence", _POINT_CFG + 'c_grid = "0:0.9:0.5"\n',
-     "c_grid: count must be a whole number, got 0.5"),
+     "c_grid: count must be a whole number, got 0.5", f'{_TYPES}[c_grid = "0:0.9:0.5"-c_grid]'),
     (1, "phase-diagram --free --s-grid 0.1:6:0", None, "s_grid: count must be >= 1, got 0"),
     (1, "phase-diagram --free --c-grid 0.9:0.1:3", None,
      "c_grid: upper bound below lower bound in '0.9:0.1:3'"),
@@ -340,11 +367,11 @@ _REFUSED_BEFORE_RUN = [
     (1, "phase-diagram --free --s-grid 1:2:1001 --c-grid 0:0.5:1000", None,
      f"s_grid, c_grid: the map has 1,001,000 cells, {_LIMIT}"),
     (1, "phase-diagram --dt 0.3 --s-grid 0.1:6:1e9 --output -", None,
-     f"s_grid, c_grid: the map has 50,000,000,000 cells, {_LIMIT}"),
+     f"s_grid, c_grid: the map has 50,000,000,000 cells, {_LIMIT}", f"{_MAP}[args0]"),
     (1, "phase-diagram --free --s-grid 0.1:6:2000 --c-grid 0:0.9:1000 --output -", None,
-     f"s_grid, c_grid: the map has 2,000,000 cells, {_LIMIT}"),
+     f"s_grid, c_grid: the map has 2,000,000 cells, {_LIMIT}", f"{_MAP}[args1]"),
     (1, "boundary --free --s-grid 0.1:6:2e6 --output -", None,
-     f"s_grid, c_grid: the map has 2,000,000 cells, {_LIMIT}"),
+     f"s_grid, c_grid: the map has 2,000,000 cells, {_LIMIT}", f"{_MAP}[args2]"),
     (1, "transition --s 1 --c 0.5 --free", 'side = "three"\n',
      "side: must be 'one' or 'two', got 'three'"),
     (1, "transition --s 1 --c 0.5 --free --horizon -1", None, "horizon: must be > 0, got -1.0"),
@@ -352,7 +379,8 @@ _REFUSED_BEFORE_RUN = [
      "dt: a single interval is required here, got 2 values"),
     (1, "decoherence --free", None, "s: required for the decoherence command"),
     (1, "transition --s 1 --free", None, "c: required for the transition command"),
-    (1, "trajectory --s 1 --free", None, "c: required for the trajectory command"),
+    (1, "trajectory --s 1 --free", None, "c: required for the trajectory command",
+     "test_missing_required_field_exits_one"),
     (1, "decoherence --s 0 --free", None, "s: must be > 0, got 0.0"),
     (1, "transition --s 1 --c 1 --free", None, "c: must satisfy |c| < 1, got 1.0"),
     (1, "trajectory --s 1 --c 0.5 --free --tau 1", None,
@@ -362,20 +390,23 @@ _REFUSED_BEFORE_RUN = [
     (1, "trajectory --s 1 --c 0.3 --free --oracle", None,
      "oracle: only the decoherence command supports --oracle"),
     (1, "trajectory --s 1 --c 0.3 --oracle", None,
-     "oracle: only the decoherence command supports --oracle"),
+     "oracle: only the decoherence command supports --oracle",
+     "test_oracle_restricted_to_decoherence"),
     (1, "decoherence --s 1 --free --rel-tol 0", None, "rel_tol: must be > 0, got 0.0"),
     (1, "decoherence --s 1 --free --abs-tol 0", None, "abs_tol: must be > 0, got 0.0"),
 ]
 # refused inside cli.run: by the library, before it allocates, or on writing
 _REFUSED_IN_RUN = [
     (1, "decoherence --s 1 --dt 0.3 --horizon 1e300 --output -", None,
-     f"horizon 1e+300 / dt 0.3 asks for about 3.33e+300 pulses, {_LIMIT}"),
+     f"horizon 1e+300 / dt 0.3 asks for about 3.33e+300 pulses, {_LIMIT}",
+     "test_oversized_grid_exits_one[args0]"),
     (1, "decoherence --s 1 --free --horizon 1e9 --output -", None,
-     f"horizon 1000000000.0 / time_step 0.05 asks for about 2e+10 grid points, {_LIMIT}"),
+     f"horizon 1000000000.0 / time_step 0.05 asks for about 2e+10 grid points, {_LIMIT}",
+     "test_oversized_grid_exits_one[args1]"),
     # 25 uniform points, and two at each of 1,000,000 pulses
     (1, "decoherence --s 1 --dt 2.5e-5 --time-step 1 --output -", None,
      "horizon 25.0 / time_step 1.0 and two at each of 1,000,000 pulses asks for about 2e+06 "
-     f"grid points, {_LIMIT}"),
+     f"grid points, {_LIMIT}", "test_oversized_grid_exits_one[args2]"),
     # the default step min(dt, 1) / 20 underflows to 0
     (1, "decoherence --s 1 --dt 5e-324 --horizon 5e-324 --output -", None,
      "dt 5e-324, time_step 0.0: the grid step must be > 0"),
@@ -384,35 +415,34 @@ _REFUSED_IN_RUN = [
     (1, "boundary --free --horizon 1e300 --output -", None,
      f"horizon 1e+300 asks for about 8e+300 {_SCAN}, {_LIMIT}"),
     (1, "decoherence --s 1 --free --tau 0.5 --output .", None,
-     "output: cannot write .: Is a directory"),
+     "output: cannot write .: Is a directory", "test_directory_as_output_exits_one"),
     (2, "decoherence --s 0.5 --free --tau 1 --oracle --max-subdivisions 1 --rel-tol 1e-15 "
         "--abs-tol 1e-300 --output -", None,
-     "quadrature did not converge within 1 bisections at s=0.5, tau=1.0"),
+     "quadrature did not converge within 1 bisections at s=0.5, tau=1.0",
+     "test_nonconvergence_exits_two"),
     # Gamma(s-1) overflows a double past s ~ 172.6, and the regime commands'
     # Gamma of larger arguments before it; just below it the pulsed sum of
     # finite terms overflows, and the quadrature oracle overflows in its tail
     # bound. No numpy warning escapes: the suite makes any RuntimeWarning an error
     (2, "decoherence --s 200 --free --tau 1 --output -", None,
-     "Gamma(199.0) overflows a double at s=200.0"),
+     "Gamma(199.0) overflows a double at s=200.0", "test_overflowing_exponent_exits_two[args0]"),
     (2, "transition --s 200 --free --c 0.5 --output -", None,
-     "Gamma(199.0) overflows a double at s=200.0"),
+     "Gamma(199.0) overflows a double at s=200.0", "test_overflowing_exponent_exits_two[args1]"),
     (2, "transition --s 172 --dt 0.3 --c 0.5 --output -", None,
-     "Gamma(172.0) overflows a double at s=172.0"),
+     "Gamma(172.0) overflows a double at s=172.0", "test_overflowing_exponent_exits_two[args2]"),
     (2, "decoherence --s 172 --dt 0.3 --output -", None,
      "exponent is not a finite double at s=172.0, tau=3.6"),
     (2, "decoherence --s 200 --free --tau 1 --oracle --output -", None,
-     "quadrature integral is not a finite double at s=200.0, tau=1.0"),
+     "quadrature integral is not a finite double at s=200.0, tau=1.0",
+     "test_overflowing_exponent_exits_two[args3]"),
     (2, "decoherence --s 1 --free --oracle --horizon 1e12 --tau 1e12 --output -", None,
      "quadrature needs 6.37e+12 panels, more than 1,000,000, at s=1.0, tau=1000000000000.0"),
 ]
 _REFUSALS = _REFUSED_BEFORE_RUN + _REFUSED_IN_RUN
-# an id is the message; a message already taken adds the arguments
-_IDS = [line if line not in [row[3] for row in _REFUSALS[:i]] else f"{line} <- {argv}"
-        for i, (_, argv, _, line) in enumerate(_REFUSALS)]
 
 
-@pytest.mark.parametrize("code, argv, config, line", _REFUSALS, ids=_IDS)
-def test_refusal_message_in_full(code, argv, config, line, tmp_path, monkeypatch, capsys, spy):
+def _check_refusal(row, tmp_path, monkeypatch, capsys, spy):
+    code, argv, config, line, *_ = row
     # the work directory sits in tmp_path, which catches a temporary file beside an output
     work = tmp_path / "work"
     work.mkdir()
@@ -427,7 +457,37 @@ def test_refusal_message_in_full(code, argv, config, line, tmp_path, monkeypatch
     assert main(args) == code
     assert capsys.readouterr() == ("", f"{_STATUS[code]}{line}\n")
     assert sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")) == left
-    assert len(ran) == ((code, argv, config, line) in _REFUSED_IN_RUN)
+    assert len(ran) == (row in _REFUSED_IN_RUN)
+
+
+def _refusal_test(rows, ids):
+    """One test of its rows: parametrized by their ids, or of its one row where it has no id."""
+    assert len(set(ids)) == len(ids), ids
+    if ids == [""]:
+        def test(tmp_path, monkeypatch, capsys, spy):
+            _check_refusal(rows[0], tmp_path, monkeypatch, capsys, spy)
+        return test
+
+    @pytest.mark.parametrize("row", rows, ids=ids)
+    def test(row, tmp_path, monkeypatch, capsys, spy):
+        _check_refusal(row, tmp_path, monkeypatch, capsys, spy)
+    return test
+
+
+def _refusal_tests():
+    """Test name -> (its rows, their ids), from each row's test id."""
+    tests = {}
+    for row in _REFUSALS:
+        node = row[4] if len(row) > 4 else f"test_refusal_message_in_full[{row[3]}]"
+        name, _, row_id = node.partition("[")
+        rows, ids = tests.setdefault(name, ([], []))
+        rows.append(row)
+        ids.append(row_id[:-1])
+    return tests
+
+
+for _name, (_rows, _ids) in _refusal_tests().items():
+    globals()[_name] = _refusal_test(_rows, _ids)
 
 
 @pytest.mark.parametrize("argv", [

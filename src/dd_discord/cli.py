@@ -439,12 +439,18 @@ def _render_csv(dataset):
 def _write(path, pieces, stream=False):
     """Write one output file from an iterable of str pieces, each as it comes.
 
-    In place when stream, else into a temporary file that is then renamed
-    onto path. A symlink's target is written and the link stays a link;
-    the file gets mode 0o666 less the umask, as open() would create it. An
-    OSError is a configuration error that names the path.
+    '-' is stdout, written and flushed. Other paths are written in place
+    when stream, else into a temporary file that is then renamed onto
+    path. A symlink's target is written and the link stays a link; the
+    file gets mode 0o666 less the umask, as open() would create it. An
+    OSError, a closed stdout's broken pipe included, is a configuration
+    error that names the path.
     """
     try:
+        if path == "-":
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+            return
         if stream:
             with open(path, "w") as fh:
                 fh.writelines(pieces)
@@ -484,7 +490,7 @@ def emit(dataset, cfg, output):
     """
     pieces = _render_csv(dataset)
     if output == "-":
-        sys.stdout.writelines(pieces)
+        _write(output, pieces)
         return []
     path, stream = Path(output), _is_stream(output)
     _write(path, pieces, stream)
@@ -554,12 +560,19 @@ def entry():
     Before main it tunes the heap (_keep_heap); after main it freezes the
     collector, so the collections at interpreter exit skip the objects
     numpy's import made. Every output file is closed by then, and stdio
-    is flushed at exit either way. Both act on the whole process, so
-    main() and the library do neither.
+    is flushed at exit either way; a stdout whose reader has gone (main
+    reported it) is pointed at os.devnull first, so that last flush
+    stays quiet. These act on the whole process, so main() and the
+    library do none of them.
     """
     _keep_heap()
     status = main()
     gc.freeze()
+    if sys.stdout is not None:   # None when the process started with fd 1 closed
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

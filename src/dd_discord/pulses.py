@@ -36,8 +36,8 @@ class PulseSchedule:
     """Pulses at t_k = k * interval, k = 1 .. count, as many as fit (0, horizon].
 
     interval None, or above the horizon, is free evolution: count 0 and
-    interval None. () is the free form of earlier versions, and no other
-    tuple is accepted. More than MAX_POINTS pulses is a ValueError.
+    interval None. () is the free form of earlier versions, and any other
+    tuple is a TypeError. More than MAX_POINTS pulses is a ValueError.
     """
 
     interval: float
@@ -46,7 +46,9 @@ class PulseSchedule:
 
     def __post_init__(self):
         interval = self.interval
-        if isinstance(interval, tuple) and not interval:
+        if isinstance(interval, tuple):   # checked before any comparison of the tuple
+            if interval:
+                raise TypeError(f"delta_tau must be a number or None, got the tuple {interval}")
             interval = None
         if interval is not None and not interval > 0.0:
             raise ValueError(f"delta_tau must be > 0, got {interval}")

@@ -15,24 +15,24 @@ import dd_discord
 _SRC = str(Path(dd_discord.__file__).resolve().parents[1])
 
 
-def _run_python(argv, cwd, extra_env=None):
+def _run_python(argv, cwd, extra_env=None, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, env.get("PYTHONPATH")) if p)
     env.update(extra_env or {})
-    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True)
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True)
 
 
 @pytest.fixture
 def run_cli():
     """Run `python -m dd_discord.cli ARGS` in cwd; returns the CompletedProcess.
 
-    extra_env adds variables to the child's environment.
+    extra_env adds variables to the child's environment; stdout, captured by default, may be a fd.
     """
 
-    def run(args, cwd, extra_env=None):
-        return _run_python(["-m", "dd_discord.cli", *args], cwd, extra_env)
+    def run(args, cwd, extra_env=None, stdout=subprocess.PIPE):
+        return _run_python(["-m", "dd_discord.cli", *args], cwd, extra_env, stdout)
 
     return run
 

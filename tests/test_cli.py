@@ -646,6 +646,18 @@ def test_output_that_cannot_be_renamed_or_removed_exits_one(tmp_path, monkeypatc
     assert [path.name.startswith("out.csv.") for path in tmp_path.iterdir()] == [True]
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])   # "" is unset
+@pytest.mark.parametrize("args", ["--free --tau 0.5", "--dt 0.05"], ids=["one row", "414 KB"])
+def test_closed_stdout_is_an_unwritable_output(args, unbuffered, tmp_path, run_cli):
+    # the reader is gone before the child writes: once a traceback, or exit 120 from the last flush
+    read, write = os.pipe()
+    os.close(read)
+    done = run_cli(["decoherence", "--s", "1", *args.split(), "--output", "-"], tmp_path,
+                   {"PYTHONUNBUFFERED": unbuffered}, stdout=write)
+    os.close(write)
+    assert (done.returncode, done.stderr) == (1, "config error: output: cannot write -: Broken pipe\n")
+
+
 def test_worker_pool_size_is_invisible_in_output(tmp_path, run_cli, monkeypatch):
     # the command-line process, which tunes the heap and freezes the collector
     # around main(), writes the bytes of an in-process main(), which does neither

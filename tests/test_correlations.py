@@ -2,7 +2,6 @@ import warnings
 
 import mpmath
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from dd_discord import (
@@ -24,21 +23,14 @@ from oracles import (
     mutual_information_oracle,
     wootters_concurrence,
 )
+from test_refusals import refusal_tests
 
 # correlation_bits values frozen from the explicit eigenvalue route
 BITS_03 = 0.065931944624509
 BITS_05 = 0.18872187554086714
 BITS_07 = 0.3901596952835995
 MUTUAL_HALF_PURE = 1.188721875540867  # c=0.5, undamped coherences
-
-
-def test_state_validation():
-    BellDiagonalState(0.0)
-    BellDiagonalState(-0.4)
-    with pytest.raises(ValueError):
-        BellDiagonalState(1.0)
-    with pytest.raises(ValueError):
-        BellDiagonalState(-1.2)
+globals().update(refusal_tests(__name__))   # this module's rows of the library refusal table
 
 
 def test_decoherence_factor():
@@ -54,12 +46,6 @@ def test_decoherence_factor():
             value = decoherence_factor(float(g), side)
             assert type(value) is float
             assert value == from_vector
-    with pytest.raises(ValueError):
-        decoherence_factor(-0.5, NoiseSide.ONE_SIDED)
-    with pytest.raises(ValueError):
-        decoherence_factor(np.array([0.5, -0.5]), NoiseSide.ONE_SIDED)
-    with pytest.raises(ValueError, match="gamma_value"):
-        decoherence_factor(np.nan, NoiseSide.ONE_SIDED)
     assert decoherence_factor(np.inf, NoiseSide.ONE_SIDED) == 0.0
 
 
@@ -70,9 +56,6 @@ def test_correlation_bits_reference_values():
     assert abs(correlation_bits(0.7) - BITS_07) < 1e-14
     assert correlation_bits(1.0) == 1.0
     assert correlation_bits(-0.3) == correlation_bits(0.3)
-    for x in (2.0, np.nan):
-        with pytest.raises(ValueError, match="x must"):
-            correlation_bits(x)
 
 
 def test_correlation_bits_against_mpmath():
@@ -195,19 +178,6 @@ def test_discord_is_mutual_minus_classical():
         assert abs(lhs - rhs) < 1e-14
 
 
-def test_factor_domain_checks():
-    state = BellDiagonalState(0.5)
-    for bad in (-0.1, 1.1):
-        with pytest.raises(ValueError):
-            mutual_information(state, bad)
-        with pytest.raises(ValueError):
-            classical_correlations(state, bad)
-        with pytest.raises(ValueError):
-            discord(state, bad)
-        with pytest.raises(ValueError):
-            discord(state, np.array([0.5, bad]))
-
-
 def test_concurrence_reference_values():
     assert abs(concurrence(BellDiagonalState(0.5), 0.0) - 0.5) < 1e-15
     # e^{-G}=0.5 at c=0.5: max{0, 0.25-0.5, 0.75-0.5} = 0.25... scaled by 1/2
@@ -242,13 +212,6 @@ def test_concurrence_against_wootters_oracle():
             got = concurrence(BellDiagonalState(signed), g)
             want = wootters_concurrence(bell_diagonal_rho(signed, np.exp(-g)))
             assert abs(got - want) < 1e-10
-
-
-def test_concurrence_validation():
-    with pytest.raises(ValueError):
-        concurrence(BellDiagonalState(0.5), -1.0)
-    with pytest.raises(ValueError, match="gamma_value"):
-        concurrence(BellDiagonalState(0.5), np.nan)
 
 
 def test_trajectory_uncorrelated_state_stays_classical():
@@ -300,5 +263,3 @@ def test_trajectory_custom_grid():
                      NoiseSide.ONE_SIDED, grid=grid)
     assert_allclose(out.times, grid)
     assert out.gamma.shape == (3,)
-    with pytest.raises(ValueError, match="nonempty"):
-        trajectory(spec, sched, BellDiagonalState(0.2), NoiseSide.ONE_SIDED, grid=np.empty(0))

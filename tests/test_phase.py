@@ -30,8 +30,10 @@ from dd_discord import (
 
 from oracles import (mp_controlled_exponent, mp_first_crossing, mp_max_exponent, mp_newton,
                      naive_controlled_gamma)
+from test_refusals import refusal_tests
 
 FREE_25 = periodic_schedule(None, 25.0)
+globals().update(refusal_tests(__name__))   # this module's rows of the library refusal table
 
 
 def _rows_per_block(monkeypatch, dt, rows):
@@ -104,13 +106,6 @@ def test_classify_monotone_in_c():
             assert sudden
         flipped = flipped or sudden
     assert flipped
-
-
-def test_classify_validation():
-    with pytest.raises(ValueError):
-        classify(BellDiagonalState(0.5), 0.0)
-    with pytest.raises(ValueError):
-        classify(BellDiagonalState(0.5), 1.5)
 
 
 @pytest.mark.parametrize("dt", [None, 0.3])
@@ -499,15 +494,6 @@ def test_invariant_discord_value():
     assert abs(invariant_discord_value(state) - discord(state, 1.0)) < 1e-15
 
 
-def test_regime_label_validation():
-    RegimeLabel(Regime.TIME_INVARIANT)
-    RegimeLabel(Regime.SUDDEN_TRANSITION, 1.3)
-    with pytest.raises(ValueError):
-        RegimeLabel(Regime.TIME_INVARIANT, 1.0)
-    with pytest.raises(ValueError):
-        RegimeLabel(Regime.SUDDEN_TRANSITION)
-
-
 def test_phase_diagram_structure():
     s_grid = np.linspace(0.5, 4.0, 6)
     c_grid = np.linspace(0.0, 0.99, 8)
@@ -546,17 +532,6 @@ def test_phase_diagram_one_sided_contains_two_sided():
         for label_one, label_two in zip(row_one, row_two):
             if label_two.regime is Regime.TIME_INVARIANT:
                 assert label_one.regime is Regime.TIME_INVARIANT
-
-
-def test_phase_diagram_validation():
-    with pytest.raises(ValueError):
-        phase_diagram([0.0, 1.0], [0.0], None, NoiseSide.ONE_SIDED)
-    with pytest.raises(ValueError):
-        phase_diagram([1.0], [0.5, 1.0], None, NoiseSide.ONE_SIDED)
-    # an endless window is refused by the size checks, before any integer conversion
-    for dt in (None, 0.3):
-        with pytest.raises(ValueError, match="more than the limit"):
-            phase_diagram([1.0], [0.5], dt, NoiseSide.ONE_SIDED, horizon=math.inf)
 
 
 def test_phase_diagram_worker_count_is_invisible():

@@ -23,10 +23,12 @@ from dd_discord import (
 from dd_discord.pulses import PulsedDecoherence
 from oracles import (general_controlled_gamma, mp_controlled_exponent, naive_controlled_gamma,
                      naive_filter_sq, scipy_filter_integral)
+from test_refusals import refusal_tests
 
 FROZEN_ECHO_AT_TWO = 0.5815754049028404  # 2*ln2 - ln5/2, marginal spectrum
 # a dense, a coarse, two whose smallest double gap sits an ulp below dt, and 10^6 pulses
 SCHEDULE_DTS = (0.05, 0.3, 0.32, 0.7, 25.0 / 999_999)
+globals().update(refusal_tests(__name__))   # this module's rows of the library refusal table
 
 
 def test_periodic_schedule_counts():
@@ -55,8 +57,7 @@ def test_periodic_schedule_counts():
         want = [n * dt for n in range(1, len(sched) + 1)]
         assert want[-1] <= 25.0 < (len(sched) + 1) * dt
         assert sched.instants.tolist() == want
-        with pytest.raises(ValueError):
-            sched.instants[0] = 1.0   # read-only
+        assert not sched.instants.flags.writeable
     assert len(sched) == 999_999
 
 
@@ -75,25 +76,6 @@ def test_periodic_schedule_count_at_a_rounded_quotient(dt, count):
     sched = periodic_schedule(dt, 25.0)
     assert len(sched) == count
     assert sched.instants[-1] <= 25.0 < (count + 1) * dt
-
-
-def test_schedule_validation():
-    # a schedule is (interval, horizon): tuples of instants are refused, () aside
-    for instants in ((1.0, 1.0), (2.0, 1.0), (0.0, 1.0), (3.0, 6.0), (0.4, 0.9),
-                     (0.3, 0.6, 0.9), (1.0,), (float("nan"),), (1.0, float("nan"))):
-        with pytest.raises(TypeError):
-            PulseSchedule(instants, 5.0)
-    for dt in (0.0, -0.5, float("nan")):
-        with pytest.raises(ValueError, match="delta_tau"):
-            periodic_schedule(dt, 25.0)
-    for dt in (None, 0.3):
-        for horizon in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError, match="horizon"):
-                periodic_schedule(dt, horizon)
-    # refused before a pulse is built: 3e300 of them would never finish
-    for horizon in (1e300, 0.3 * (pulses.MAX_POINTS + 2)):
-        with pytest.raises(ValueError, match="horizon"):
-            periodic_schedule(0.3, horizon)
 
 
 def test_pulses_before_uses_open_interval():
@@ -185,9 +167,6 @@ def test_grid_evaluation_takes_any_order():
     both = np.concatenate([taus[::-1], taus[:40]])
     assert np.array_equal(engine.gamma_grid(both),
                           np.concatenate([engine.gamma_grid(taus)[::-1], engine.gamma_grid(taus[:40])]))
-    for outside in (-0.1, 25.5):
-        with pytest.raises(ValueError):
-            engine.gamma_grid(np.insert(taus[shuffle], taus.size // 2, outside))
 
 
 def test_scalar_exponent_near_overflow_leaks_no_warning():
@@ -346,17 +325,6 @@ def test_oracle_bisects_panels_to_a_tight_tolerance(spy):
     assert abs(got / float(mp_controlled_exponent(0.1, 0.3, 7.3, dps=40)[0]) - 1.0) <= 2e-12
 
 
-@pytest.mark.parametrize("evaluate", [
-    lambda spec, sched: controlled_gamma(spec, sched, float("nan")),
-    lambda spec, sched: PulsedDecoherence(spec, sched).gamma_grid([1.0, float("nan")]),
-    lambda spec, sched: controlled_gamma_oracle(spec, sched, float("nan")),
-    lambda spec, sched: gamma0_quadrature(spec, float("nan")),
-], ids=["gamma", "gamma_grid", "controlled_gamma_oracle", "gamma0_quadrature"])
-def test_nan_time_is_out_of_range(evaluate):
-    with pytest.raises(ValueError, match="tau must"):
-        evaluate(OhmicSpectrum(1.5), periodic_schedule(0.3, 25.0))
-
-
 def test_controlled_gamma_nonnegative():
     for s in (0.5, 1.0, 3.0):
         spec = OhmicSpectrum(s)
@@ -365,20 +333,6 @@ def test_controlled_gamma_nonnegative():
             taus = np.linspace(0.0, 25.0, 400)
             vals = PulsedDecoherence(spec, sched).gamma_grid(taus)
             assert np.all(vals >= 0.0)
-
-
-def test_domain_errors():
-    spec = OhmicSpectrum(1.0)
-    sched = periodic_schedule(1.0, 10.0)
-    with pytest.raises(ValueError):
-        controlled_gamma(spec, sched, -0.1)
-    with pytest.raises(ValueError):
-        controlled_gamma(spec, sched, 10.5)
-    # an infinite time would make the quadrature panels zero wide
-    with pytest.raises(ValueError, match="tau must be finite"):
-        gamma0_quadrature(spec, np.inf)
-    with pytest.raises(ValueError, match="tau must be finite"):
-        controlled_gamma_oracle(spec, periodic_schedule(None, np.inf), np.inf)
 
 
 def test_filter_function_reference_values():
@@ -421,23 +375,6 @@ def test_filter_function_matches_pulse_by_pulse_sum(n):
     assert np.max(np.abs(filter_function_sq(n, t_1, tau, z) - want)) <= 1e-12 * envelope
 
 
-def test_filter_function_validation():
-    with pytest.raises(ValueError):
-        filter_function_sq(3, 0.5, 1.0, 1.0)  # pulse beyond tau
-    with pytest.raises(ValueError):
-        filter_function_sq(1, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        filter_function_sq(-1, 0.5, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        filter_function_sq(1, 0.5, 1.0, -1.0)
-    with pytest.raises(ValueError, match="interval None"):
-        filter_function_sq(2, None, 1.0, 0.5)   # pulses need an interval
-    with pytest.raises(ValueError, match="z must"):
-        filter_function_sq(1, 0.3, 1.0, np.nan)
-    with pytest.raises(ValueError, match="z must"):
-        filter_function_sq(1, 0.5, 1.0, np.inf)
-
-
 def test_default_time_grid_structure():
     sched = periodic_schedule(1.0, 5.0)
     grid = default_time_grid(sched)
@@ -466,10 +403,3 @@ def test_default_time_grid_custom_step():
     sched = periodic_schedule(None, 2.0)
     grid = default_time_grid(sched, step=0.5)
     assert_allclose(grid, [0.0, 0.5, 1.0, 1.5, 2.0])
-    with pytest.raises(ValueError):
-        default_time_grid(sched, step=-1.0)
-    with pytest.raises(ValueError, match="time_step"):
-        default_time_grid(periodic_schedule(None, 1e9))
-    # the uniform points and two per pulse count against the limit
-    with pytest.raises(ValueError, match="time_step"):
-        default_time_grid(periodic_schedule(2.5e-5, 25.0), 1.0)

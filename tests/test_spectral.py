@@ -9,7 +9,6 @@ from scipy import special
 from dd_discord import (
     ConvergenceError,
     OhmicSpectrum,
-    QuadratureConfig,
     controlled_gamma,
     controlled_gamma_oracle,
     gamma0,
@@ -22,16 +21,8 @@ from dd_discord import (
 from dd_discord import spectral
 from dd_discord.spectral import _closed_forms, _euler_gamma
 from oracles import bisect_sign_change, central_difference, mp_controlled_exponent
-
-
-def test_spectrum_validation():
-    with pytest.raises(ValueError):
-        OhmicSpectrum(0.0)
-    with pytest.raises(ValueError):
-        OhmicSpectrum(-1.5)
-    for s in (float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="finite"):
-            OhmicSpectrum(s)
+from test_refusals import refusal_tests
+globals().update(refusal_tests(__name__))   # this module's rows of the library refusal table
 
 
 def test_spectral_density_values():
@@ -40,11 +31,6 @@ def test_spectral_density_values():
     assert spectral_density(OhmicSpectrum(2.0), 0.0) == 0.0
     out = spectral_density(OhmicSpectrum(1.0), np.array([0.0, 1.0, 2.0]))
     assert_allclose(out, [0.0, np.exp(-1.0), 2.0 * np.exp(-2.0)], rtol=1e-14)
-    with pytest.raises(ValueError):
-        spectral_density(spec, -0.5)
-    for omega in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="omega"):
-            spectral_density(spec, omega)
 
 
 def test_gamma0_reference_points():
@@ -192,29 +178,12 @@ def test_recoherence_onset_values():
     assert recoherence_onset(OhmicSpectrum(2.0)) is None
 
 
-def test_gamma0_negative_tau_rejected():
-    with pytest.raises(ValueError):
-        gamma0(OhmicSpectrum(1.0), -0.1)
-    with pytest.raises(ValueError, match="finite"):
-        gamma0(OhmicSpectrum(0.7), np.inf)
-    with pytest.raises(ValueError):
-        gamma0_rate(OhmicSpectrum(1.0), np.array([0.0, -2.0]))
-
-
 def _curvature(spec, tau):
     return _closed_forms(spec.s, tau, (2,))[0]
 
 
 def _envelopes(spec, tau):
     return _closed_forms(spec.s, tau, (), envelopes=True)
-
-
-@pytest.mark.parametrize("fn", [gamma0, gamma0_rate, _curvature, _envelopes],
-                         ids=["gamma0", "gamma0_rate", "curvature", "envelopes"])
-@pytest.mark.parametrize("tau", [float("nan"), np.array([1.0, np.nan])], ids=["scalar", "array"])
-def test_nan_time_is_rejected(fn, tau):
-    with pytest.raises(ValueError, match="tau must be nonnegative"):
-        fn(OhmicSpectrum(1.5), tau)
 
 
 @pytest.mark.parametrize("s", [0.3, 1.0, 2.5, 5.9])
@@ -240,33 +209,13 @@ def test_quadrature_tail_is_cut_relative_to_the_integral(spy):
     assert sum(panels) < 143_299 / 2
 
 
-def test_quadrature_reports_nonconvergence():
-    cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1)
-    with pytest.raises(ConvergenceError) as err:
-        gamma0_quadrature(OhmicSpectrum(0.5), 1.0, cfg)
-    assert err.value.s == 0.5
-    assert err.value.tau == 1.0
-    assert "s=0.5" in str(err.value)
-
-
 def test_quadrature_refuses_too_many_panels_before_summing(monkeypatch):
     # tau = 1e6 asks for about 6.4e6 initial panels: refused before any is summed
     summed = []
     monkeypatch.setattr(spectral, "_panel_sums", lambda *args: summed.append(args))
-    with pytest.raises(ConvergenceError) as err:
+    with pytest.raises(ConvergenceError):
         gamma0_quadrature(OhmicSpectrum(1.0), 1e6)
-    assert (err.value.s, err.value.tau) == (1.0, 1e6)
-    assert "panels" in str(err.value)
     assert not summed
-
-
-def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=0)
 
 
 def test_sub_ohmic_uses_continued_gamma():
@@ -302,17 +251,6 @@ def test_gamma0_past_the_overflow_of_tau_squared(s):
 
 
 def test_gamma_overflow_is_a_convergence_error():
-    with pytest.raises(ConvergenceError) as err:
-        gamma0(OhmicSpectrum(200.0), 1.0)
-    assert (err.value.s, err.value.tau) == (200.0, 1.0)
-    assert "s=200" in str(err.value)
-    # Gamma(172) overflows: the scalar time is named, not a one-point array
-    with pytest.raises(ConvergenceError) as err:
-        gamma0(OhmicSpectrum(173.0), 1.0)
-    assert err.value.tau == 1.0
-    with pytest.raises(ConvergenceError) as err:
-        gamma0_rate(OhmicSpectrum(180.0), np.array([1.0, 2.0]))
-    assert (err.value.s, err.value.tau) == (180.0, None)
     # s at or below 2^-54, where s - 1 rounds to -1, a pole of Gamma(s-1):
     # the exponent is finite, and gamma0 takes the form with Gamma(s+1)
     for s in (1e-17, 2.0 ** -54, 5e-324):
@@ -322,19 +260,10 @@ def test_gamma_overflow_is_a_convergence_error():
             for tau, value in zip((1.0, 2.0), got):
                 assert abs(value / mp_controlled_exponent(s, None, tau, dps=400)[0] - 1) <= 2e-15
     # the quadrature oracles integrate in log space: they follow the closed
-    # form up to its own overflow, and a non-finite integral is a failure
+    # form up to its own overflow
     one_pulse = periodic_schedule(0.5, 1.0)   # tau = 1 is past the first pulse only
     for s in (120.0, np.float64(120.0)):
         spec = OhmicSpectrum(s)
         assert abs(gamma0_quadrature(spec, 1.0) / gamma0(spec, 1.0) - 1.0) < 1e-9
         closed = controlled_gamma(spec, one_pulse, 1.0)
         assert abs(controlled_gamma_oracle(spec, one_pulse, 1.0) / closed - 1.0) < 1e-9
-    for s in (200.0, np.float64(200.0)):
-        spec = OhmicSpectrum(s)
-        for oracle in (lambda: gamma0_quadrature(spec, 1.0),
-                       lambda: controlled_gamma_oracle(spec, one_pulse, 1.0)):
-            with pytest.raises(ConvergenceError) as err:
-                oracle()
-            assert (err.value.s, err.value.tau) == (s, 1.0)
-            assert f"s={s}" in str(err.value)
-            assert "not a finite double" in str(err.value)

@@ -15,6 +15,7 @@ per-field checks of _normalize are built from it.
 
 import argparse
 import ctypes
+import errno
 import gc
 import json
 import math
@@ -22,6 +23,7 @@ import os
 import sys
 import tempfile
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, make_dataclass, replace
 from pathlib import Path
 
@@ -32,7 +34,7 @@ from .correlations import BellDiagonalState, NoiseSide, decoherence_factor, traj
 from .phase import boundary_curve, phase_diagram
 from .pulses import (MAX_CELLS, PulsedDecoherence, controlled_gamma_oracle,
                      default_time_grid, periodic_schedule)
-from .spectral import ConvergenceError, OhmicSpectrum, QuadratureConfig
+from .spectral import DEFAULT_QUADRATURE, ConvergenceError, OhmicSpectrum, QuadratureConfig
 
 _UNITS_COMMENT = "# units: times in 1/omega_c, frequencies in omega_c"
 _CHUNK_ROWS = 1024   # most CSV rows formatted and held at once: one piece of _render_csv
@@ -67,9 +69,10 @@ _OPTIONS = (
     ("--s-grid", "s_grid", (0.1, 6.0, 60), (), None, dict(help="lo:hi:count (default 0.1:6:60)")),
     ("--c-grid", "c_grid", (0.0, 0.999, 50), (), None,
      dict(help="lo:hi:count (default 0:0.999:50); lo may be negative: -0.99:0.99:41")),
-    ("--rel-tol", "rel_tol", 1e-10, (), _POSITIVE, dict(type=float)),
-    ("--abs-tol", "abs_tol", 1e-12, (), _POSITIVE, dict(type=float)),
-    ("--max-subdivisions", "max_subdivisions", 10000, (), None, dict(type=int)),
+    ("--rel-tol", "rel_tol", DEFAULT_QUADRATURE.rel_tol, (), _POSITIVE, dict(type=float)),
+    ("--abs-tol", "abs_tol", DEFAULT_QUADRATURE.abs_tol, (), _POSITIVE, dict(type=float)),
+    ("--max-subdivisions", "max_subdivisions", DEFAULT_QUADRATURE.max_subdivisions, (), None,
+     dict(type=int)),
     ("--workers", None, None, (), None,
      dict(type=int, help="accepted for older command lines and ignored")),
     ("--oracle", "oracle", False, (), None, dict(
@@ -396,14 +399,10 @@ def _run_boundary(cfg):
 
 
 def _run_transition(cfg):
-    # a one-cell diagram: the minimum and the crossing share one factor profile
-    diagram = phase_diagram((cfg.s,), (cfg.c,), _single_dt(cfg), _side(cfg),
-                            cfg.horizon)
-    label = diagram.labels[0][0]
-    row = (cfg.s, cfg.c, _single_dt(cfg), label.regime.value,
-           diagram.min_factors[0], label.transition_time)
-    return _Dataset(("s", "c", "dt", "regime", "min_factor", "transition_time"),
-                    tuple([value] for value in row))
+    # the one-cell map, with its pulse interval after (s, c)
+    cell = _run_phase_diagram(replace(cfg, s_grid=(cfg.s, cfg.s, 1), c_grid=(cfg.c, cfg.c, 1)))
+    return _Dataset(cell.names[:2] + ("dt",) + cell.names[2:],
+                    cell.columns[:2] + ([_single_dt(cfg)],) + cell.columns[2:])
 
 
 _RUNNERS = {
@@ -436,24 +435,23 @@ def _render_csv(dataset):
         yield "".join([line % row for row in zip(*columns)])
 
 
-def _write(path, pieces, stream=False):
+def _write(path, pieces):
     """Write one output file from an iterable of str pieces, each as it comes.
 
-    '-' is stdout, written and flushed. Other paths are written in place
-    when stream, else into a temporary file that is then renamed onto
-    path. A symlink's target is written and the link stays a link; the
-    file gets mode 0o666 less the umask, as open() would create it. An
-    OSError, a closed stdout's broken pipe included, is a configuration
-    error that names the path.
+    '-' (stdout) and an existing device or FIFO are written in place and
+    flushed; any other path into a temporary file then renamed onto it. A
+    symlink's target is written and the link stays a link; the file gets
+    mode 0o666 less the umask, as open() would create it. An OSError, a
+    closed stdout's broken pipe or missing fd 1 included, is a
+    configuration error that names the path.
     """
     try:
-        if path == "-":
-            sys.stdout.writelines(pieces)
-            sys.stdout.flush()
-            return
-        if stream:
-            with open(path, "w") as fh:
+        if _is_stream(path):
+            with nullcontext(sys.stdout) if path == "-" else open(path, "w") as fh:
+                if fh is None:   # Python's stdout when the process started with fd 1 closed
+                    raise OSError(errno.EBADF, os.strerror(errno.EBADF))
                 fh.writelines(pieces)
+                fh.flush()
             return
         target = Path(os.path.realpath(path))
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -483,19 +481,15 @@ def _is_stream(output):
 
 
 def emit(dataset, cfg, output):
-    """Write one dataset as CSV plus its JSON sidecar; '-' streams to stdout.
+    """Write one dataset as CSV plus its JSON sidecar; returns the files written.
 
-    A device or FIFO gets the CSV written straight to it and no sidecar:
-    renaming a temporary file onto it would replace it with a regular file.
+    '-' (stdout), a device or a FIFO gets the CSV and no sidecar; stdout
+    is not among the files returned.
     """
-    pieces = _render_csv(dataset)
-    if output == "-":
-        _write(output, pieces)
-        return []
     path, stream = Path(output), _is_stream(output)
-    _write(path, pieces, stream)
+    _write(output, _render_csv(dataset))
     if stream:
-        return [path]
+        return [] if output == "-" else [path]
     sidecar = path.with_suffix(".json")
     resolved = dict(asdict(cfg), package_version=__version__)
     _write(sidecar, [json.dumps(resolved, indent=2, sort_keys=True) + "\n"])
@@ -513,8 +507,10 @@ def run(cfg):
         free_cfg = replace(cfg, dt=None, free_companion=False,
                            output=str(companion))
         written += emit(_run_phase_diagram(free_cfg), free_cfg, companion)
-    for path in written:
-        print(f"wrote {path}")
+    try:   # the outputs exist: a stdout that cannot take these lines changes nothing
+        print("".join(f"wrote {path}\n" for path in written), end="", flush=True)
+    except OSError:
+        pass
     return 0
 
 
@@ -560,10 +556,10 @@ def entry():
     Before main it tunes the heap (_keep_heap); after main it freezes the
     collector, so the collections at interpreter exit skip the objects
     numpy's import made. Every output file is closed by then, and stdio
-    is flushed at exit either way; a stdout whose reader has gone (main
-    reported it) is pointed at os.devnull first, so that last flush
-    stays quiet. These act on the whole process, so main() and the
-    library do none of them.
+    is flushed at exit either way; a stdout whose reader has gone still
+    holds what main could not write, so it is pointed at os.devnull
+    first, and that last flush stays quiet. These act on the whole
+    process, so main() and the library do none of them.
     """
     _keep_heap()
     status = main()

@@ -15,24 +15,25 @@ import dd_discord
 _SRC = str(Path(dd_discord.__file__).resolve().parents[1])
 
 
-def _run_python(argv, cwd, extra_env=None, stdout=subprocess.PIPE):
+def _run_python(argv, cwd, extra_env=None, **popen):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, env.get("PYTHONPATH")) if p)
     env.update(extra_env or {})
-    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, stdout=stdout,
-                          stderr=subprocess.PIPE, text=True)
+    popen = dict(stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) | popen
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, **popen)
 
 
 @pytest.fixture
 def run_cli():
     """Run `python -m dd_discord.cli ARGS` in cwd; returns the CompletedProcess.
 
-    extra_env adds variables to the child's environment; stdout, captured by default, may be a fd.
+    extra_env adds variables to the child's environment; popen keywords
+    (stdout, captured by default, or preexec_fn) go to subprocess.run.
     """
 
-    def run(args, cwd, extra_env=None, stdout=subprocess.PIPE):
-        return _run_python(["-m", "dd_discord.cli", *args], cwd, extra_env, stdout)
+    def run(args, cwd, extra_env=None, **popen):
+        return _run_python(["-m", "dd_discord.cli", *args], cwd, extra_env, **popen)
 
     return run
 
@@ -71,6 +72,34 @@ def spy(monkeypatch):
         return records
 
     return install
+
+
+def group_tests(rows, check):
+    """Test name -> its test, of a table's (node, row) pairs; check(row, request) checks a row.
+
+    A node is "name[id]" or "name": the rows of a name with ids make one
+    test parametrized by them, those of a name without one test of each
+    in turn. check takes any fixture it needs through request.
+    """
+    groups = {}
+    for node, row in rows:
+        name, _, row_id = node.partition("[")
+        groups.setdefault(name, []).append((row, row_id[:-1]))
+    return {name: _table_test(*zip(*pairs), check) for name, pairs in groups.items()}
+
+
+def _table_test(rows, ids, check):
+    if not any(ids):
+        def test(request):
+            for row in rows:
+                check(row, request)
+        return test
+    assert all(ids) and len(set(ids)) == len(ids), ids
+
+    @pytest.mark.parametrize("row", rows, ids=ids)
+    def test(row, request):
+        check(row, request)
+    return test
 
 
 _NOT_RUN_IN_FULL = []   # node ids of tests that were skipped, xfailed or xpassed

@@ -12,25 +12,22 @@ import pytest
 
 from dd_discord import cli
 from dd_discord.cli import main
+from conftest import group_tests
 from oracles import mp_controlled_exponent
 
 UNITS_LINE = "# units: times in 1/omega_c, frequencies in omega_c"
 
 
 def read_rows(path_or_text):
-    if isinstance(path_or_text, Path):
-        text = path_or_text.read_text()
-    else:
-        text = path_or_text
+    text = path_or_text.read_text() if isinstance(path_or_text, Path) else path_or_text
     lines = text.splitlines()
     assert lines[0] == UNITS_LINE
     return list(csv.DictReader(lines[1:]))
 
 
 def test_decoherence_single_point_to_stdout(capsys):
-    rc = main(["decoherence", "--s", "4", "--free", "--tau", "1",
-               "--side", "two", "--output", "-"])
-    assert rc == 0
+    assert main(["decoherence", "--s", "4", "--free", "--tau", "1",
+                 "--side", "two", "--output", "-"]) == 0
     rows = read_rows(capsys.readouterr().out)
     assert len(rows) == 1
     assert rows[0]["tau"] == "1"
@@ -40,9 +37,8 @@ def test_decoherence_single_point_to_stdout(capsys):
 
 def test_free_exponent_past_the_overflow_of_tau_squared(capsys):
     # gamma = ln tau at s = 1, although 1 + tau^2 overflows a double
-    rc = main(["decoherence", "--s", "1", "--free", "--horizon", "1e160", "--tau", "1e160",
-               "--output", "-"])
-    assert rc == 0
+    assert main(["decoherence", "--s", "1", "--free", "--horizon", "1e160", "--tau", "1e160",
+                 "--output", "-"]) == 0
     assert read_rows(capsys.readouterr().out)[0]["gamma"] == "368.413614879"
 
 
@@ -136,11 +132,9 @@ def test_trajectory_invariant_discord(tmp_path, capsys):
     # discord and concurrence are even in c
     for c in ("0.5", "-0.5"):
         out = tmp_path / f"traj{c}.csv"
-        rc = main(["trajectory", "--s", "1.01", "--dt", "0.3", "--side", "one",
-                   "--c", c, "--output", str(out)])
-        assert rc == 0
-        printed = capsys.readouterr().out
-        assert f"wrote {out}" in printed
+        assert main(["trajectory", "--s", "1.01", "--dt", "0.3", "--side", "one",
+                     "--c", c, "--output", str(out)]) == 0
+        assert f"wrote {out}" in capsys.readouterr().out
         rows = read_rows(out)
         assert len(rows) > 1000
         plateau = 0.18872187554086714
@@ -153,9 +147,8 @@ def test_trajectory_invariant_discord(tmp_path, capsys):
 
 def test_trajectory_two_sided_leaves_concurrence_empty(tmp_path):
     out = tmp_path / "traj.csv"
-    rc = main(["trajectory", "--s", "1", "--free", "--side", "two",
-               "--c", "0.3", "--horizon", "5", "--output", str(out)])
-    assert rc == 0
+    assert main(["trajectory", "--s", "1", "--free", "--side", "two",
+                 "--c", "0.3", "--horizon", "5", "--output", str(out)]) == 0
     rows = read_rows(out)
     assert all(r["concurrence"] == "" for r in rows)
     assert all(float(r["factor"]) <= 1.0 for r in rows)
@@ -163,10 +156,9 @@ def test_trajectory_two_sided_leaves_concurrence_empty(tmp_path):
 
 def test_phase_diagram_files_and_free_companion(tmp_path):
     out = tmp_path / "map.csv"
-    rc = main(["phase-diagram", "--dt", "0.5", "--side", "two",
-               "--s-grid", "0.5:4:6", "--c-grid", "0:0.9:5",
-               "--output", str(out)])
-    assert rc == 0
+    assert main(["phase-diagram", "--dt", "0.5", "--side", "two",
+                 "--s-grid", "0.5:4:6", "--c-grid", "0:0.9:5",
+                 "--output", str(out)]) == 0
     companion = tmp_path / "map-free.csv"
     assert out.exists() and companion.exists()
     assert out.with_suffix(".json").exists()
@@ -189,19 +181,17 @@ def test_phase_diagram_files_and_free_companion(tmp_path):
 
 def test_phase_diagram_companion_suppressed(tmp_path):
     out = tmp_path / "map.csv"
-    rc = main(["phase-diagram", "--dt", "0.5", "--s-grid", "1:2:2",
-               "--c-grid", "0:0.5:2", "--no-free-companion",
-               "--output", str(out)])
-    assert rc == 0
+    assert main(["phase-diagram", "--dt", "0.5", "--s-grid", "1:2:2",
+                 "--c-grid", "0:0.5:2", "--no-free-companion",
+                 "--output", str(out)]) == 0
     assert out.exists()
     assert not (tmp_path / "map-free.csv").exists()
 
 
 def test_boundary_multiple_intervals(tmp_path):
     out = tmp_path / "curve.csv"
-    rc = main(["boundary", "--dt", "0.5,1.0", "--side", "two",
-               "--s-grid", "1:4:4", "--output", str(out)])
-    assert rc == 0
+    assert main(["boundary", "--dt", "0.5,1.0", "--side", "two",
+                 "--s-grid", "1:4:4", "--output", str(out)]) == 0
     rows = read_rows(out)
     assert len(rows) == 2 * 4
     assert [r["dt"] for r in rows] == ["0.5"] * 4 + ["1"] * 4
@@ -211,9 +201,8 @@ def test_boundary_multiple_intervals(tmp_path):
 
 def test_transition_row(tmp_path):
     out = tmp_path / "tr.csv"
-    rc = main(["transition", "--s", "1", "--free", "--side", "one",
-               "--c", "0.5", "--output", str(out)])
-    assert rc == 0
+    assert main(["transition", "--s", "1", "--free", "--side", "one",
+                 "--c", "0.5", "--output", str(out)]) == 0
     (row,) = read_rows(out)
     assert row["regime"] == "sudden-transition"
     assert row["dt"] == ""  # free evolution leaves the interval blank
@@ -441,8 +430,10 @@ _REFUSED_IN_RUN = [
 _REFUSALS = _REFUSED_BEFORE_RUN + _REFUSED_IN_RUN
 
 
-def _check_refusal(row, tmp_path, monkeypatch, capsys, spy):
+def _check_refusal(row, request):
     code, argv, config, line, *_ = row
+    tmp_path, monkeypatch, capsys, spy = map(
+        request.getfixturevalue, ("tmp_path", "monkeypatch", "capsys", "spy"))
     # the work directory sits in tmp_path, which catches a temporary file beside an output
     work = tmp_path / "work"
     work.mkdir()
@@ -460,34 +451,9 @@ def _check_refusal(row, tmp_path, monkeypatch, capsys, spy):
     assert len(ran) == (row in _REFUSED_IN_RUN)
 
 
-def _refusal_test(rows, ids):
-    """One test of its rows: parametrized by their ids, or of its one row where it has no id."""
-    assert len(set(ids)) == len(ids), ids
-    if ids == [""]:
-        def test(tmp_path, monkeypatch, capsys, spy):
-            _check_refusal(rows[0], tmp_path, monkeypatch, capsys, spy)
-        return test
-
-    @pytest.mark.parametrize("row", rows, ids=ids)
-    def test(row, tmp_path, monkeypatch, capsys, spy):
-        _check_refusal(row, tmp_path, monkeypatch, capsys, spy)
-    return test
-
-
-def _refusal_tests():
-    """Test name -> (its rows, their ids), from each row's test id."""
-    tests = {}
-    for row in _REFUSALS:
-        node = row[4] if len(row) > 4 else f"test_refusal_message_in_full[{row[3]}]"
-        name, _, row_id = node.partition("[")
-        rows, ids = tests.setdefault(name, ([], []))
-        rows.append(row)
-        ids.append(row_id[:-1])
-    return tests
-
-
-for _name, (_rows, _ids) in _refusal_tests().items():
-    globals()[_name] = _refusal_test(_rows, _ids)
+globals().update(group_tests([
+    (row[4] if len(row) > 4 else f"test_refusal_message_in_full[{row[3]}]", row)
+    for row in _REFUSALS], _check_refusal))
 
 
 @pytest.mark.parametrize("argv", [
@@ -502,49 +468,33 @@ def test_a_field_the_command_ignores_is_only_checked_for_finiteness(argv, capsys
 
 def test_stdout_streaming_writes_nothing(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    rc = main(["transition", "--s", "1", "--c", "0.2", "--free",
-               "--output", "-"])
-    assert rc == 0
+    assert main(["transition", "--s", "1", "--c", "0.2", "--free", "--output", "-"]) == 0
     assert list(tmp_path.iterdir()) == []
     assert capsys.readouterr().out.startswith(UNITS_LINE)
 
 
 def test_default_output_under_out_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    rc = main(["transition", "--s", "1", "--c", "0.2", "--free"])
-    assert rc == 0
-    capsys.readouterr()
-    csvs = list((tmp_path / "out").glob("transition-*.csv"))
-    assert len(csvs) == 1
-    assert csvs[0].with_suffix(".json").exists()
+    assert main(["transition", "--s", "1", "--c", "0.2", "--free"]) == 0
+    (table,) = (tmp_path / "out").glob("transition-*.csv")
+    assert table.with_suffix(".json").exists()
 
 
-def test_config_file_with_flag_overrides(tmp_path, capsys):
+def test_config_file_with_flag_overrides(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "# trajectory settings\n"
-        "s = 1.0\n"
-        "c = 0.5\n"
-        "side = one\n"
-        "horizon = 5\n")
+    cfg.write_text("# trajectory settings\ns = 1.0\nc = 0.5\nside = one\nhorizon = 5\n")
     out = tmp_path / "a.csv"
-    rc = main(["trajectory", "--config", str(cfg), "--c", "0.3",
-               "--output", str(out)])
-    assert rc == 0
-    capsys.readouterr()
-    sidecar = out.with_suffix(".json")
-    assert '"c": 0.3' in sidecar.read_text()  # flag beat the file
+    assert main(["trajectory", "--config", str(cfg), "--c", "0.3", "--output", str(out)]) == 0
+    assert '"c": 0.3' in out.with_suffix(".json").read_text()  # flag beat the file
 
 
 def test_sidecar_reruns_byte_identical(tmp_path, capsys):
     first = tmp_path / "first.csv"
-    rc = main(["transition", "--s", "2.5", "--dt", "1", "--side", "two",
-               "--c", "0.4", "--output", str(first)])
-    assert rc == 0
+    assert main(["transition", "--s", "2.5", "--dt", "1", "--side", "two",
+                 "--c", "0.4", "--output", str(first)]) == 0
     rerun = tmp_path / "rerun.csv"
-    rc = main(["transition", "--config", str(first.with_suffix(".json")),
-               "--output", str(rerun)])
-    assert rc == 0
+    assert main(["transition", "--config", str(first.with_suffix(".json")),
+                 "--output", str(rerun)]) == 0
     assert rerun.read_bytes() == first.read_bytes()
     # sidecars written while the single-choice format field existed
     older = json.loads(first.with_suffix(".json").read_text())
@@ -565,14 +515,11 @@ def test_sidecar_reruns_byte_identical(tmp_path, capsys):
     assert rerun.read_bytes() == first.read_bytes()
 
 
-def test_sidecar_records_package_version(tmp_path, capsys):
+def test_sidecar_records_package_version(tmp_path):
     out = tmp_path / "x.csv"
-    assert main(["decoherence", "--s", "1", "--free", "--tau", "0.5",
-                 "--output", str(out)]) == 0
-    capsys.readouterr()
+    assert main(["decoherence", "--s", "1", "--free", "--tau", "0.5", "--output", str(out)]) == 0
     resolved = json.loads(out.with_suffix(".json").read_text())
-    assert resolved["package_version"] == "0.1.0"
-    assert resolved["command"] == "decoherence"
+    assert (resolved["package_version"], resolved["command"]) == ("0.1.0", "decoherence")
 
 
 def test_sidecar_holds_every_field_and_the_version(tmp_path, monkeypatch, capsys):
@@ -587,26 +534,31 @@ def test_sidecar_holds_every_field_and_the_version(tmp_path, monkeypatch, capsys
         "output": "x.csv", "package_version": "0.1.0"}
 
 
-@pytest.mark.parametrize("args", [
-    ["decoherence", "--s", "4", "--free", "--tau", "1"],
+_DECOHERENCE = ["decoherence", "--s", "4", "--free", "--tau", "1"]
+
+
+@pytest.mark.parametrize("args, fifo, written", [
+    (_DECOHERENCE, "out.csv", ["out.csv"]),
     # a map's free companion would be a second file beside the FIFO
-    ["phase-diagram", "--dt", "0.6", "--s-grid", "0.5:3:2", "--c-grid", "0:0.8:2",
-     "--workers", "1"],
-], ids=["decoherence", "phase-diagram"])
-def test_output_to_fifo_is_written_in_place(args, tmp_path, capsys):
-    fifo = tmp_path / "out.csv"
+    (["phase-diagram", "--dt", "0.6", "--s-grid", "0.5:3:2", "--c-grid", "0:0.8:2",
+      "--workers", "1"], "out.csv", ["out.csv"]),
+    # a FIFO at the sidecar's name is not replaced by a regular file either
+    (_DECOHERENCE, "out.json", ["out.csv", "out.json"]),
+], ids=["decoherence", "phase-diagram", "sidecar"])
+def test_output_to_fifo_is_written_in_place(args, fifo, written, tmp_path, capsys):
+    fifo = tmp_path / fifo
     os.mkfifo(fifo)
     received = []
     # daemon: a run that never opens the FIFO must not keep the reader alive
     reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
     reader.start()
-    assert main([*args, "--output", str(fifo)]) == 0
+    assert main([*args, "--output", str(tmp_path / "out.csv")]) == 0
     reader.join(timeout=10)
     assert not reader.is_alive()
-    assert read_rows(received[0])
-    assert capsys.readouterr().out == f"wrote {fifo}\n"
+    assert received[0].startswith(UNITS_LINE if fifo.suffix == ".csv" else '{\n  "abs_tol"')
+    assert capsys.readouterr().out == "".join(f"wrote {tmp_path / name}\n" for name in written)
     assert fifo.is_fifo()
-    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]   # no sidecar, no companion
+    assert sorted(p.name for p in tmp_path.iterdir()) == written   # no sidecar, no companion
 
 
 _POINT = ["decoherence", "--s", "1", "--free", "--tau", "0.5"]
@@ -646,7 +598,11 @@ def test_output_that_cannot_be_renamed_or_removed_exits_one(tmp_path, monkeypatc
     assert [path.name.startswith("out.csv.") for path in tmp_path.iterdir()] == [True]
 
 
-@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])   # "" is unset
+_UNBUFFERED = pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+_CELL = ["transition", "--s", "1", "--free", "--c", "0.5", "--output"]
+
+
+@_UNBUFFERED   # "" is unset
 @pytest.mark.parametrize("args", ["--free --tau 0.5", "--dt 0.05"], ids=["one row", "414 KB"])
 def test_closed_stdout_is_an_unwritable_output(args, unbuffered, tmp_path, run_cli):
     # the reader is gone before the child writes: once a traceback, or exit 120 from the last flush
@@ -656,6 +612,27 @@ def test_closed_stdout_is_an_unwritable_output(args, unbuffered, tmp_path, run_c
                    {"PYTHONUNBUFFERED": unbuffered}, stdout=write)
     os.close(write)
     assert (done.returncode, done.stderr) == (1, "config error: output: cannot write -: Broken pipe\n")
+
+
+@_UNBUFFERED
+def test_file_output_ignores_a_closed_stdout(unbuffered, tmp_path, run_cli):
+    # the files exist before their wrote lines, which are best effort: once a traceback and exit 1
+    read, write = os.pipe()
+    os.close(read)
+    done = run_cli([*_CELL, "t.csv"], tmp_path, {"PYTHONUNBUFFERED": unbuffered}, stdout=write)
+    os.close(write)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["t.csv", "t.json"]
+    assert read_rows(tmp_path / "t.csv")[0]["regime"] == "sudden-transition"
+
+
+@_UNBUFFERED
+def test_stdout_output_without_fd_1_exits_one(unbuffered, tmp_path, run_cli):
+    # Python's sys.stdout is None then: once an AttributeError traceback
+    done = run_cli([*_CELL, "-"], tmp_path, {"PYTHONUNBUFFERED": unbuffered},
+                   preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "config error: output: cannot write -: Bad file descriptor\n")
 
 
 def test_worker_pool_size_is_invisible_in_output(tmp_path, run_cli, monkeypatch):

@@ -22,6 +22,7 @@ from dd_discord import (BellDiagonalState, ConvergenceError, NoiseSide, OhmicSpe
                         phase_diagram, spectral_density, trajectory)
 from dd_discord.pulses import MAX_POINTS, PulsedDecoherence
 from dd_discord.spectral import _closed_forms
+from conftest import group_tests
 
 _LIMIT = "more than the limit of 1,000,000"
 _NAN, _INF, _ONE = float("nan"), float("inf"), NoiseSide.ONE_SIDED
@@ -160,31 +161,20 @@ def _name(fn):
     return f"{fn.func.__qualname__}({', '.join(args)})"
 
 
-def _check(rows):
-    for fn, want, *_ in rows:
-        with pytest.raises(Exception) as caught:
-            fn()
-        got = caught.value
-        assert (type(got), str(got), vars(got)) == (type(want), str(want), vars(want)), _name(fn)
-
-
-def _test(rows, ids):
-    """One test of rows: parametrized by their ids, or without ids of all its rows in turn."""
-    def test(row):
-        _check([row])
-    return pytest.mark.parametrize("row", rows, ids=ids)(test) if any(ids) else lambda: _check(rows)
+def _check(row, request):
+    fn, want, *_ = row
+    with pytest.raises(Exception) as caught:
+        fn()
+    got = caught.value
+    assert (type(got), str(got), vars(got)) == (type(want), str(want), vars(want)), _name(fn)
 
 
 def refusal_tests(module):
     """Test name -> its test, of the rows whose test id is in module."""
-    tests = {}
-    for row in _ROWS:
-        node = row[2] if len(row) > 2 else f"test_refusals::test_refusal_in_full[{_name(row[0])}]"
-        where, _, node = node.partition("::")
-        name, _, row_id = node.partition("[")
-        if where == module:
-            tests.setdefault(name, []).append((row, row_id[:-1]))
-    return {name: _test(*zip(*pairs)) for name, pairs in tests.items()}
+    nodes = [(row[2] if len(row) > 2 else f"test_refusals::test_refusal_in_full[{_name(row[0])}]")
+             .partition("::") for row in _ROWS]
+    return group_tests([(node, row) for (where, _, node), row in zip(nodes, _ROWS)
+                        if where == module], _check)
 
 
 globals().update(refusal_tests(__name__))

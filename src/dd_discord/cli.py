@@ -399,10 +399,11 @@ def _run_boundary(cfg):
 
 
 def _run_transition(cfg):
-    # the one-cell map, with its pulse interval after (s, c)
+    # the one-cell map, with its pulse interval after (s, c); s and c as given, since a
+    # grid of one turns -0 into 0
     cell = _run_phase_diagram(replace(cfg, s_grid=(cfg.s, cfg.s, 1), c_grid=(cfg.c, cfg.c, 1)))
     return _Dataset(cell.names[:2] + ("dt",) + cell.names[2:],
-                    cell.columns[:2] + ([_single_dt(cfg)],) + cell.columns[2:])
+                    ([cfg.s], [cfg.c], [_single_dt(cfg)]) + cell.columns[2:])
 
 
 _RUNNERS = {
@@ -439,20 +440,22 @@ def _write(path, pieces):
     """Write one output file from an iterable of str pieces, each as it comes.
 
     '-' (stdout) and an existing device or FIFO are written in place and
-    flushed; any other path into a temporary file then renamed onto it. A
+    flushed, and the result is True; any other path goes into a temporary
+    file that is then renamed onto it, and the result is False. A
     symlink's target is written and the link stays a link; the file gets
     mode 0o666 less the umask, as open() would create it. An OSError, a
     closed stdout's broken pipe or missing fd 1 included, is a
     configuration error that names the path.
     """
     try:
-        if _is_stream(path):
+        if path == "-" or (os.path.exists(path) and not os.path.isfile(path)
+                           and not os.path.isdir(path)):
             with nullcontext(sys.stdout) if path == "-" else open(path, "w") as fh:
                 if fh is None:   # Python's stdout when the process started with fd 1 closed
                     raise OSError(errno.EBADF, os.strerror(errno.EBADF))
                 fh.writelines(pieces)
                 fh.flush()
-            return
+            return True
         target = Path(os.path.realpath(path))
         target.parent.mkdir(parents=True, exist_ok=True)
         handle = tempfile.NamedTemporaryFile(
@@ -464,6 +467,7 @@ def _write(path, pieces):
                 os.umask(umask)
                 os.fchmod(fh.fileno(), 0o666 & ~umask)
             os.replace(handle.name, target)
+            return False
         except BaseException:
             try:
                 os.unlink(handle.name)
@@ -474,21 +478,14 @@ def _write(path, pieces):
         raise ValueError(f"output: cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _is_stream(output):
-    """True for '-' (stdout) and for an existing device or FIFO: no sidecar or companion."""
-    path = Path(output)
-    return output == "-" or (path.exists() and not (path.is_file() or path.is_dir()))
-
-
 def emit(dataset, cfg, output):
     """Write one dataset as CSV plus its JSON sidecar; returns the files written.
 
     '-' (stdout), a device or a FIFO gets the CSV and no sidecar; stdout
     is not among the files returned.
     """
-    path, stream = Path(output), _is_stream(output)
-    _write(output, _render_csv(dataset))
-    if stream:
+    path = Path(output)
+    if _write(output, _render_csv(dataset)):
         return [] if output == "-" else [path]
     sidecar = path.with_suffix(".json")
     resolved = dict(asdict(cfg), package_version=__version__)
@@ -499,9 +496,10 @@ def emit(dataset, cfg, output):
 def run(cfg):
     """Execute one resolved configuration; returns the exit status."""
     written = emit(_RUNNERS[cfg.command](cfg), cfg, cfg.output)
-    # overlay companion: same grids under free evolution, for region overlays
+    # overlay companion: same grids under free evolution, for region overlays,
+    # beside a file output; one written in place has no sidecar, and no companion
     if (cfg.command == "phase-diagram" and cfg.dt is not None
-            and cfg.free_companion and not _is_stream(cfg.output)):
+            and cfg.free_companion and len(written) == 2):
         path = Path(cfg.output)
         companion = path.with_name(path.stem + "-free" + path.suffix)
         free_cfg = replace(cfg, dt=None, free_companion=False,

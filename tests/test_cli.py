@@ -19,15 +19,19 @@ UNITS_LINE = "# units: times in 1/omega_c, frequencies in omega_c"
 
 
 def read_rows(path_or_text):
-    text = path_or_text.read_text() if isinstance(path_or_text, Path) else path_or_text
+    if isinstance(path_or_text, Path):
+        text = path_or_text.read_text()
+    else:
+        text = path_or_text
     lines = text.splitlines()
     assert lines[0] == UNITS_LINE
     return list(csv.DictReader(lines[1:]))
 
 
 def test_decoherence_single_point_to_stdout(capsys):
-    assert main(["decoherence", "--s", "4", "--free", "--tau", "1",
-                 "--side", "two", "--output", "-"]) == 0
+    rc = main(["decoherence", "--s", "4", "--free", "--tau", "1",
+               "--side", "two", "--output", "-"])
+    assert rc == 0
     rows = read_rows(capsys.readouterr().out)
     assert len(rows) == 1
     assert rows[0]["tau"] == "1"
@@ -37,8 +41,9 @@ def test_decoherence_single_point_to_stdout(capsys):
 
 def test_free_exponent_past_the_overflow_of_tau_squared(capsys):
     # gamma = ln tau at s = 1, although 1 + tau^2 overflows a double
-    assert main(["decoherence", "--s", "1", "--free", "--horizon", "1e160", "--tau", "1e160",
-                 "--output", "-"]) == 0
+    rc = main(["decoherence", "--s", "1", "--free", "--horizon", "1e160", "--tau", "1e160",
+               "--output", "-"])
+    assert rc == 0
     assert read_rows(capsys.readouterr().out)[0]["gamma"] == "368.413614879"
 
 
@@ -132,9 +137,11 @@ def test_trajectory_invariant_discord(tmp_path, capsys):
     # discord and concurrence are even in c
     for c in ("0.5", "-0.5"):
         out = tmp_path / f"traj{c}.csv"
-        assert main(["trajectory", "--s", "1.01", "--dt", "0.3", "--side", "one",
-                     "--c", c, "--output", str(out)]) == 0
-        assert f"wrote {out}" in capsys.readouterr().out
+        rc = main(["trajectory", "--s", "1.01", "--dt", "0.3", "--side", "one",
+                   "--c", c, "--output", str(out)])
+        assert rc == 0
+        printed = capsys.readouterr().out
+        assert f"wrote {out}" in printed
         rows = read_rows(out)
         assert len(rows) > 1000
         plateau = 0.18872187554086714
@@ -147,8 +154,9 @@ def test_trajectory_invariant_discord(tmp_path, capsys):
 
 def test_trajectory_two_sided_leaves_concurrence_empty(tmp_path):
     out = tmp_path / "traj.csv"
-    assert main(["trajectory", "--s", "1", "--free", "--side", "two",
-                 "--c", "0.3", "--horizon", "5", "--output", str(out)]) == 0
+    rc = main(["trajectory", "--s", "1", "--free", "--side", "two",
+               "--c", "0.3", "--horizon", "5", "--output", str(out)])
+    assert rc == 0
     rows = read_rows(out)
     assert all(r["concurrence"] == "" for r in rows)
     assert all(float(r["factor"]) <= 1.0 for r in rows)
@@ -156,9 +164,10 @@ def test_trajectory_two_sided_leaves_concurrence_empty(tmp_path):
 
 def test_phase_diagram_files_and_free_companion(tmp_path):
     out = tmp_path / "map.csv"
-    assert main(["phase-diagram", "--dt", "0.5", "--side", "two",
-                 "--s-grid", "0.5:4:6", "--c-grid", "0:0.9:5",
-                 "--output", str(out)]) == 0
+    rc = main(["phase-diagram", "--dt", "0.5", "--side", "two",
+               "--s-grid", "0.5:4:6", "--c-grid", "0:0.9:5",
+               "--output", str(out)])
+    assert rc == 0
     companion = tmp_path / "map-free.csv"
     assert out.exists() and companion.exists()
     assert out.with_suffix(".json").exists()
@@ -181,17 +190,19 @@ def test_phase_diagram_files_and_free_companion(tmp_path):
 
 def test_phase_diagram_companion_suppressed(tmp_path):
     out = tmp_path / "map.csv"
-    assert main(["phase-diagram", "--dt", "0.5", "--s-grid", "1:2:2",
-                 "--c-grid", "0:0.5:2", "--no-free-companion",
-                 "--output", str(out)]) == 0
+    rc = main(["phase-diagram", "--dt", "0.5", "--s-grid", "1:2:2",
+               "--c-grid", "0:0.5:2", "--no-free-companion",
+               "--output", str(out)])
+    assert rc == 0
     assert out.exists()
     assert not (tmp_path / "map-free.csv").exists()
 
 
 def test_boundary_multiple_intervals(tmp_path):
     out = tmp_path / "curve.csv"
-    assert main(["boundary", "--dt", "0.5,1.0", "--side", "two",
-                 "--s-grid", "1:4:4", "--output", str(out)]) == 0
+    rc = main(["boundary", "--dt", "0.5,1.0", "--side", "two",
+               "--s-grid", "1:4:4", "--output", str(out)])
+    assert rc == 0
     rows = read_rows(out)
     assert len(rows) == 2 * 4
     assert [r["dt"] for r in rows] == ["0.5"] * 4 + ["1"] * 4
@@ -201,12 +212,22 @@ def test_boundary_multiple_intervals(tmp_path):
 
 def test_transition_row(tmp_path):
     out = tmp_path / "tr.csv"
-    assert main(["transition", "--s", "1", "--free", "--side", "one",
-                 "--c", "0.5", "--output", str(out)]) == 0
+    rc = main(["transition", "--s", "1", "--free", "--side", "one",
+               "--c", "0.5", "--output", str(out)])
+    assert rc == 0
     (row,) = read_rows(out)
     assert row["regime"] == "sudden-transition"
     assert row["dt"] == ""  # free evolution leaves the interval blank
     assert abs(float(row["transition_time"]) - np.sqrt(3.0)) < 1e-5
+
+
+def test_transition_keeps_the_sign_of_a_zero_c(tmp_path):
+    out = tmp_path / "tr.csv"
+    rc = main(["transition", "--s", "1", "--free", "--c", "-0", "--output", str(out)])
+    assert rc == 0
+    (row,) = read_rows(out)
+    assert row["c"] == "-0"
+    assert str(json.loads(out.with_suffix(".json").read_text())["c"]) == "-0.0"
 
 
 # The one table of command-line refusals: (exit code, arguments, the text of
@@ -468,33 +489,49 @@ def test_a_field_the_command_ignores_is_only_checked_for_finiteness(argv, capsys
 
 def test_stdout_streaming_writes_nothing(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert main(["transition", "--s", "1", "--c", "0.2", "--free", "--output", "-"]) == 0
+    rc = main(["transition", "--s", "1", "--c", "0.2", "--free",
+               "--output", "-"])
+    assert rc == 0
     assert list(tmp_path.iterdir()) == []
     assert capsys.readouterr().out.startswith(UNITS_LINE)
 
 
 def test_default_output_under_out_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert main(["transition", "--s", "1", "--c", "0.2", "--free"]) == 0
-    (table,) = (tmp_path / "out").glob("transition-*.csv")
-    assert table.with_suffix(".json").exists()
+    rc = main(["transition", "--s", "1", "--c", "0.2", "--free"])
+    assert rc == 0
+    capsys.readouterr()
+    csvs = list((tmp_path / "out").glob("transition-*.csv"))
+    assert len(csvs) == 1
+    assert csvs[0].with_suffix(".json").exists()
 
 
-def test_config_file_with_flag_overrides(tmp_path):
+def test_config_file_with_flag_overrides(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# trajectory settings\ns = 1.0\nc = 0.5\nside = one\nhorizon = 5\n")
+    cfg.write_text(
+        "# trajectory settings\n"
+        "s = 1.0\n"
+        "c = 0.5\n"
+        "side = one\n"
+        "horizon = 5\n")
     out = tmp_path / "a.csv"
-    assert main(["trajectory", "--config", str(cfg), "--c", "0.3", "--output", str(out)]) == 0
-    assert '"c": 0.3' in out.with_suffix(".json").read_text()  # flag beat the file
+    rc = main(["trajectory", "--config", str(cfg), "--c", "0.3",
+               "--output", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    sidecar = out.with_suffix(".json")
+    assert '"c": 0.3' in sidecar.read_text()  # flag beat the file
 
 
 def test_sidecar_reruns_byte_identical(tmp_path, capsys):
     first = tmp_path / "first.csv"
-    assert main(["transition", "--s", "2.5", "--dt", "1", "--side", "two",
-                 "--c", "0.4", "--output", str(first)]) == 0
+    rc = main(["transition", "--s", "2.5", "--dt", "1", "--side", "two",
+               "--c", "0.4", "--output", str(first)])
+    assert rc == 0
     rerun = tmp_path / "rerun.csv"
-    assert main(["transition", "--config", str(first.with_suffix(".json")),
-                 "--output", str(rerun)]) == 0
+    rc = main(["transition", "--config", str(first.with_suffix(".json")),
+               "--output", str(rerun)])
+    assert rc == 0
     assert rerun.read_bytes() == first.read_bytes()
     # sidecars written while the single-choice format field existed
     older = json.loads(first.with_suffix(".json").read_text())
@@ -515,11 +552,14 @@ def test_sidecar_reruns_byte_identical(tmp_path, capsys):
     assert rerun.read_bytes() == first.read_bytes()
 
 
-def test_sidecar_records_package_version(tmp_path):
+def test_sidecar_records_package_version(tmp_path, capsys):
     out = tmp_path / "x.csv"
-    assert main(["decoherence", "--s", "1", "--free", "--tau", "0.5", "--output", str(out)]) == 0
+    assert main(["decoherence", "--s", "1", "--free", "--tau", "0.5",
+                 "--output", str(out)]) == 0
+    capsys.readouterr()
     resolved = json.loads(out.with_suffix(".json").read_text())
-    assert (resolved["package_version"], resolved["command"]) == ("0.1.0", "decoherence")
+    assert resolved["package_version"] == "0.1.0"
+    assert resolved["command"] == "decoherence"
 
 
 def test_sidecar_holds_every_field_and_the_version(tmp_path, monkeypatch, capsys):
@@ -555,7 +595,10 @@ def test_output_to_fifo_is_written_in_place(args, fifo, written, tmp_path, capsy
     assert main([*args, "--output", str(tmp_path / "out.csv")]) == 0
     reader.join(timeout=10)
     assert not reader.is_alive()
-    assert received[0].startswith(UNITS_LINE if fifo.suffix == ".csv" else '{\n  "abs_tol"')
+    if fifo.suffix == ".csv":
+        assert read_rows(received[0])
+    else:
+        assert json.loads(received[0])["command"] == "decoherence"
     assert capsys.readouterr().out == "".join(f"wrote {tmp_path / name}\n" for name in written)
     assert fifo.is_fifo()
     assert sorted(p.name for p in tmp_path.iterdir()) == written   # no sidecar, no companion

@@ -159,14 +159,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)   # the options every command takes
-    for flag, name, _, _, _, keywords in _OPTIONS:
-        common.add_argument(flag, dest=name or flag[2:], default=None, **keywords)
     # the last paragraph of the docstring is for the code's readers, not --help
     parser = _Parser(prog="dd-discord", description=__doc__.rsplit("\n\n", 1)[0])
-    sub = parser.add_subparsers(dest="command")
-    for name in _RUNNERS:
-        sub.add_parser(name, parents=[common])
+    parser.add_argument("command", nargs="?", choices=_RUNNERS)   # each takes every option
+    for flag, name, _, _, _, keywords in _OPTIONS:
+        parser.add_argument(flag, dest=name or flag[2:], default=None, **keywords)
     return parser
 
 
@@ -505,9 +502,9 @@ def run(cfg):
         free_cfg = replace(cfg, dt=None, free_companion=False,
                            output=str(companion))
         written += emit(_run_phase_diagram(free_cfg), free_cfg, companion)
-    try:   # the outputs exist: a stdout that cannot take these lines changes nothing
+    try:   # the outputs exist: a stdout that cannot take or encode these lines changes nothing
         print("".join(f"wrote {path}\n" for path in written), end="", flush=True)
-    except OSError:
+    except (OSError, UnicodeEncodeError):
         pass
     return 0
 

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import re
 import threading
 from pathlib import Path
 from types import SimpleNamespace
@@ -175,7 +176,6 @@ def test_phase_diagram_files_and_free_companion(tmp_path):
 
     rows = read_rows(out)
     assert len(rows) == 6 * 5
-    assert list(rows[0]) == ["s", "c", "regime", "min_factor", "transition_time"]
     for row in rows:
         assert row["regime"] in ("time-invariant", "sudden-transition")
         assert 0.0 < float(row["min_factor"]) <= 1.0
@@ -186,6 +186,27 @@ def test_phase_diagram_files_and_free_companion(tmp_path):
 
     free_rows = read_rows(companion)
     assert [(r["s"], r["c"]) for r in free_rows] == [(r["s"], r["c"]) for r in rows]
+
+
+_TIME_SERIES = "tau,gamma,factor,mutual_info,classical,discord,concurrence"
+_MAP_HEADER = "s,c,regime,min_factor,transition_time"
+
+
+@pytest.mark.parametrize("argv, headers", [
+    ("decoherence --s 1 --free --tau 1", {"out.csv": "tau,gamma,factor"}),
+    ("decoherence --s 1 --free --tau 1 --oracle", {"out.csv": "tau,gamma,factor"}),
+    ("trajectory --s 1 --free --c 0.5 --horizon 1 --side one", {"out.csv": _TIME_SERIES}),
+    ("trajectory --s 1 --free --c 0.5 --horizon 1 --side two", {"out.csv": _TIME_SERIES}),
+    ("phase-diagram --dt 0.5 --s-grid 1:2:2 --c-grid 0:0.5:2",
+     {"out.csv": _MAP_HEADER, "out-free.csv": _MAP_HEADER}),
+    ("boundary --free --s-grid 1:2:2", {"out.csv": "s,min_factor,dt"}),
+    ("transition --s 1 --free --c 0.5", {"out.csv": "s,c,dt,regime,min_factor,transition_time"}),
+], ids=["decoherence", "decoherence-oracle", "trajectory-one", "trajectory-two",
+        "phase-diagram", "boundary", "transition"])
+def test_every_command_prints_its_header(argv, headers, tmp_path):
+    assert main([*argv.split(), "--output", str(tmp_path / "out.csv")]) == 0
+    for name, header in headers.items():
+        assert (tmp_path / name).read_text().splitlines()[:2] == [UNITS_LINE, header]
 
 
 def test_phase_diagram_companion_suppressed(tmp_path):
@@ -552,26 +573,20 @@ def test_sidecar_reruns_byte_identical(tmp_path, capsys):
     assert rerun.read_bytes() == first.read_bytes()
 
 
-def test_sidecar_records_package_version(tmp_path, capsys):
-    out = tmp_path / "x.csv"
-    assert main(["decoherence", "--s", "1", "--free", "--tau", "0.5",
-                 "--output", str(out)]) == 0
-    capsys.readouterr()
-    resolved = json.loads(out.with_suffix(".json").read_text())
-    assert resolved["package_version"] == "0.1.0"
-    assert resolved["command"] == "decoherence"
-
-
 def test_sidecar_holds_every_field_and_the_version(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert main(["transition", "--s", "1", "--free", "--c", "0.5", "--output", "x.csv"]) == 0
-    capsys.readouterr()
-    assert json.loads((tmp_path / "x.json").read_text()) == {
+    transition = {
         "command": "transition", "s": 1.0, "dt": None, "side": "two", "c": 0.5,
         "horizon": 25.0, "tau": None, "time_step": None, "s_grid": [0.1, 6.0, 60],
         "c_grid": [0.0, 0.999, 50], "rel_tol": 1e-10, "abs_tol": 1e-12,
         "max_subdivisions": 10000, "oracle": False, "free_companion": True,
         "output": "x.csv", "package_version": "0.1.0"}
+    decoherence = transition | {"command": "decoherence", "c": None, "tau": 0.5}
+    for argv, want in (("transition --s 1 --free --c 0.5", transition),
+                       ("decoherence --s 1 --free --tau 0.5", decoherence)):
+        assert main([*argv.split(), "--output", "x.csv"]) == 0
+        assert json.loads((tmp_path / "x.json").read_text()) == want
+    capsys.readouterr()
 
 
 _DECOHERENCE = ["decoherence", "--s", "4", "--free", "--tau", "1"]
@@ -669,6 +684,18 @@ def test_file_output_ignores_a_closed_stdout(unbuffered, tmp_path, run_cli):
     assert read_rows(tmp_path / "t.csv")[0]["regime"] == "sudden-transition"
 
 
+@pytest.mark.parametrize("encoding, name", [
+    ("ascii", "é.csv"),
+    ("utf-8", os.fsdecode(b"\xff.csv")),   # a lone surrogate, which strict UTF-8 refuses
+], ids=["ascii", "utf-8"])
+def test_file_output_ignores_a_wrote_line_stdout_cannot_encode(encoding, name, tmp_path, run_cli):
+    # the files exist before their wrote lines: once "config error: 'ascii' codec can't encode …"
+    done = run_cli([*_CELL, name], tmp_path, {"PYTHONIOENCODING": encoding})
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert sorted(os.listdir(tmp_path)) == [name, name.replace(".csv", ".json")]
+    assert read_rows(tmp_path / name)[0]["regime"] == "sudden-transition"
+
+
 @_UNBUFFERED
 def test_stdout_output_without_fd_1_exits_one(unbuffered, tmp_path, run_cli):
     # Python's sys.stdout is None then: once an AttributeError traceback
@@ -727,6 +754,32 @@ def test_negative_grid_bound_as_a_separate_argument(tmp_path, monkeypatch):
                      "--no-free-companion", "--output", name + ".csv"]) == 0
     assert (tmp_path / "apart.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
     assert len(read_rows(tmp_path / "apart.csv")) == 2 * 41
+
+
+def test_help_lists_every_command_and_every_option(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")   # argparse breaks words wider than a narrow terminal
+    text = cli._build_parser().format_help()
+    assert "{" + ",".join(cli._RUNNERS) + "}" in text
+    # one entry per option, in _OPTIONS order after -h's: the flag, its metavar, its help text
+    entries = [" ".join(entry.split())
+               for entry in re.split(r"\n(?=  -)", text.split("\noptions:\n")[1])]
+    assert [entry.split()[0] for entry in entries] == ["-h,", *(row[0] for row in cli._OPTIONS)]
+    for entry, row in zip(entries[1:], cli._OPTIONS):
+        assert entry.endswith(" ".join(row[5].get("help", "").split()))
+
+
+def test_options_may_come_before_the_command(tmp_path, monkeypatch):
+    # once "argument command: invalid choice: '1'": each command parsed only the options after it
+    options = ["--s", "1", "--free", "--c", "-0.5", "--c-grid", "-0.9:0.9:3", "--output", "x.csv"]
+    for name, argv in (("after", ["transition", *options]), ("before", [*options, "transition"]),
+                       ("around", [*options[:3], "transition", *options[3:]])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main(argv) == 0
+
+    def outputs(name):
+        return [(tmp_path / name / file).read_bytes() for file in ("x.csv", "x.json")]
+    assert outputs("before") == outputs("around") == outputs("after")
 
 
 @pytest.mark.parametrize("args", [

@@ -573,20 +573,27 @@ def test_sidecar_reruns_byte_identical(tmp_path, capsys):
     assert rerun.read_bytes() == first.read_bytes()
 
 
+_TRANSITION_SIDECAR = {
+    "command": "transition", "s": 1.0, "dt": None, "side": "two", "c": 0.5,
+    "horizon": 25.0, "tau": None, "time_step": None, "s_grid": [0.1, 6.0, 60],
+    "c_grid": [0.0, 0.999, 50], "rel_tol": 1e-10, "abs_tol": 1e-12,
+    "max_subdivisions": 10000, "oracle": False, "free_companion": True,
+    "output": "x.csv", "package_version": "0.1.0"}
+
+
 def test_sidecar_holds_every_field_and_the_version(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    transition = {
-        "command": "transition", "s": 1.0, "dt": None, "side": "two", "c": 0.5,
-        "horizon": 25.0, "tau": None, "time_step": None, "s_grid": [0.1, 6.0, 60],
-        "c_grid": [0.0, 0.999, 50], "rel_tol": 1e-10, "abs_tol": 1e-12,
-        "max_subdivisions": 10000, "oracle": False, "free_companion": True,
-        "output": "x.csv", "package_version": "0.1.0"}
-    decoherence = transition | {"command": "decoherence", "c": None, "tau": 0.5}
-    for argv, want in (("transition --s 1 --free --c 0.5", transition),
-                       ("decoherence --s 1 --free --tau 0.5", decoherence)):
-        assert main([*argv.split(), "--output", "x.csv"]) == 0
-        assert json.loads((tmp_path / "x.json").read_text()) == want
+    assert main(["transition", "--s", "1", "--free", "--c", "0.5", "--output", "x.csv"]) == 0
     capsys.readouterr()
+    assert json.loads((tmp_path / "x.json").read_text()) == _TRANSITION_SIDECAR
+
+
+def test_sidecar_records_package_version(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["decoherence", "--s", "1", "--free", "--tau", "0.5", "--output", "x.csv"]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "x.json").read_text()) == _TRANSITION_SIDECAR | {
+        "command": "decoherence", "c": None, "tau": 0.5}
 
 
 _DECOHERENCE = ["decoherence", "--s", "4", "--free", "--tau", "1"]
